@@ -10,8 +10,7 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import io as frameio
 from .core import Domain
@@ -21,9 +20,9 @@ from .discriminator import (
     TrainConfig,
     train,
 )
-from .pipeline import run_bidomain, serialize_report
+from .pipeline import PipelineConfig, _roi_dim, run_bidomain, serialize_report
 from .scoring import scene_vector
-from .simulator import SyntheticConfig, benchmark, generate
+from .simulator import ProxyDetector, SyntheticConfig, benchmark, generate
 from .source_sampler import score_source, select_source
 from .target_sampler import sample_round
 
@@ -97,9 +96,14 @@ def _synthetic_config(args) -> SyntheticConfig:
     else:
         cfg = SyntheticConfig()
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
+    return cfg
+
+
+def _pipeline_config(path) -> PipelineConfig:
+    cfg = frameio.load_config(path)
+    if not isinstance(cfg, PipelineConfig):
+        raise frameio.ConfigError("expected a pipeline config")
     return cfg
 
 
@@ -118,17 +122,16 @@ def _cmd_gen(args) -> int:
 def _cmd_train_disc(args) -> int:
     source = frameio.load_frames(args.source)
     target = frameio.load_frames(args.target)
-    cfg = TrainConfig()
     if args.config:
-        pcfg = frameio.load_config(args.config)
-        cfg = pcfg.discriminator
+        pcfg = _pipeline_config(args.config)
+        cfg, hidden_dims = pcfg.discriminator, pcfg.hidden_dims
+    else:
+        cfg, hidden_dims = TrainConfig(), PipelineConfig.hidden_dims
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     src_vecs = [scene_vector(f) for f in source]
     tgt_vecs = [scene_vector(f) for f in target]
-    dims = (len(src_vecs[0]), 64, 32, 1)
+    dims = (len(src_vecs[0]),) + tuple(hidden_dims) + (1,)
     model = DiscriminatorModel.initialize(dims, seed=cfg.seed)
     model, history = train(model, src_vecs, tgt_vecs, cfg)
     model.save(args.out)
@@ -163,29 +166,13 @@ def _cmd_sample_target(args) -> int:
     return EXIT_OK
 
 
-def _roi_dim(frames) -> int:
-    for f in frames:
-        rois = np.asarray(f.roi_features)
-        if rois.size:
-            return rois.shape[1]
-    return 1
-
-
 def _cmd_run(args) -> int:
-    cfg = frameio.load_config(args.config)
-    from .pipeline import PipelineConfig
-
-    if not isinstance(cfg, PipelineConfig):
-        raise frameio.ConfigError("expected a pipeline config")
+    cfg = _pipeline_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     source = frameio.load_frames(args.source)
     target = frameio.load_frames(args.target)
     eval_frames = frameio.load_frames(args.eval_frames) if args.eval_frames else []
-
-    from .simulator import ProxyDetector
 
     labels = {f.hidden_label for f in source if f.hidden_label is not None}
     n_classes = max(2, len(labels))

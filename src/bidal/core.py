@@ -8,10 +8,11 @@ simulator can play the role of the human annotator.
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
@@ -160,3 +161,17 @@ class PipelineState:
 class Score:
     frame_id: str
     value: float
+
+
+def encode_array(arr: np.ndarray, dtype: str) -> str:
+    """Base64 of the array's bytes in ``dtype`` (e.g. little-endian ``<f4``)."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
+
+
+def decode_array(blob: str, shape, dtype: str, what: str) -> np.ndarray:
+    """Inverse of encode_array; a payload of the wrong length raises ValueError."""
+    raw = base64.b64decode(blob)
+    expected = np.dtype(dtype).itemsize * int(np.prod(shape)) if shape else 0
+    if len(raw) != expected:
+        raise ValueError("%s payload is %d bytes, expected %d" % (what, len(raw), expected))
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()

@@ -9,14 +9,13 @@ checked against finite differences.
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import FrameRecord, Score
+from .core import FrameRecord, Score, decode_array, encode_array
 from .scoring import scene_vector
 
 PRED_EPS = 1e-7
@@ -121,8 +120,8 @@ class DiscriminatorModel:
             "layer_dims": list(self.layer_dims),
             "leak": self.leak,
             "rng_seed": self.rng_seed,
-            "weights": [_encode(w) for w in self.weights],
-            "biases": [_encode(b) for b in self.biases],
+            "weights": [encode_array(w, "<f8") for w in self.weights],
+            "biases": [encode_array(b, "<f8") for b in self.biases],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
@@ -133,27 +132,20 @@ class DiscriminatorModel:
             payload = json.load(fh)
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError("unsupported checkpoint version")
-        dims = payload["layer_dims"]
-        weights = [
-            _decode(blob, (dims[i], dims[i + 1]))
-            for i, blob in enumerate(payload["weights"])
-        ]
-        biases = [
-            _decode(blob, (dims[i + 1],)) for i, blob in enumerate(payload["biases"])
-        ]
-        return cls(
-            dims, weights, biases, leak=payload["leak"], rng_seed=payload["rng_seed"]
-        )
-
-
-def _encode(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode(
-        "ascii"
-    )
-
-
-def _decode(blob: str, shape) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(blob), dtype="<f8").reshape(shape).copy()
+        try:
+            dims = payload["layer_dims"]
+            weights = [
+                decode_array(blob, (dims[i], dims[i + 1]), "<f8", "weights[%d]" % i)
+                for i, blob in enumerate(payload["weights"])
+            ]
+            biases = [
+                decode_array(blob, (dims[i + 1],), "<f8", "biases[%d]" % i)
+                for i, blob in enumerate(payload["biases"])
+            ]
+            leak, rng_seed = payload["leak"], payload["rng_seed"]
+        except KeyError as exc:
+            raise ValueError("checkpoint %s lacks key %s" % (path, exc))
+        return cls(dims, weights, biases, leak=leak, rng_seed=rng_seed)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -7,14 +7,13 @@ float32 data. Config parsing is strict: unknown keys are rejected.
 
 from __future__ import annotations
 
-import base64
 import json
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any, Dict, List, Sequence, Union
 
 import numpy as np
 
-from .core import BudgetSchedule, Domain, FrameRecord, validate_frame
+from .core import BudgetSchedule, Domain, FrameRecord, decode_array, encode_array, validate_frame
 from .discriminator import TrainConfig
 from .pipeline import PipelineConfig
 from .simulator import SyntheticConfig
@@ -41,23 +40,6 @@ BUDGET_PRESETS = {
 }
 
 
-def _encode(arr: np.ndarray) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    ).decode("ascii")
-
-
-def _decode(blob: str, shape, what: str, line: int) -> np.ndarray:
-    raw = base64.b64decode(blob)
-    expected = 4 * int(np.prod(shape)) if shape else 0
-    if len(raw) != expected:
-        raise FrameFormatError(
-            "line %d: %s payload is %d bytes, expected %d"
-            % (line, what, len(raw), expected)
-        )
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-
 def frame_to_record(frame: FrameRecord) -> Dict[str, Any]:
     rois = np.asarray(frame.roi_features)
     record = {
@@ -68,10 +50,10 @@ def frame_to_record(frame: FrameRecord) -> Dict[str, Any]:
             "objectness_map": list(np.asarray(frame.objectness_map).shape),
             "roi_features": list(rois.shape) if rois.ndim == 2 else [0, 0],
         },
-        "feature_map": _encode(frame.feature_map),
-        "objectness_map": _encode(frame.objectness_map),
-        "roi_features": _encode(rois) if rois.size else "",
-        "roi_confidences": _encode(frame.roi_confidences)
+        "feature_map": encode_array(frame.feature_map, "<f4"),
+        "objectness_map": encode_array(frame.objectness_map, "<f4"),
+        "roi_features": encode_array(rois, "<f4") if rois.size else "",
+        "roi_confidences": encode_array(frame.roi_confidences, "<f4")
         if np.asarray(frame.roi_confidences).size
         else "",
     }
@@ -83,19 +65,19 @@ def frame_to_record(frame: FrameRecord) -> Dict[str, Any]:
 def record_to_frame(record: Dict[str, Any], line: int) -> FrameRecord:
     try:
         shapes = record["shapes"]
-        fm = _decode(record["feature_map"], shapes["feature_map"], "feature_map", line)
-        om = _decode(
-            record["objectness_map"], shapes["objectness_map"], "objectness_map", line
+        fm = decode_array(record["feature_map"], shapes["feature_map"], "<f4", "feature_map")
+        om = decode_array(
+            record["objectness_map"], shapes["objectness_map"], "<f4", "objectness_map"
         )
         roi_shape = shapes["roi_features"]
         k = roi_shape[0]
         rois = (
-            _decode(record["roi_features"], roi_shape, "roi_features", line)
+            decode_array(record["roi_features"], roi_shape, "<f4", "roi_features")
             if k
             else np.zeros((0, roi_shape[1] if len(roi_shape) > 1 else 0), dtype="<f4")
         )
         confs = (
-            _decode(record["roi_confidences"], (k,), "roi_confidences", line)
+            decode_array(record["roi_confidences"], (k,), "<f4", "roi_confidences")
             if k
             else np.zeros(0, dtype="<f4")
         )
@@ -108,8 +90,6 @@ def record_to_frame(record: Dict[str, Any], line: int) -> FrameRecord:
             roi_confidences=confs,
             hidden_label=record.get("hidden_label"),
         )
-    except FrameFormatError:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise FrameFormatError("line %d: malformed record (%s)" % (line, exc))
     errors = validate_frame(frame)
@@ -150,6 +130,23 @@ def _check_keys(d: Dict[str, Any], allowed, context: str) -> None:
         )
 
 
+def _check_fields(d: Dict[str, Any], cls, context: str) -> None:
+    """Reject keys that are not fields of ``cls``, and seeds or flags of another type.
+
+    Seeds feed numpy's SeedSequence and flags are tested for truth, so
+    neither is coerced: the string "false" would read as true.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError("%s must be a JSON object, got %r" % (context, d))
+    defaults = {f.name: f.default for f in fields(cls)}
+    _check_keys(d, defaults, context)
+    for key, value in d.items():
+        if isinstance(defaults[key], bool) and not isinstance(value, bool):
+            raise ConfigError("%s %s must be true or false, got %r" % (context, key, value))
+        if key == "seed" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError("%s seed must be an integer, got %r" % (context, value))
+
+
 def parse_source_mode(spec: Union[str, Dict[str, Any]]):
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
@@ -178,7 +175,7 @@ def parse_schedule(d: Dict[str, Any]) -> BudgetSchedule:
                 % (d, ", ".join(sorted(BUDGET_PRESETS)))
             )
         return BUDGET_PRESETS[d]
-    _check_keys(d, {"rounds", "per_round", "trigger_epochs"}, "schedule")
+    _check_fields(d, BudgetSchedule, "schedule")
     try:
         return BudgetSchedule(
             int(d["rounds"]), tuple(d["per_round"]), tuple(d["trigger_epochs"])
@@ -188,9 +185,7 @@ def parse_schedule(d: Dict[str, Any]) -> BudgetSchedule:
 
 
 def parse_train_config(d: Dict[str, Any]) -> TrainConfig:
-    _check_keys(
-        d, {"learning_rate", "epochs", "batch_size", "l2", "seed"}, "discriminator"
-    )
+    _check_fields(d, TrainConfig, "discriminator")
     try:
         return TrainConfig(**d)
     except (TypeError, ValueError) as exc:
@@ -198,24 +193,11 @@ def parse_train_config(d: Dict[str, Any]) -> TrainConfig:
 
 
 def parse_pipeline_config(d: Dict[str, Any]) -> PipelineConfig:
-    allowed = {
-        "schedule",
-        "source_mode",
-        "source_finetune_epochs",
-        "discriminator",
-        "seed",
-        "rescore_each_round",
-        "round_finetune_epochs",
-        "hidden_dims",
-        "bank_config",
-    }
-    _check_keys(d, allowed, "pipeline config")
+    _check_fields(d, PipelineConfig, "pipeline config")
     if "schedule" not in d:
         raise ConfigError("pipeline config requires a schedule")
     bank = d.get("bank_config", {})
-    _check_keys(
-        bank, {"update_prototype_on_join", "pairwise_compare"}, "bank_config"
-    )
+    _check_fields(bank, BankConfig, "bank_config")
     try:
         return PipelineConfig(
             schedule=parse_schedule(d["schedule"]),
@@ -233,19 +215,7 @@ def parse_pipeline_config(d: Dict[str, Any]) -> PipelineConfig:
 
 
 def parse_synthetic_config(d: Dict[str, Any]) -> SyntheticConfig:
-    allowed = {
-        "n_source",
-        "n_target",
-        "n_eval",
-        "clusters_per_domain",
-        "feature_dims",
-        "domain_shift",
-        "label_noise",
-        "cluster_skew",
-        "roi_noise",
-        "seed",
-    }
-    _check_keys(d, allowed, "synthetic config")
+    _check_fields(d, SyntheticConfig, "synthetic config")
     if "feature_dims" in d:
         d = dict(d, feature_dims=tuple(d["feature_dims"]))
     try:

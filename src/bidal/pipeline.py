@@ -4,7 +4,8 @@ Stages: (1) pretrain the detector oracle on the source pool, (2) train the
 domain discriminator on pooled enhanced features of both pools with the
 detector frozen, (3) select target-like source frames and fine-tune on them,
 (4) loop over epochs, firing a target sampling round at each trigger epoch
-and fine-tuning on the union of both labeled pools.
+and fine-tuning on the union of both labeled pools. Stage 4 is
+``run_rounds``; the baseline strategies run it with their own picks.
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run writes a selection manifest and halts before
@@ -14,12 +15,12 @@ fine-tuning so the frames can be annotated offline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .core import BudgetSchedule, Domain, FrameRecord, PipelineState
+from .core import BudgetSchedule, FrameRecord, PipelineState
 from .discriminator import DiscriminatorModel, TrainConfig, domainness, train
 from .scoring import scene_vector
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
@@ -124,32 +125,63 @@ def run_bidomain(
 
     # stage 4: per-round target sampling and joint fine-tuning
     schedule = _clip_schedule(cfg.schedule, len(target), report)
+    roi_dim = _roi_dim(source + target)
+    tgt_scores: Dict[str, float] = {}
+
+    def pick(unlabeled, budget, k, det_state):
+        current = [oracle.features(det_state, f) for f in unlabeled]
+        rois = [reweight(f, roi_dim=roi_dim) for f in current]
+        banks = build_banks(rois, budget, config=cfg.bank_config)
+        # with rescore_each_round off, the first round's scores are reused
+        if cfg.rescore_each_round or not tgt_scores:
+            tgt_scores.update((f.id, domainness(disc, f).value) for f in current)
+        delta = select_targets(banks, tgt_scores)
+        return delta, {i: tgt_scores[i] for i in delta}
+
+    det_state, state = run_rounds(
+        oracle, det_state, state, target, src_labeled, schedule, pick,
+        cfg.round_finetune_epochs, report, eval_frames, manifest_path,
+    )
+    return det_state, state, report
+
+
+def run_rounds(
+    oracle: DetectorOracle,
+    det_state: Any,
+    state: PipelineState,
+    target: Sequence[FrameRecord],
+    src_labeled: List[Tuple[FrameRecord, Any]],
+    schedule: BudgetSchedule,
+    pick: Callable[[List[FrameRecord], int, int, Any], Tuple[List[str], Dict[str, float]]],
+    epochs: int,
+    report: Dict[str, Any],
+    eval_frames: Sequence[FrameRecord] = (),
+    manifest_path: Optional[str] = None,
+) -> Tuple[Any, PipelineState]:
+    """Stage 4, the round loop every strategy shares; fills ``report`` in place.
+
+    Every epoch up to the last trigger fine-tunes on ``src_labeled`` plus the
+    labeled targets. A trigger epoch first calls ``pick(unlabeled, budget,
+    round, det_state)`` on the unlabeled frames of the id-sorted ``target``,
+    which returns the picked ids and the scores to report for them. A pick
+    without labels writes ``manifest_path`` and halts before fine-tuning.
+    """
+    by_id = {f.id: f for f in target}
     triggers = {e: (k, schedule.per_round[k]) for k, e in enumerate(schedule.trigger_epochs)}
     max_epoch = max(schedule.trigger_epochs) if schedule.rounds else -1
-    roi_dim = _roi_dim(source + target)
-    frozen_scores: Optional[Dict[str, float]] = None
-
     for epoch in range(max_epoch + 1):
         if epoch in triggers:
             k, budget = triggers[epoch]
             unlabeled = [f for f in target if f.id not in state.labeled_target]
-            current = [oracle.features(det_state, f) for f in unlabeled]
-            rois = [reweight(f, roi_dim=roi_dim) for f in current]
-            banks = build_banks(rois, min(budget, len(rois)) or 1, config=cfg.bank_config) if rois else None
-            if cfg.rescore_each_round or frozen_scores is None:
-                scored = {f.id: domainness(disc, f).value for f in current}
-                if not cfg.rescore_each_round:
-                    frozen_scores = dict(scored)
-            else:
-                scored = frozen_scores
-            delta = select_targets(banks, scored) if banks else []
+            budget = min(budget, len(unlabeled))
+            delta, scores = pick(unlabeled, budget, k, det_state) if budget else ([], {})
             report["rounds"].append(
                 {
                     "round": k,
                     "trigger_epoch": epoch,
                     "budget": budget,
                     "selected": list(delta),
-                    "scores": {i: scored[i] for i in delta},
+                    "scores": scores,
                 }
             )
             missing = [i for i in delta if by_id[i].hidden_label is None]
@@ -158,12 +190,12 @@ def run_bidomain(
                     with open(manifest_path, "w") as fh:
                         fh.write("".join(i + "\n" for i in delta))
                 report["halted"] = "selected frames lack labels; manifest emitted"
-                return det_state, state, report
+                return det_state, state
             state = update_labeled_pool(state, delta)
         labeled = src_labeled + [
             (by_id[i], by_id[i].hidden_label) for i in state.labeled_target
         ]
-        det_state = oracle.finetune(det_state, labeled, cfg.round_finetune_epochs)
+        det_state = oracle.finetune(det_state, labeled, epochs)
         if eval_frames:
             report.setdefault("metrics", []).append(
                 {"epoch": epoch, "accuracy": oracle.evaluate(det_state, eval_frames)}
@@ -172,7 +204,7 @@ def run_bidomain(
     if eval_frames:
         report["final_metric"] = oracle.evaluate(det_state, eval_frames)
     report["labeled_target"] = list(state.labeled_target)
-    return det_state, state, report
+    return det_state, state
 
 
 def serialize_report(report: Dict[str, Any]) -> str:
@@ -210,27 +242,4 @@ def _clip_schedule(
 
 
 def _config_echo(cfg: PipelineConfig) -> Dict[str, Any]:
-    return {
-        "schedule": {
-            "rounds": cfg.schedule.rounds,
-            "per_round": list(cfg.schedule.per_round),
-            "trigger_epochs": list(cfg.schedule.trigger_epochs),
-        },
-        "source_mode": repr(cfg.source_mode),
-        "source_finetune_epochs": cfg.source_finetune_epochs,
-        "discriminator": {
-            "learning_rate": cfg.discriminator.learning_rate,
-            "epochs": cfg.discriminator.epochs,
-            "batch_size": cfg.discriminator.batch_size,
-            "l2": cfg.discriminator.l2,
-            "seed": cfg.discriminator.seed,
-        },
-        "seed": cfg.seed,
-        "rescore_each_round": cfg.rescore_each_round,
-        "round_finetune_epochs": cfg.round_finetune_epochs,
-        "hidden_dims": list(cfg.hidden_dims),
-        "bank_config": {
-            "update_prototype_on_join": cfg.bank_config.update_prototype_on_join,
-            "pairwise_compare": cfg.bank_config.pairwise_compare,
-        },
-    }
+    return dict(asdict(cfg), source_mode=repr(cfg.source_mode))

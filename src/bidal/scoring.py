@@ -32,7 +32,6 @@ def entropy_map(obj: np.ndarray, log_base: float = 2.0) -> np.ndarray:
     if p.size and (np.min(p) < 0.0 or np.max(p) > 1.0):
         raise ValueError("entropy_map input must lie in [0,1]")
     q = 1.0 - p
-    out = np.zeros_like(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = -np.where(p > 0.0, p * np.log2(p), 0.0) - np.where(
             q > 0.0, q * np.log2(q), 0.0

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import BudgetSchedule, Domain, FrameRecord
+from .core import BudgetSchedule, Domain, FrameRecord, PipelineState
 from .discriminator import TrainConfig
-from .pipeline import PipelineConfig, run_bidomain
+from .pipeline import PipelineConfig, run_bidomain, run_rounds
 from .scoring import entropy_map
 from .source_sampler import Threshold
 from .target_sampler import cosine, reweight
@@ -303,9 +303,6 @@ def sample_committee(
     return [unlabeled[i].id for i in order[:budget]]
 
 
-STRATEGIES = ("random", "entropy", "committee", "bidomain")
-
-
 def default_schedule(budget: int, frac: float) -> BudgetSchedule:
     """Two rounds for small budgets, five otherwise, at fixed trigger epochs."""
     rounds = 2 if (frac <= 0.02 or budget < 5) else 5
@@ -330,7 +327,7 @@ def run_strategy(
     disc_epochs: int = 150,
     round_epochs: int = 25,
 ) -> Dict[str, Any]:
-    """One full pipeline run for one strategy; returns accuracy and selections."""
+    """One full pipeline run for one strategy; returns accuracy, selections and report."""
     oracle = ProxyDetector(n_classes=n_classes, roi_dim=roi_dim)
     if strategy == "bidomain":
         cfg = PipelineConfig(
@@ -341,47 +338,39 @@ def run_strategy(
             seed=seed,
             round_finetune_epochs=round_epochs,
         )
-        _, state, report = run_bidomain(source, target, oracle, cfg, eval_frames)
-        return {
-            "accuracy": report["final_metric"],
-            "selected": list(state.labeled_target),
-            "report": report,
-        }
-    if strategy not in STRATEGIES:
-        raise ValueError("unknown strategy %r" % strategy)
-
-    target = sorted(target, key=lambda f: f.id)
-    by_id = {f.id: f for f in target}
-    det_state = oracle.pretrain(source)
-    src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
-    labeled_ids: List[str] = []
-    triggers = {e: (k, schedule.per_round[k]) for k, e in enumerate(schedule.trigger_epochs)}
-    max_epoch = max(schedule.trigger_epochs) if schedule.rounds else -1
-    for epoch in range(max_epoch + 1):
-        if epoch in triggers:
-            k, budget = triggers[epoch]
-            unlabeled = [f for f in target if f.id not in labeled_ids]
-            budget = min(budget, len(unlabeled))
-            if strategy == "random":
-                delta = sample_random(unlabeled, budget, seed + 7919 * k)
-            elif strategy == "entropy":
-                delta = sample_entropy(unlabeled, budget)
-            else:
-                X = np.stack(
-                    [reweight(f, roi_dim=roi_dim).vector for f, _ in src_labeled]
-                )
-                y = np.array([lab for _, lab in src_labeled])
-                delta = sample_committee(
-                    unlabeled, X, y, n_classes, budget, seed + 7919 * k
-                )
-            labeled_ids.extend(delta)
-        labeled = src_labeled + [(by_id[i], by_id[i].hidden_label) for i in labeled_ids]
-        det_state = oracle.finetune(det_state, labeled, round_epochs)
+        _, _, report = run_bidomain(source, target, oracle, cfg, eval_frames)
+    else:
+        # baselines label the whole source pool and never train a discriminator
+        src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
+        pick = _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim)
+        report = {"seed": seed, "stages": ["pretrain"], "rounds": []}
+        run_rounds(
+            oracle, oracle.pretrain(source), PipelineState(rng_seed=seed),
+            sorted(target, key=lambda f: f.id), src_labeled, schedule, pick,
+            round_epochs, report, eval_frames,
+        )
     return {
-        "accuracy": oracle.evaluate(det_state, eval_frames),
-        "selected": labeled_ids,
-        "report": None,
+        "accuracy": report["final_metric"],
+        "selected": report["labeled_target"],
+        "report": report,
     }
+
+
+def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim):
+    """The round loop's pick for a baseline; baselines report no scores."""
+    if strategy == "random":
+        return lambda unlabeled, budget, k, _: (
+            sample_random(unlabeled, budget, seed + 7919 * k), {}
+        )
+    if strategy == "entropy":
+        return lambda unlabeled, budget, k, _: (sample_entropy(unlabeled, budget), {})
+    if strategy == "committee":
+        X = np.stack([reweight(f, roi_dim=roi_dim).vector for f, _ in src_labeled])
+        y = np.array([lab for _, lab in src_labeled])
+        return lambda unlabeled, budget, k, _: (
+            sample_committee(unlabeled, X, y, n_classes, budget, seed + 7919 * k), {}
+        )
+    raise ValueError("unknown strategy %r" % strategy)
 
 
 def selection_diversity(

@@ -11,12 +11,12 @@ member of each bank is selected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import Domain, FrameRecord, Score
+from .core import Domain, FrameRecord
 from .discriminator import DiscriminatorModel, domainness
 
 NORM_FLOOR = 1e-12

@@ -204,3 +204,66 @@ def test_numerical_failure_exit_code(workspace):
         ]
     )
     assert rc == 3
+
+
+def test_train_disc_requires_pipeline_config(workspace):
+    tmp_path, data = workspace
+    rc = main(
+        [
+            "train-disc",
+            "--source", str(data / "source.ndjson"),
+            "--target", str(data / "target.ndjson"),
+            "--config", str(tmp_path / "gen.json"),
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert rc == 2
+
+
+def test_train_disc_uses_config_hidden_dims(workspace):
+    tmp_path, data = workspace
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    model = tmp_path / "m.json"
+    rc = main(
+        [
+            "train-disc",
+            "--source", str(data / "source.ndjson"),
+            "--target", str(data / "target.ndjson"),
+            "--config", str(cfg),
+            "--out", str(model),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(model.read_text())["layer_dims"] == [16, 8, 1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.pop("leak"), "lacks key 'leak'"),
+        (
+            lambda p: p["weights"].insert(0, p["weights"].pop(0)[:8]),
+            "weights[0] payload is 6 bytes, expected 512",
+        ),
+    ],
+)
+def test_corrupt_checkpoint_exit_code(workspace, capsys, edit, message):
+    from bidal import DiscriminatorModel
+
+    tmp_path, data = workspace
+    model = tmp_path / "m.json"
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    payload = json.loads(model.read_text())
+    edit(payload)
+    model.write_text(json.dumps(payload))
+    rc = main(
+        [
+            "sample-source",
+            "--frames", str(data / "source.ndjson"),
+            "--model", str(model),
+            "--out", str(tmp_path / "ids.txt"),
+        ]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err

@@ -190,6 +190,24 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"kind": "synthetic", "seed": 1.5}, "seed"),
+            ({"discriminator": {"seed": 1.5}}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"rescore_each_round": "false"}, "rescore_each_round"),
+            ({"bank_config": {"update_prototype_on_join": 1}}, "update_prototype_on_join"),
+            ({"discriminator": [1]}, "discriminator"),
+        ],
+    )
+    def test_seeds_and_flags_are_not_coerced(self, tmp_path, section, key):
+        payload = dict({"kind": "pipeline", "schedule": "kitti-1pct"}, **section)
+        if payload["kind"] == "synthetic":
+            del payload["schedule"]
+        with pytest.raises(ConfigError, match=key):
+            load_config(self.write(tmp_path, payload))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = str(tmp_path / "cfg.json")
         with open(path, "w") as fh:

@@ -222,3 +222,48 @@ class TestScheduleAndBenchmark:
         lines = open(path).read().strip().splitlines()
         assert lines[0] == "strategy,seed,budget,accuracy,diversity"
         assert len(lines) == 2
+
+
+# Picks and eval accuracies recorded before the baselines moved onto the
+# pipeline's round loop (SyntheticConfig(30, 40, 20, seed=3), seed 4).
+GOLDEN_RUNS = {
+    ("random", 2): (["t00029", "t00020"], 0.75),
+    ("entropy", 2): (["t00001", "t00004"], 0.8),
+    ("committee", 2): (["t00013", "t00030"], 0.7),
+    ("bidomain", 2): (["t00002", "t00022"], 0.8),
+    ("random", 10): (
+        ["t00028", "t00037", "t00023", "t00019", "t00035",
+         "t00016", "t00027", "t00008", "t00026", "t00039"],
+        0.8,
+    ),
+    ("entropy", 10): (
+        ["t00001", "t00004", "t00035", "t00037", "t00010",
+         "t00026", "t00008", "t00018", "t00003", "t00002"],
+        0.95,
+    ),
+    ("committee", 10): (
+        ["t00013", "t00020", "t00030", "t00032", "t00033",
+         "t00029", "t00019", "t00034", "t00024", "t00012"],
+        0.7,
+    ),
+    ("bidomain", 10): (
+        ["t00022", "t00002", "t00036", "t00006", "t00008",
+         "t00024", "t00026", "t00032", "t00021", "t00019"],
+        0.9,
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy, budget", sorted(GOLDEN_RUNS))
+def test_run_strategy_golden(strategy, budget):
+    src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
+    schedule = default_schedule(budget, 0.01 if budget == 2 else 0.25)
+    result = run_strategy(
+        strategy, src, tgt, ev, schedule, seed=4, n_classes=3, roi_dim=16, disc_epochs=20
+    )
+    assert (result["selected"], result["accuracy"]) == GOLDEN_RUNS[strategy, budget]
+    rounds = result["report"]["rounds"]
+    assert [r["round"] for r in rounds] == list(range(schedule.rounds))
+    assert [r["budget"] for r in rounds] == list(schedule.per_round)
+    assert [i for r in rounds for i in r["selected"]] == result["selected"]
+    assert result["report"]["final_metric"] == result["accuracy"]

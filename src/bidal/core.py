@@ -56,7 +56,7 @@ def validate_frame(frame: FrameRecord) -> list:
         errors.append("feature_map has an empty dimension")
     if om.ndim == 3 and 0 in om.shape:
         errors.append("objectness_map has an empty dimension")
-    if om.size and (np.min(om) < 0.0 or np.max(om) > 1.0):
+    if not np.all((om >= 0.0) & (om <= 1.0)):
         errors.append("objectness out of [0,1]")
     if not np.all(np.isfinite(fm)):
         errors.append("feature_map contains non-finite values")
@@ -68,7 +68,9 @@ def validate_frame(frame: FrameRecord) -> list:
     n_conf = confs.shape[0] if confs.ndim == 1 else confs.size
     if k != n_conf:
         errors.append("roi length mismatch")
-    if confs.size and (np.min(confs) < 0.0 or np.max(confs) > 1.0):
+    if not np.all(np.isfinite(rois)):
+        errors.append("roi_features contains non-finite values")
+    if not np.all((confs >= 0.0) & (confs <= 1.0)):
         errors.append("roi confidence out of [0,1]")
     if not frame.id:
         errors.append("frame id is empty")

@@ -77,14 +77,6 @@ class DiscriminatorModel:
             biases.append(np.zeros(fan_out))
         return cls(layer_dims, weights, biases, leak=leak, rng_seed=seed)
 
-    @classmethod
-    def zeros(cls, layer_dims, leak=0.01):
-        weights = [
-            np.zeros((a, b)) for a, b in zip(layer_dims[:-1], layer_dims[1:])
-        ]
-        biases = [np.zeros(b) for b in layer_dims[1:]]
-        return cls(layer_dims, weights, biases, leak=leak)
-
     def copy(self):
         return DiscriminatorModel(
             self.layer_dims,

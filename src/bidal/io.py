@@ -2,23 +2,21 @@
 
 Frames are stored as newline-delimited JSON with base64 little-endian
 float32 tensor payloads, so load(save(x)) round-trips bit-exactly for
-float32 data. Config parsing is strict: unknown keys are rejected.
+float32 data. Config reading is strict: unknown keys and wrong types are rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
-from typing import Any, Dict, List, Sequence, Union
+from dataclasses import MISSING, fields, is_dataclass
+from typing import Any, Dict, List, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .core import BudgetSchedule, Domain, FrameRecord, decode_array, encode_array, validate_frame
-from .discriminator import TrainConfig
 from .pipeline import PipelineConfig
 from .simulator import SyntheticConfig
-from .source_sampler import Proportion, Threshold, TopK
-from .target_sampler import BankConfig
+from .source_sampler import Proportion, SourceSelectionMode, Threshold, TopK
 
 
 class FrameFormatError(ValueError):
@@ -52,10 +50,8 @@ def frame_to_record(frame: FrameRecord) -> Dict[str, Any]:
         },
         "feature_map": encode_array(frame.feature_map, "<f4"),
         "objectness_map": encode_array(frame.objectness_map, "<f4"),
-        "roi_features": encode_array(rois, "<f4") if rois.size else "",
-        "roi_confidences": encode_array(frame.roi_confidences, "<f4")
-        if np.asarray(frame.roi_confidences).size
-        else "",
+        "roi_features": encode_array(rois, "<f4"),
+        "roi_confidences": encode_array(frame.roi_confidences, "<f4"),
     }
     if frame.hidden_label is not None:
         record["hidden_label"] = frame.hidden_label
@@ -70,17 +66,8 @@ def record_to_frame(record: Dict[str, Any], line: int) -> FrameRecord:
             record["objectness_map"], shapes["objectness_map"], "<f4", "objectness_map"
         )
         roi_shape = shapes["roi_features"]
-        k = roi_shape[0]
-        rois = (
-            decode_array(record["roi_features"], roi_shape, "<f4", "roi_features")
-            if k
-            else np.zeros((0, roi_shape[1] if len(roi_shape) > 1 else 0), dtype="<f4")
-        )
-        confs = (
-            decode_array(record["roi_confidences"], (k,), "<f4", "roi_confidences")
-            if k
-            else np.zeros(0, dtype="<f4")
-        )
+        rois = decode_array(record["roi_features"], roi_shape, "<f4", "roi_features")
+        confs = decode_array(record["roi_confidences"], roi_shape[:1], "<f4", "roi_confidences")
         frame = FrameRecord(
             id=record["id"],
             domain=Domain(record["domain"]),
@@ -130,98 +117,84 @@ def _check_keys(d: Dict[str, Any], allowed, context: str) -> None:
         )
 
 
-def _check_fields(d: Dict[str, Any], cls, context: str) -> None:
-    """Reject keys that are not fields of ``cls``, and seeds or flags of another type.
+def _typed(value: Any, tp: Any, where: str) -> Any:
+    """``value`` checked against the declared field type ``tp``, never coerced."""
+    if tp in _READERS:
+        return _READERS[tp](value, where)
+    if is_dataclass(tp):
+        return _build(tp, value, where)
+    if get_origin(tp) is tuple:
+        item, *rest = get_args(tp)
+        n = None if rest == [Ellipsis] else 1 + len(rest)
+        if not isinstance(value, list) or n not in (None, len(value)):
+            length = "" if n is None else "%d " % n
+            raise ConfigError(
+                "%s must be a list of %s%s, got %r" % (where, length, item.__name__, value)
+            )
+        return tuple(_typed(v, item, "%s[%d]" % (where, i)) for i, v in enumerate(value))
+    # a float field takes ints; only a bool field takes booleans
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    if not ok or isinstance(value, bool) != (tp is bool):
+        raise ConfigError("%s must be %s, got %r" % (where, tp.__name__, value))
+    return value
 
-    Seeds feed numpy's SeedSequence and flags are tested for truth, so
-    neither is coerced: the string "false" would read as true.
-    """
+
+def _build(cls, d: Any, context: str):
+    """``cls(**d)`` with each value checked against its field's type; absent fields default."""
     if not isinstance(d, dict):
         raise ConfigError("%s must be a JSON object, got %r" % (context, d))
-    defaults = {f.name: f.default for f in fields(cls)}
-    _check_keys(d, defaults, context)
-    for key, value in d.items():
-        if isinstance(defaults[key], bool) and not isinstance(value, bool):
-            raise ConfigError("%s %s must be true or false, got %r" % (context, key, value))
-        if key == "seed" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError("%s seed must be an integer, got %r" % (context, value))
+    _check_keys(d, {f.name for f in fields(cls)}, context)
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING:
+            raise ConfigError("%s requires %s" % (context, f.name))
+    hints = get_type_hints(cls)
+    kwargs = {k: _typed(v, hints[k], "%s %s" % (context, k)) for k, v in d.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError("bad %s: %s" % (context, exc))
 
 
-def parse_source_mode(spec: Union[str, Dict[str, Any]]):
+_SOURCE_MODES = {"threshold": Threshold, "proportion": Proportion, "topk": TopK}
+
+
+def parse_source_mode(spec: Union[str, Dict[str, Any]], context: str = "source_mode"):
+    """Read ``"type[:value]"`` or ``{"type": ..., "value": ...}``; a float field gets a float."""
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
         spec = {"type": kind}
         if arg:
-            spec["value"] = float(arg) if kind != "topk" else int(arg)
-    _check_keys(spec, {"type", "value"}, "source_mode")
-    kind = spec.get("type")
-    try:
-        if kind == "threshold":
-            return Threshold(float(spec.get("value", 0.0)))
-        if kind == "proportion":
-            return Proportion(float(spec["value"]))
-        if kind == "topk":
-            return TopK(int(spec["value"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("bad source_mode: %s" % exc)
-    raise ConfigError("source_mode type must be threshold|proportion|topk")
+            try:
+                spec["value"] = json.loads(arg)
+            except json.JSONDecodeError:
+                raise ConfigError("%s value must be a number, got %r" % (context, arg))
+    if not isinstance(spec, dict):
+        raise ConfigError("%s must be a string or a JSON object, got %r" % (context, spec))
+    _check_keys(spec, {"type", "value"}, context)
+    cls = _SOURCE_MODES.get(spec.get("type")) if isinstance(spec.get("type"), str) else None
+    if cls is None:
+        raise ConfigError("%s type must be threshold|proportion|topk" % context)
+    ((name, tp),) = get_type_hints(cls).items()
+    value = _typed(spec.get("value", getattr(cls, name, None)), tp, context + " value")
+    return _build(cls, {name: float(value) if tp is float else value}, context)
 
 
-def parse_schedule(d: Dict[str, Any]) -> BudgetSchedule:
-    if isinstance(d, str):
-        if d not in BUDGET_PRESETS:
-            raise ConfigError(
-                "unknown schedule preset %r (known: %s)"
-                % (d, ", ".join(sorted(BUDGET_PRESETS)))
-            )
-        return BUDGET_PRESETS[d]
-    _check_fields(d, BudgetSchedule, "schedule")
-    try:
-        return BudgetSchedule(
-            int(d["rounds"]), tuple(d["per_round"]), tuple(d["trigger_epochs"])
+def parse_schedule(d: Union[str, Dict[str, Any]], context: str = "schedule") -> BudgetSchedule:
+    """A ``BUDGET_PRESETS`` name or a ``BudgetSchedule`` object."""
+    if not isinstance(d, str):
+        return _build(BudgetSchedule, d, context)
+    if d not in BUDGET_PRESETS:
+        raise ConfigError(
+            "unknown schedule preset %r (known: %s)"
+            % (d, ", ".join(sorted(BUDGET_PRESETS)))
         )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("bad schedule: %s" % exc)
+    return BUDGET_PRESETS[d]
 
 
-def parse_train_config(d: Dict[str, Any]) -> TrainConfig:
-    _check_fields(d, TrainConfig, "discriminator")
-    try:
-        return TrainConfig(**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad discriminator config: %s" % exc)
+# the field types that are not read by plain type checking
+_READERS = {BudgetSchedule: parse_schedule, SourceSelectionMode: parse_source_mode}
 
-
-def parse_pipeline_config(d: Dict[str, Any]) -> PipelineConfig:
-    _check_fields(d, PipelineConfig, "pipeline config")
-    if "schedule" not in d:
-        raise ConfigError("pipeline config requires a schedule")
-    bank = d.get("bank_config", {})
-    _check_fields(bank, BankConfig, "bank_config")
-    try:
-        return PipelineConfig(
-            schedule=parse_schedule(d["schedule"]),
-            source_mode=parse_source_mode(d.get("source_mode", "threshold:0")),
-            source_finetune_epochs=int(d.get("source_finetune_epochs", 15)),
-            discriminator=parse_train_config(d.get("discriminator", {})),
-            seed=int(d.get("seed", 0)),
-            rescore_each_round=bool(d.get("rescore_each_round", True)),
-            round_finetune_epochs=int(d.get("round_finetune_epochs", 1)),
-            hidden_dims=tuple(d.get("hidden_dims", (64, 32))),
-            bank_config=BankConfig(**bank),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad pipeline config: %s" % exc)
-
-
-def parse_synthetic_config(d: Dict[str, Any]) -> SyntheticConfig:
-    _check_fields(d, SyntheticConfig, "synthetic config")
-    if "feature_dims" in d:
-        d = dict(d, feature_dims=tuple(d["feature_dims"]))
-    try:
-        return SyntheticConfig(**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad synthetic config: %s" % exc)
+_KINDS = {"pipeline": PipelineConfig, "synthetic": SyntheticConfig}
 
 
 def load_config(path: str) -> Union[PipelineConfig, SyntheticConfig]:
@@ -231,9 +204,9 @@ def load_config(path: str) -> Union[PipelineConfig, SyntheticConfig]:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("invalid JSON in %s: %s" % (path, exc))
+    if not isinstance(d, dict):
+        raise ConfigError("config %s must be a JSON object, got %r" % (path, d))
     kind = d.pop("kind", None)
-    if kind == "pipeline":
-        return parse_pipeline_config(d)
-    if kind == "synthetic":
-        return parse_synthetic_config(d)
-    raise ConfigError('config requires "kind": "pipeline" or "synthetic"')
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError('config requires "kind": "pipeline" or "synthetic"')
+    return _build(_KINDS[kind], d, "%s config" % kind)

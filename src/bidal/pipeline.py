@@ -15,6 +15,7 @@ fine-tuning so the frames can be annotated offline.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -87,6 +88,12 @@ def run_bidomain(
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
     by_id = {f.id: f for f in source + target}
+    repeated = sorted(i for i, n in Counter(f.id for f in source + target).items() if n > 1)
+    if repeated:
+        raise ValueError("frame ids must be unique across both pools; repeated: %r" % repeated[:5])
+    unlabeled = [f.id for f in source if f.hidden_label is None]
+    if unlabeled:
+        raise ValueError("source frames must carry labels; unlabeled: %r" % unlabeled[:5])
 
     report: Dict[str, Any] = {
         "config": _config_echo(cfg),

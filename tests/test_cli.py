@@ -1,8 +1,10 @@
+import dataclasses
 import json
-import os
+import typing
 
 import pytest
 
+from bidal import BankConfig, BudgetSchedule, PipelineConfig, SyntheticConfig, TrainConfig
 from bidal.cli import main
 
 GEN_CFG = {
@@ -267,3 +269,57 @@ def test_corrupt_checkpoint_exit_code(workspace, capsys, edit, message):
     )
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def _wrong_value(tp):
+    """A JSON value of the wrong type for a field declared as ``tp``."""
+    if tp is int:
+        return 1.5
+    if tp is float:
+        return "x"
+    if tp in (bool, str) or typing.get_origin(tp) is tuple:
+        return 1
+    return [1]  # nested config, schedule or source mode: expects an object
+
+
+_SECTIONS = {
+    PipelineConfig: ("pipeline", []),
+    TrainConfig: ("pipeline", ["discriminator"]),
+    BankConfig: ("pipeline", ["bank_config"]),
+    BudgetSchedule: ("pipeline", ["schedule"]),
+    SyntheticConfig: ("synthetic", []),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, f.name) for cls in _SECTIONS for f in dataclasses.fields(cls)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else v,
+)
+def test_wrong_typed_config_field_exits_2(tmp_path, capsys, cls, field):
+    kind, path = _SECTIONS[cls]
+    payload = {"kind": kind}
+    if kind == "pipeline":
+        payload["schedule"] = {"rounds": 2, "per_round": [3, 3], "trigger_epochs": [0, 2]}
+    section = payload
+    for key in path:
+        section = section.setdefault(key, {})
+    section[field] = _wrong_value(typing.get_type_hints(cls)[field])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    if kind == "synthetic":
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "data")]
+    else:
+        missing = str(tmp_path / "none.ndjson")
+        argv = ["run", "--config", str(cfg), "--source", missing, "--target", missing,
+                "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert " ".join(path + [field]) + " must be" in err, err
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+    assert "must be a JSON object, got [1]" in capsys.readouterr().err

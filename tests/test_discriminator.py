@@ -72,7 +72,7 @@ class TestModel:
             DiscriminatorModel.initialize((4, 8, 2))  # wide output
 
     def test_predict_is_clamped(self):
-        model = DiscriminatorModel.zeros((2, 4, 1))
+        model = DiscriminatorModel.initialize((2, 4, 1))
         # huge bias drives the raw sigmoid to 1; predict must stay inside (0,1)
         model.biases[-1][:] = 1e4
         p = model.predict(np.zeros((1, 2)))

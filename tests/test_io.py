@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from bidal import (
     BUDGET_PRESETS,
+    BankConfig,
+    BudgetSchedule,
     ConfigError,
     FrameFormatError,
     PipelineConfig,
@@ -12,6 +15,7 @@ from bidal import (
     SyntheticConfig,
     Threshold,
     TopK,
+    TrainConfig,
     generate,
     load_config,
     load_frames,
@@ -30,6 +34,9 @@ def sample_frames(n=5, seed=0):
 class TestFrameFiles:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         frames = sample_frames()
+        frames[0] = dataclasses.replace(
+            frames[0], roi_features=np.zeros((0, 16), "<f4"), roi_confidences=np.zeros(0, "<f4")
+        )
         path = str(tmp_path / "frames.ndjson")
         save_frames(frames, path)
         back = load_frames(path)
@@ -81,6 +88,16 @@ class TestFrameFiles:
         with pytest.raises(FrameFormatError):
             load_frames(path)
 
+    def test_nan_objectness_is_format_error(self, tmp_path):
+        frames = sample_frames(n=1, seed=6)
+        objectness = frames[1].objectness_map.copy()
+        objectness.flat[0] = np.nan
+        frames[1] = dataclasses.replace(frames[1], objectness_map=objectness)
+        path = str(tmp_path / "frames.ndjson")
+        save_frames(frames, path)
+        with pytest.raises(FrameFormatError, match="line 2: invalid frame: objectness"):
+            load_frames(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         frames = sample_frames(n=2, seed=5)
         path = str(tmp_path / "frames.ndjson")
@@ -107,6 +124,26 @@ class TestSourceModeParsing:
             parse_source_mode({"type": "best"})
         with pytest.raises(ConfigError):
             parse_source_mode({"type": "topk", "value": 3, "extra": 1})
+
+    def test_float_values_are_stored_as_floats(self):
+        # the report echoes repr(source_mode), so "threshold:0" must stay Threshold(logit=0.0)
+        assert repr(parse_source_mode("threshold:0")) == "Threshold(logit=0.0)"
+        assert repr(parse_source_mode({"type": "proportion", "value": 1})) == "Proportion(p=1.0)"
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ({"type": "topk", "value": 2.5}, "source_mode value must be int, got 2.5"),
+            ("topk:2.5", "source_mode value must be int, got 2.5"),
+            ({"type": "proportion", "value": "0.3"}, "source_mode value must be float"),
+            ("proportion", "source_mode value must be float, got None"),
+            (5, "source_mode must be a string or a JSON object, got 5"),
+        ],
+        ids=["topk-float", "topk-text-float", "proportion-string", "proportion-missing", "int"],
+    )
+    def test_source_mode_value_is_type_checked(self, mode, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_source_mode(mode)
 
 
 class TestScheduleParsing:
@@ -207,6 +244,40 @@ class TestConfigFiles:
             del payload["schedule"]
         with pytest.raises(ConfigError, match=key):
             load_config(self.write(tmp_path, payload))
+
+    def test_every_field_set(self, tmp_path):
+        pipeline = {
+            "schedule": {"rounds": 2, "per_round": [4, 6], "trigger_epochs": [1, 3]},
+            "source_mode": {"type": "proportion", "value": 1},
+            "source_finetune_epochs": 7,
+            "discriminator": {
+                "learning_rate": 0.05, "epochs": 40, "batch_size": 16, "l2": 0, "seed": 2,
+            },
+            "seed": 5,
+            "rescore_each_round": False,
+            "round_finetune_epochs": 3,
+            "hidden_dims": [12, 6],
+            "bank_config": {"update_prototype_on_join": True, "pairwise_compare": "max"},
+        }
+        synthetic = {
+            "n_source": 11, "n_target": 12, "n_eval": 13, "clusters_per_domain": 2,
+            "feature_dims": [8, 3, 3, 2, 5], "domain_shift": 1, "label_noise": 0.1,
+            "cluster_skew": 0.5, "roi_noise": 0.25, "seed": 4,
+        }
+        got = load_config(self.write(tmp_path, dict(pipeline, kind="pipeline")))
+        assert got == PipelineConfig(
+            schedule=BudgetSchedule(2, (4, 6), (1, 3)),
+            source_mode=Proportion(1.0),
+            source_finetune_epochs=7,
+            discriminator=TrainConfig(learning_rate=0.05, epochs=40, batch_size=16, l2=0, seed=2),
+            seed=5,
+            rescore_each_round=False,
+            round_finetune_epochs=3,
+            hidden_dims=(12, 6),
+            bank_config=BankConfig(update_prototype_on_join=True, pairwise_compare="max"),
+        )
+        got = load_config(self.write(tmp_path, dict(synthetic, kind="synthetic")))
+        assert got == SyntheticConfig(**dict(synthetic, feature_dims=(8, 3, 3, 2, 5)))
 
     def test_invalid_json_rejected(self, tmp_path):
         path = str(tmp_path / "cfg.json")

@@ -137,6 +137,20 @@ class TestRunBidomain:
         with pytest.raises(ValueError):
             run_bidomain(src, [], oracle(), small_pipeline_config())
 
+    @pytest.mark.parametrize("pool", ["within", "across"])
+    def test_duplicate_frame_ids_rejected(self, pool):
+        src, tgt, ev = small_world(seed=9)
+        twin = src[0] if pool == "within" else tgt[0]
+        src = src + [dataclasses.replace(twin, domain=src[0].domain)]
+        with pytest.raises(ValueError, match="unique.*%s" % twin.id):
+            run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+
+    def test_unlabeled_source_frame_rejected(self):
+        src, tgt, ev = small_world(seed=10)
+        src[3] = dataclasses.replace(src[3], hidden_label=None)
+        with pytest.raises(ValueError, match="source frames must carry labels.*%s" % src[3].id):
+            run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+
     def test_source_selection_recorded_with_scores(self):
         src, tgt, ev = small_world(seed=8)
         _, _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)

@@ -77,6 +77,14 @@ def validate_frame(frame: FrameRecord) -> list:
     return errors
 
 
+def _int_tuple(values: Sequence[Any], what: str) -> Tuple[int, ...]:
+    """``values`` as a tuple of ints; Python and numpy integers only, never bools."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError("%s must hold integers, got %r" % (what, v))
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class BudgetSchedule:
     """Per-round annotation budgets and the pipeline epochs that trigger them."""
@@ -86,9 +94,9 @@ class BudgetSchedule:
     trigger_epochs: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "per_round", tuple(int(b) for b in self.per_round))
+        object.__setattr__(self, "per_round", _int_tuple(self.per_round, "per_round"))
         object.__setattr__(
-            self, "trigger_epochs", tuple(int(e) for e in self.trigger_epochs)
+            self, "trigger_epochs", _int_tuple(self.trigger_epochs, "trigger_epochs")
         )
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")

@@ -79,6 +79,12 @@ def record_to_frame(record: Dict[str, Any], line: int) -> FrameRecord:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FrameFormatError("line %d: malformed record (%s)" % (line, exc))
+    label = frame.hidden_label
+    if label is not None and (isinstance(label, bool) or not isinstance(label, int) or label < 0):
+        raise FrameFormatError(
+            "line %d: hidden_label must be a non-negative integer or null, got %s"
+            % (line, json.dumps(label))
+        )
     errors = validate_frame(frame)
     if errors:
         raise FrameFormatError("line %d: invalid frame: %s" % (line, "; ".join(errors)))

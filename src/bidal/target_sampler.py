@@ -7,6 +7,17 @@ nearest bank, or — when it is less similar to every prototype than the two
 closest prototypes are to each other — triggers a count-weighted merge of the
 most similar pair and founds a fresh bank. Finally the highest-domainness
 member of each bank is selected.
+
+The bank is incremental: the prototypes sit as rows of a (cap, d) matrix with
+their norms, beside a cap x cap matrix of pair cosines whose aggregates (the
+min, the max and the pairs tied at the max) are cached. Each frame after the
+fill phase costs one O(cap*d) row pass and an ``argmax``. A merge drops the
+absorbed bank's row and column, and a merge or a join with
+``update_prototype_on_join`` rewrites one row and column in O(cap*d); either
+then refreshes the aggregates in O(cap^2). Similarities follow ``cosine``'s norm
+floor, but are elementwise products summed per row rather than BLAS products,
+so identical prototypes score the same wherever they sit and exact ties break
+as they always have.
 """
 
 from __future__ import annotations
@@ -109,61 +120,125 @@ def _pair_key(a: SimilarityBank, b: SimilarityBank):
     return tuple(sorted((min(a.members), min(b.members))))
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+class _Prototypes:
+    """Prototype rows in bank order, their norms and, after the fill phase,
+    the pair-cosine matrix with its cached aggregates."""
+
+    def __init__(self, capacity: int, dim: int):
+        self.rows = np.empty((capacity, dim))
+        self.norms = np.empty(capacity)
+        self.size = 0
+        self.pairs: Optional[np.ndarray] = None
+
+    def cosines(self, vec: np.ndarray) -> np.ndarray:
+        """Cosine of ``vec`` with every row, under ``cosine``'s norm floor."""
+        rows, norms = self.rows[: self.size], self.norms[: self.size]
+        sims = np.zeros(self.size)
+        norm = _norms(vec)
+        if not norm < NORM_FLOOR:
+            # not BLAS ``rows @ vec``: each row is summed on its own, so
+            # identical rows score bit-identically wherever they sit
+            np.divide(
+                (rows * vec).sum(axis=-1), norms * norm, out=sims,
+                where=~(norms < NORM_FLOOR),
+            )
+        return sims
+
+    def append(self, vec: np.ndarray) -> None:
+        self.size += 1
+        self.set(self.size - 1, vec)
+
+    def set(self, k: int, vec: np.ndarray) -> None:
+        self.rows[k] = vec
+        self.norms[k] = _norms(vec)
+        if self.pairs is not None:
+            n = self.size
+            self.pairs[k, :n] = self.pairs[:n, k] = self.cosines(vec)
+
+    def delete(self, j: int) -> None:
+        n = self.size
+        self.rows[j : n - 1] = self.rows[j + 1 : n]
+        self.norms[j : n - 1] = self.norms[j + 1 : n]
+        if self.pairs is not None:
+            self.pairs[j : n - 1, :n] = self.pairs[j + 1 : n, :n]
+            self.pairs[:n, j : n - 1] = self.pairs[:n, j + 1 : n]
+        self.size -= 1
+
+    def start_pairs(self) -> None:
+        """Fill the pair matrix; the bank count stays at its cap from here on."""
+        n = self.size
+        self.pairs = np.empty((n, n))
+        for k in range(n):
+            self.pairs[k] = self.cosines(self.rows[k])
+        self._upper = np.triu_indices(n, 1)
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Recompute the pair aggregates after a prototype moved."""
+        sims = self.pairs[self._upper]
+        if not sims.size:
+            self.pair_min = self.pair_max = None
+            return
+        self.pair_min, self.pair_max = sims.min(), sims.max()
+        tied = np.flatnonzero(sims == self.pair_max)
+        self.top_pairs = list(zip(self._upper[0][tied].tolist(), self._upper[1][tied].tolist()))
+
+
 def build_banks(
     rois: Sequence[ReweightedROI],
     capacity: int,
     config: BankConfig = BankConfig(),
 ) -> BankSet:
-    """Stream re-weighted ROI vectors into at most ``capacity`` banks."""
+    """Stream re-weighted ROI vectors into at most ``capacity`` banks.
+
+    Each frame past the fill phase costs one O(cap*d) pass over the prototype
+    rows; a merge or a prototype-moving join costs O(cap*d) to rewrite one row
+    and column of the pair matrix plus an O(cap^2) aggregate refresh.
+    """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
     banks: List[SimilarityBank] = []
-    # prototypes only move on merges (or opt-in joins), so the pairwise
-    # similarities are cached between structural changes
-    pair_sims: List[tuple] = []
-    pairs_stale = True
+    protos: Optional[_Prototypes] = None
     for roi in rois:
         vec = np.asarray(roi.vector, dtype=np.float64)
+        if protos is None:
+            if vec.ndim != 1:
+                raise ValueError("ROI vectors must be one-dimensional")
+            protos = _Prototypes(min(capacity, len(rois)), vec.shape[0])
+        elif vec.shape != protos.rows.shape[1:]:
+            raise ValueError("dimension mismatch")
         if len(banks) < capacity:
             banks.append(SimilarityBank(prototype=vec.copy(), members=[roi.frame_id]))
-            pairs_stale = True
+            protos.append(vec)
             continue
 
-        sims = [cosine(vec, b.prototype) for b in banks]
-        best = max(sims)
-        if pairs_stale:
-            pair_sims = [
-                (cosine(banks[i].prototype, banks[j].prototype), i, j)
-                for i in range(len(banks))
-                for j in range(i + 1, len(banks))
-            ]
-            pairs_stale = False
-        if pair_sims:
-            agg = (min if config.pairwise_compare == "min" else max)(
-                s for s, _, _ in pair_sims
-            )
-        else:
-            agg = None
-
-        if agg is not None and best < agg:
+        if protos.pairs is None:
+            protos.start_pairs()
+        sims = protos.cosines(vec)
+        idx = int(np.argmax(sims))  # ties resolve to the earliest bank
+        agg = protos.pair_min if config.pairwise_compare == "min" else protos.pair_max
+        if agg is not None and sims[idx] < agg:
             # merge the most similar pair, then found a bank for the newcomer
-            top = max(s for s, _, _ in pair_sims)
-            candidates = [(i, j) for s, i, j in pair_sims if s == top]
-            i, j = min(candidates, key=lambda ij: _pair_key(banks[ij[0]], banks[ij[1]]))
-            merged = merge_banks(banks[i], banks[j])
-            banks[i] = merged
+            i, j = min(protos.top_pairs, key=lambda ij: _pair_key(banks[ij[0]], banks[ij[1]]))
+            banks[i] = merge_banks(banks[i], banks[j])
             del banks[j]
             banks.append(SimilarityBank(prototype=vec.copy(), members=[roi.frame_id]))
-            pairs_stale = True
+            protos.delete(j)
+            protos.set(i, banks[i].prototype)
+            protos.append(vec)
+            protos.refresh()
         else:
-            # ties resolve to the earliest bank
-            idx = sims.index(best)
             nearest = banks[idx]
             nearest.members.append(roi.frame_id)
             if config.update_prototype_on_join:
                 n = nearest.count
                 nearest.prototype = ((n - 1) * nearest.prototype + vec) / n
-                pairs_stale = True
+                protos.set(idx, nearest.prototype)
+                protos.refresh()
     return BankSet(banks=banks, capacity=capacity)
 
 

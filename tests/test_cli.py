@@ -323,3 +323,29 @@ def test_non_object_config_exits_2(tmp_path, capsys):
     cfg.write_text("[1]")
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
     assert "must be a JSON object, got [1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", [[1], 1.5, "a", True, -1])
+def test_bad_hidden_label_exits_2(workspace, capsys, label):
+    tmp_path, data = workspace
+    lines = (data / "source.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    records[1]["hidden_label"] = label
+    source = tmp_path / "bad_source.ndjson"
+    source.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    rc = main(
+        [
+            "run",
+            "--config", str(cfg),
+            "--source", str(source),
+            "--target", str(data / "target.ndjson"),
+            "--out", str(tmp_path / "r.json"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 2: hidden_label must be a non-negative integer or null, got %s" % (
+        json.dumps(label)
+    ) in err, err

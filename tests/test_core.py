@@ -98,6 +98,19 @@ class TestBudgetSchedule:
     def test_lengths_must_match_rounds(self):
         with pytest.raises(ValueError):
             BudgetSchedule(3, (1, 1), (0, 5))
+
+    @pytest.mark.parametrize(
+        "per_round, epochs",
+        [((1.5, 2), (0, 5)), ((1, 2), (0, 5.0)), ((True, 2), (0, 5))],
+    )
+    def test_non_integral_values_rejected(self, per_round, epochs):
+        with pytest.raises(ValueError, match="must hold integers"):
+            BudgetSchedule(2, per_round, epochs)
+
+    def test_numpy_integers_accepted(self):
+        s = BudgetSchedule(2, np.array([3, 4]), (np.int32(0), 5))
+        assert s.per_round == (3, 4) and s.trigger_epochs == (0, 5)
+        assert all(type(v) is int for v in s.per_round + s.trigger_epochs)
         with pytest.raises(ValueError):
             BudgetSchedule(2, (1, 1), (0, 5, 9))
 

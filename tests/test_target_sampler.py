@@ -16,7 +16,7 @@ from bidal import (
     sample_round,
     select_targets,
 )
-from bidal.target_sampler import SimilarityBank
+from bidal.target_sampler import SimilarityBank, _Prototypes
 
 from .reference import (
     ref_build_banks,
@@ -140,17 +140,25 @@ class TestMerge:
 class TestBuildBanksOracle:
     def test_exhaustive_small_instances(self):
         # every vector sequence over a fixed 3-value grid, up to 5 frames,
-        # checked against the line-by-line transcription oracle
+        # checked against the line-by-line transcription oracle; with
+        # descending ids a join can lower a bank's smallest member and change
+        # which tied pair a later merge takes
         grid = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
         for n in range(1, 6):
             for combo in itertools.product(grid, repeat=n):
-                rois = rois_from(combo)
-                for cap in (1, 2, 3):
-                    got = build_banks(rois, cap)
-                    want = ref_build_banks(
-                        [r.vector for r in rois], [r.frame_id for r in rois], cap
-                    )
-                    assert_same_banks(got, want)
+                for ids in (sorted, lambda ids: sorted(ids, reverse=True)):
+                    rois = [
+                        ReweightedROI(i, np.asarray(v))
+                        for i, v in zip(ids("f%04d" % k for k in range(n)), combo)
+                    ]
+                    for cap in (1, 2, 3):
+                        for compare in ("min", "max"):
+                            got = build_banks(rois, cap, BankConfig(pairwise_compare=compare))
+                            want = ref_build_banks(
+                                list(combo), [r.frame_id for r in rois], cap,
+                                pairwise_compare=compare,
+                            )
+                            assert_same_banks(got, want)
 
     def test_random_instances_all_variants(self):
         rng = np.random.default_rng(4)
@@ -175,6 +183,57 @@ class TestBuildBanksOracle:
                 pairwise_compare=cfg.pairwise_compare,
             )
             assert_same_banks(got, want)
+
+    @pytest.mark.parametrize("update", [False, True])
+    @pytest.mark.parametrize("compare", ["min", "max"])
+    def test_large_cap_instances(self, compare, update):
+        # caps of 20-60 at d=16, with exact duplicate rows and all-zero
+        # vectors scattered through the stream and shuffled ids
+        rng = np.random.default_rng([9, update, compare == "max"])
+        cfg = BankConfig(update_prototype_on_join=update, pairwise_compare=compare)
+        for _ in range(2):
+            n, cap = int(rng.integers(200, 401)), int(rng.integers(20, 61))
+            vecs = rng.normal(size=(n, 16))
+            for k in rng.integers(n, size=n // 10):
+                vecs[k] = vecs[rng.integers(n)]
+            vecs[rng.integers(n, size=n // 20)] = 0.0
+            ids = ["f%04d" % i for i in rng.permutation(n)]
+            got = build_banks(
+                [ReweightedROI(i, v) for i, v in zip(ids, vecs)], cap, config=cfg
+            )
+            want = ref_build_banks(
+                vecs.tolist(), ids, cap, update_on_join=update, pairwise_compare=compare
+            )
+            assert_same_banks(got, want)
+
+    def test_identical_rows_score_bit_equal(self):
+        # a tie between identical prototypes must not depend on where they sit
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            cap = int(rng.integers(3, 80))
+            rows = rng.normal(size=(cap, 16)) * rng.uniform(1e-3, 1e3)
+            at = rng.choice(cap, size=3, replace=False)
+            rows[at] = rows[at[0]]
+            protos = _Prototypes(cap, 16)
+            for row in rows:
+                protos.append(row)
+            protos.start_pairs()
+            sims = protos.cosines(rng.normal(size=16))
+            assert sims[at[0]] == sims[at[1]] == sims[at[2]]
+            pairs = protos.pairs
+            assert np.array_equal(pairs, pairs.T)
+            others = np.setdiff1d(np.arange(cap), at)
+            assert np.array_equal(pairs[at[0], others], pairs[at[1], others])
+            assert np.array_equal(pairs[at[0], others], pairs[at[2], others])
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_dimension_mismatch_rejected(self, cap):
+        # also inside the fill phase, where no similarity is computed yet
+        rois = rois_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]) + [
+            ReweightedROI("f9999", np.ones(4))
+        ]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            build_banks(rois, cap)
 
     def test_capacity_one(self):
         rois = rois_from(np.random.default_rng(5).normal(size=(6, 3)))

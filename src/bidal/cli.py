@@ -14,14 +14,9 @@ from dataclasses import replace
 
 from . import io as frameio
 from .core import Domain
-from .discriminator import (
-    DiscriminatorModel,
-    NumericalError,
-    TrainConfig,
-    train,
-)
+# ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
+from .discriminator import DiscriminatorModel, NumericalError, TrainConfig, fit, train
 from .pipeline import PipelineConfig, _roi_dim, run_bidomain, serialize_report
-from .scoring import scene_vector
 from .simulator import ProxyDetector, SyntheticConfig, benchmark, generate
 from .source_sampler import score_source, select_source
 from .target_sampler import sample_round
@@ -129,11 +124,7 @@ def _cmd_train_disc(args) -> int:
         cfg, hidden_dims = TrainConfig(), PipelineConfig.hidden_dims
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    src_vecs = [scene_vector(f) for f in source]
-    tgt_vecs = [scene_vector(f) for f in target]
-    dims = (len(src_vecs[0]),) + tuple(hidden_dims) + (1,)
-    model = DiscriminatorModel.initialize(dims, seed=cfg.seed)
-    model, history = train(model, src_vecs, tgt_vecs, cfg)
+    model, history = fit(source, target, hidden_dims, cfg, cfg.seed)
     model.save(args.out)
     print("final loss %.6f after %d epochs -> %s"
           % (history[-1] if history else float("nan"), len(history), args.out))

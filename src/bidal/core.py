@@ -131,6 +131,36 @@ class BudgetSchedule:
 
 
 @dataclass(frozen=True)
+class SyntheticConfig:
+    n_source: int = 400
+    n_target: int = 400
+    n_eval: int = 300
+    clusters_per_domain: int = 3
+    feature_dims: Tuple[int, int, int, int, int] = (16, 4, 4, 2, 16)  # C,H,W,C',d_roi
+    domain_shift: float = 3.0
+    label_noise: float = 0.0
+    cluster_skew: float = 0.6
+    roi_noise: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        if min(self.n_source, self.n_target, self.n_eval) < 1:
+            raise ValueError("dataset sizes must be positive")
+        if self.clusters_per_domain < 1:
+            raise ValueError("clusters_per_domain must be positive")
+        if any(d < 1 for d in self.feature_dims):
+            raise ValueError("feature dims must be positive")
+        if self.domain_shift < 0:
+            raise ValueError("domain_shift must be non-negative")
+        if not 0.0 <= self.label_noise < 0.5:
+            raise ValueError("label_noise must lie in [0, 0.5)")
+        if not 0.0 < self.cluster_skew <= 1.0:
+            raise ValueError("cluster_skew must lie in (0, 1]")
+        if self.roi_noise < 0:
+            raise ValueError("roi_noise must be non-negative")
+
+
+@dataclass(frozen=True)
 class PipelineState:
     """Immutable labeled-pool bookkeeping; updates produce new values."""
 

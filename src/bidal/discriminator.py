@@ -246,6 +246,22 @@ def train(
     return model, history
 
 
+def fit(
+    source: Sequence[FrameRecord],
+    target: Sequence[FrameRecord],
+    hidden_dims: Sequence[int],
+    cfg: TrainConfig,
+    seed: int,
+) -> Tuple[DiscriminatorModel, List[float]]:
+    """Stage 2: a ``(C,) + hidden_dims + (1,)`` model, seeded, trained on both pools."""
+    if not source or not target:
+        raise ValueError("source and target pools must be non-empty")
+    src_vecs = [scene_vector(f) for f in source]
+    tgt_vecs = [scene_vector(f) for f in target]
+    dims = (len(src_vecs[0]),) + tuple(hidden_dims) + (1,)
+    return train(DiscriminatorModel.initialize(dims, seed=seed), src_vecs, tgt_vecs, cfg)
+
+
 def domainness(model: DiscriminatorModel, frame: FrameRecord) -> Score:
     """Score one frame: sigmoid output of the MLP on its pooled enhanced map."""
     return Score(frame_id=frame.id, value=forward(model, scene_vector(frame)))

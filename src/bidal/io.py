@@ -13,9 +13,9 @@ from typing import Any, Dict, List, Sequence, Union, get_args, get_origin, get_t
 
 import numpy as np
 
-from .core import BudgetSchedule, Domain, FrameRecord, decode_array, encode_array, validate_frame
+from .core import (BudgetSchedule, Domain, FrameRecord, SyntheticConfig, decode_array,
+                   encode_array, validate_frame)
 from .pipeline import PipelineConfig
-from .simulator import SyntheticConfig
 from .source_sampler import Proportion, SourceSelectionMode, Threshold, TopK
 
 

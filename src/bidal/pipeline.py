@@ -5,7 +5,7 @@ domain discriminator on pooled enhanced features of both pools with the
 detector frozen, (3) select target-like source frames and fine-tune on them,
 (4) loop over epochs, firing a target sampling round at each trigger epoch
 and fine-tuning on the union of both labeled pools. Stage 4 is
-``run_rounds``; the baseline strategies run it with their own picks.
+``run_rounds``; its bi-domain pick is ``sample_round``, baselines pass their own.
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run writes a selection manifest and halts before
@@ -21,11 +21,10 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 
 import numpy as np
 
-from .core import BudgetSchedule, FrameRecord, PipelineState
-from .discriminator import DiscriminatorModel, TrainConfig, domainness, train
-from .scoring import scene_vector
+from .core import BudgetSchedule, Domain, FrameRecord, PipelineState
+from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
-from .target_sampler import BankConfig, build_banks, reweight, select_targets
+from .target_sampler import BankConfig, sample_round
 
 
 class DetectorOracle(Protocol):
@@ -49,7 +48,6 @@ class PipelineConfig:
     source_finetune_epochs: int = 15
     discriminator: TrainConfig = TrainConfig()
     seed: int = 0
-    rescore_each_round: bool = True
     round_finetune_epochs: int = 1
     hidden_dims: Tuple[int, ...] = (64, 32)
     bank_config: BankConfig = BankConfig()
@@ -91,6 +89,10 @@ def run_bidomain(
     repeated = sorted(i for i, n in Counter(f.id for f in source + target).items() if n > 1)
     if repeated:
         raise ValueError("frame ids must be unique across both pools; repeated: %r" % repeated[:5])
+    mistagged = [f.id for f in source if f.domain != Domain.SOURCE]
+    mistagged += [f.id for f in target if f.domain != Domain.TARGET]
+    if mistagged:
+        raise ValueError("frames tagged with the other pool's domain: %r" % mistagged[:5])
     unlabeled = [f.id for f in source if f.hidden_label is None]
     if unlabeled:
         raise ValueError("source frames must carry labels; unlabeled: %r" % unlabeled[:5])
@@ -108,11 +110,7 @@ def run_bidomain(
     report["stages"].append("pretrain")
 
     # stage 2: discriminator on pooled enhanced features, detector frozen
-    src_vecs = [scene_vector(f) for f in source]
-    tgt_vecs = [scene_vector(f) for f in target]
-    dims = (len(src_vecs[0]),) + tuple(cfg.hidden_dims) + (1,)
-    disc = DiscriminatorModel.initialize(dims, seed=cfg.seed)
-    disc, history = train(disc, src_vecs, tgt_vecs, cfg.discriminator)
+    disc, history = fit(source, target, cfg.hidden_dims, cfg.discriminator, cfg.seed)
     report["stages"].append("train-discriminator")
     report["discriminator_final_loss"] = history[-1] if history else None
 
@@ -133,17 +131,11 @@ def run_bidomain(
     # stage 4: per-round target sampling and joint fine-tuning
     schedule = _clip_schedule(cfg.schedule, len(target), report)
     roi_dim = _roi_dim(source + target)
-    tgt_scores: Dict[str, float] = {}
 
     def pick(unlabeled, budget, k, det_state):
-        current = [oracle.features(det_state, f) for f in unlabeled]
-        rois = [reweight(f, roi_dim=roi_dim) for f in current]
-        banks = build_banks(rois, budget, config=cfg.bank_config)
-        # with rescore_each_round off, the first round's scores are reused
-        if cfg.rescore_each_round or not tgt_scores:
-            tgt_scores.update((f.id, domainness(disc, f).value) for f in current)
-        delta = select_targets(banks, tgt_scores)
-        return delta, {i: tgt_scores[i] for i in delta}
+        current = {f.id: oracle.features(det_state, f) for f in unlabeled}
+        delta = sample_round(list(current.values()), disc, budget, roi_dim, cfg.bank_config)
+        return delta, {i: domainness(disc, current[i]).value for i in delta}
 
     det_state, state = run_rounds(
         oracle, det_state, state, target, src_labeled, schedule, pick,

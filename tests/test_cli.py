@@ -349,3 +349,60 @@ def test_bad_hidden_label_exits_2(workspace, capsys, label):
     assert "line 2: hidden_label must be a non-negative integer or null, got %s" % (
         json.dumps(label)
     ) in err, err
+
+
+def test_run_rejects_mistagged_frame(workspace, capsys):
+    tmp_path, data = workspace
+    records = [json.loads(line) for line in (data / "target.ndjson").read_text().splitlines()]
+    records[3]["domain"] = "source"
+    target = tmp_path / "mistagged.ndjson"
+    target.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    rc = main(
+        [
+            "run",
+            "--config", str(cfg),
+            "--source", str(data / "source.ndjson"),
+            "--target", str(target),
+            "--out", str(tmp_path / "r.json"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "other pool's domain: [%r]" % records[3]["id"] in err, err
+
+
+def test_run_rejects_removed_rescore_key(workspace, capsys):
+    tmp_path, data = workspace
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(dict(RUN_CFG, rescore_each_round=True)))
+    rc = main(
+        [
+            "run",
+            "--config", str(cfg),
+            "--source", str(data / "source.ndjson"),
+            "--target", str(data / "target.ndjson"),
+            "--out", str(tmp_path / "r.json"),
+        ]
+    )
+    assert rc == 2
+    assert "unknown pipeline config keys: rescore_each_round" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty", ["source", "target"])
+def test_train_disc_empty_pool_exits_2(workspace, capsys, empty):
+    tmp_path, data = workspace
+    pools = {"source": str(data / "source.ndjson"), "target": str(data / "target.ndjson")}
+    (tmp_path / "empty.ndjson").write_text("")
+    pools[empty] = str(tmp_path / "empty.ndjson")
+    rc = main(
+        [
+            "train-disc",
+            "--source", pools["source"],
+            "--target", pools["target"],
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert rc == 2
+    assert "must be non-empty" in capsys.readouterr().err

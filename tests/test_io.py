@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 
@@ -23,6 +24,7 @@ from bidal import (
     parse_source_mode,
     save_frames,
 )
+from bidal import io as frameio
 
 
 def sample_frames(n=5, seed=0):
@@ -233,7 +235,7 @@ class TestConfigFiles:
             ({"kind": "synthetic", "seed": 1.5}, "seed"),
             ({"discriminator": {"seed": 1.5}}, "seed"),
             ({"seed": True}, "seed"),
-            ({"rescore_each_round": "false"}, "rescore_each_round"),
+            ({"bank_config": {"update_prototype_on_join": "false"}}, "update_prototype_on_join"),
             ({"bank_config": {"update_prototype_on_join": 1}}, "update_prototype_on_join"),
             ({"discriminator": [1]}, "discriminator"),
         ],
@@ -254,7 +256,6 @@ class TestConfigFiles:
                 "learning_rate": 0.05, "epochs": 40, "batch_size": 16, "l2": 0, "seed": 2,
             },
             "seed": 5,
-            "rescore_each_round": False,
             "round_finetune_epochs": 3,
             "hidden_dims": [12, 6],
             "bank_config": {"update_prototype_on_join": True, "pairwise_compare": "max"},
@@ -271,7 +272,6 @@ class TestConfigFiles:
             source_finetune_epochs=7,
             discriminator=TrainConfig(learning_rate=0.05, epochs=40, batch_size=16, l2=0, seed=2),
             seed=5,
-            rescore_each_round=False,
             round_finetune_epochs=3,
             hidden_dims=(12, 6),
             bank_config=BankConfig(update_prototype_on_join=True, pairwise_compare="max"),
@@ -285,3 +285,19 @@ class TestConfigFiles:
             fh.write("{nope")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def test_io_does_not_import_simulator():
+    """The I/O layer must not depend on the synthetic benchmark."""
+    with open(frameio.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + ["%s.%s" % (module, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            assert "simulator" not in name.split("."), "line %d imports %s" % (node.lineno, name)

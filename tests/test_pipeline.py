@@ -112,17 +112,6 @@ class TestRunBidomain:
             listed = [line.strip() for line in fh if line.strip()]
         assert listed == report["rounds"][0]["selected"]
 
-    def test_rescore_toggle_changes_round_scores_only_when_on(self):
-        src, tgt, ev = small_world(seed=5)
-        frozen_cfg = small_pipeline_config(rescore_each_round=False)
-        _, _, frozen = run_bidomain(src, tgt, oracle(), frozen_cfg, ev)
-        live_cfg = small_pipeline_config(rescore_each_round=True)
-        _, _, live = run_bidomain(src, tgt, oracle(), live_cfg, ev)
-        # the discriminator is fixed after stage 2, so a frame's score is the
-        # same whether cached or recomputed; the toggle must not change results
-        for fr, lr in zip(frozen["rounds"], live["rounds"]):
-            assert fr["selected"] == lr["selected"]
-
     def test_input_order_does_not_matter(self):
         src, tgt, ev = small_world(seed=6)
         cfg = small_pipeline_config()
@@ -143,6 +132,17 @@ class TestRunBidomain:
         twin = src[0] if pool == "within" else tgt[0]
         src = src + [dataclasses.replace(twin, domain=src[0].domain)]
         with pytest.raises(ValueError, match="unique.*%s" % twin.id):
+            run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+
+    @pytest.mark.parametrize(
+        "pool", ["target", "source"],
+        ids=["source frame in target pool", "target frame in source pool"],
+    )
+    def test_mistagged_frame_rejected(self, pool):
+        src, tgt, ev = small_world(seed=11)
+        frames, other = (tgt, src) if pool == "target" else (src, tgt)
+        frames[2] = dataclasses.replace(frames[2], domain=other[0].domain)
+        with pytest.raises(ValueError, match="other pool's domain.*%s" % frames[2].id):
             run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
 
     def test_unlabeled_source_frame_rejected(self):

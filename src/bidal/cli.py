@@ -117,14 +117,16 @@ def _cmd_gen(args) -> int:
 def _cmd_train_disc(args) -> int:
     source = frameio.load_frames(args.source)
     target = frameio.load_frames(args.target)
+    # with a pipeline config, initialize with its top-level seed, as `run` does
     if args.config:
         pcfg = _pipeline_config(args.config)
-        cfg, hidden_dims = pcfg.discriminator, pcfg.hidden_dims
+        cfg, hidden_dims, seed = pcfg.discriminator, pcfg.hidden_dims, pcfg.seed
     else:
         cfg, hidden_dims = TrainConfig(), PipelineConfig.hidden_dims
+        seed = cfg.seed
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    model, history = fit(source, target, hidden_dims, cfg, cfg.seed)
+        cfg, seed = replace(cfg, seed=args.seed), args.seed
+    model, history = fit(source, target, hidden_dims, cfg, seed)
     model.save(args.out)
     print("final loss %.6f after %d epochs -> %s"
           % (history[-1] if history else float("nan"), len(history), args.out))

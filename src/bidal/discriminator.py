@@ -5,6 +5,17 @@ domainness score in (0, 1): '0' means source-like, '1' target-like. Training
 is plain seeded mini-batch gradient descent on binary cross-entropy with an
 L2 penalty, so every run is exactly reproducible and the gradients can be
 checked against finite differences.
+
+A training step computes only the gradients of the clamped BCE + L2 loss on
+its batch and applies them; the loss itself is computed once per epoch, over
+all vectors, for the history and the non-finite check. ``loss_and_grads``
+gives the per-batch loss beside the same gradients. ``fit`` scores each pool
+in one batched pass (``scoring.scene_vectors``). ``forward`` scores one
+vector through the same layer products as ``predict``, with a scalar sigmoid
+and clamp, and gives the same bytes.
+
+A checkpoint must hold one finite weight matrix and bias vector per pair of
+adjacent layers; ``load`` raises ``ValueError`` naming the file otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import FrameRecord, Score, decode_array, encode_array
-from .scoring import scene_vector
+from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
 CHECKPOINT_VERSION = 1
@@ -60,6 +71,7 @@ class DiscriminatorModel:
         self.biases = [np.array(b, dtype=np.float64) for b in biases]
         self.leak = float(leak)
         self.rng_seed = int(rng_seed)
+        _check_counts(self.layer_dims, self.weights, self.biases)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.layer_dims[i], self.layer_dims[i + 1]):
                 raise ValueError("weight shape mismatch at layer %d" % i)
@@ -94,13 +106,16 @@ class DiscriminatorModel:
             )
         return X
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_input(X)
+    def _logits(self, X: np.ndarray) -> np.ndarray:
+        """Logits of a checked (n, d) float64 batch."""
         a = X
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = a @ w + b
-            a = np.where(z > 0, z, self.leak * z)
+            a = _leaky_relu(z, self.leak)
         return (a @ self.weights[-1] + self.biases[-1])[:, 0]
+
+    def logits(self, X: np.ndarray) -> np.ndarray:
+        return self._logits(self._check_input(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         p = _sigmoid(self.logits(X))
@@ -126,32 +141,65 @@ class DiscriminatorModel:
             raise ValueError("unsupported checkpoint version")
         try:
             dims = payload["layer_dims"]
-            weights = [
-                decode_array(blob, (dims[i], dims[i + 1]), "<f8", "weights[%d]" % i)
-                for i, blob in enumerate(payload["weights"])
-            ]
-            biases = [
-                decode_array(blob, (dims[i + 1],), "<f8", "biases[%d]" % i)
-                for i, blob in enumerate(payload["biases"])
-            ]
+            weights, biases = payload["weights"], payload["biases"]
             leak, rng_seed = payload["leak"], payload["rng_seed"]
         except KeyError as exc:
             raise ValueError("checkpoint %s lacks key %s" % (path, exc))
+        try:
+            _check_counts(dims, weights, biases)
+        except ValueError as exc:
+            raise ValueError("checkpoint %s: %s" % (path, exc))
+        weights = [
+            decode_array(blob, (dims[i], dims[i + 1]), "<f8", "weights[%d]" % i)
+            for i, blob in enumerate(weights)
+        ]
+        biases = [
+            decode_array(blob, (dims[i + 1],), "<f8", "biases[%d]" % i)
+            for i, blob in enumerate(biases)
+        ]
+        for name, arrays in (("weights", weights), ("biases", biases)):
+            for i, a in enumerate(arrays):
+                if not np.all(np.isfinite(a)):
+                    raise ValueError(
+                        "checkpoint %s: %s[%d] holds non-finite values" % (path, name, i)
+                    )
         return cls(dims, weights, biases, leak=leak, rng_seed=rng_seed)
 
 
+def _check_counts(layer_dims, weights, biases) -> None:
+    """One weight matrix and one bias vector per pair of adjacent layers."""
+    for name, arrays in (("weights", weights), ("biases", biases)):
+        if len(arrays) != len(layer_dims) - 1:
+            raise ValueError(
+                "%s holds %d arrays, expected %d for layer_dims %s"
+                % (name, len(arrays), len(layer_dims) - 1, list(layer_dims))
+            )
+
+
+def _leaky_relu(z: np.ndarray, leak: float) -> np.ndarray:
+    """z where z > 0, else leak * z: with 0 < leak < 1 the larger of the two, bit for bit."""
+    return np.maximum(z, leak * z)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def forward(model: DiscriminatorModel, v: np.ndarray) -> float:
-    """Domainness probability for a single scene vector, clamped away from 0/1."""
-    return float(model.predict(np.asarray(v)[None, :])[0])
+    """Domainness probability for a single scene vector, clamped away from 0/1.
+
+    The same bytes as ``model.predict(v[None, :])[0]``: the same (1, d) layer
+    products, then ``_sigmoid``'s formula and the clamp on one scalar.
+    """
+    x = np.asarray(v, dtype=np.float64)
+    if x.shape != (model.layer_dims[0],):
+        raise ValueError("input shape %s != expected (%d,)" % (x.shape, model.layer_dims[0]))
+    z = model._logits(x[None, :])[0]
+    e = np.exp(-abs(z))
+    p = float((1.0 if z >= 0 else e) / (1.0 + e))
+    return min(max(p, PRED_EPS), 1.0 - PRED_EPS)
 
 
 def bce_loss(preds: Sequence[float], labels: Sequence[int]) -> float:
@@ -163,36 +211,29 @@ def bce_loss(preds: Sequence[float], labels: Sequence[int]) -> float:
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
-def loss_and_grads(
-    model: DiscriminatorModel, X: np.ndarray, y: np.ndarray, l2: float = 0.0
-) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
-    """BCE + L2 loss and its analytic gradients by backprop.
+def _grads(
+    model: DiscriminatorModel, X: np.ndarray, y: np.ndarray, l2: float
+) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+    """Backprop of the clamped BCE + L2 loss on a checked float64 batch.
 
-    Gradient through the prediction clamp is zero where the clamp is active,
-    matching what finite differences see.
+    Returns the unclamped sigmoid outputs and the weight and bias gradients.
+    A training step needs only the gradients, so it calls this directly.
     """
-    X = model._check_input(X)
-    y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
-
     activations = [X]
     pre = []
     a = X
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = a @ w + b
         pre.append(z)
-        a = np.where(z > 0, z, model.leak * z)
+        a = _leaky_relu(z, model.leak)
         activations.append(a)
     z_out = (a @ model.weights[-1] + model.biases[-1])[:, 0]
     p_raw = _sigmoid(z_out)
-    p = np.clip(p_raw, PRED_EPS, 1.0 - PRED_EPS)
 
-    loss = bce_loss(p, y)
-    if l2:
-        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
-
+    # unclamped rows have p == p_raw; clamped rows get no gradient
     clamped = (p_raw < PRED_EPS) | (p_raw > 1.0 - PRED_EPS)
-    delta = np.where(clamped, 0.0, p - y)[:, None] / n
+    delta = np.where(clamped, 0.0, p_raw - y)[:, None] / n
 
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
@@ -205,6 +246,23 @@ def loss_and_grads(
         grads_b[i] = back.sum(axis=0)
         if i > 0:
             back = back @ model.weights[i].T
+    return p_raw, grads_w, grads_b
+
+
+def loss_and_grads(
+    model: DiscriminatorModel, X: np.ndarray, y: np.ndarray, l2: float = 0.0
+) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
+    """BCE + L2 loss and its analytic gradients by backprop.
+
+    Gradient through the prediction clamp is zero where the clamp is active,
+    matching what finite differences see.
+    """
+    X = model._check_input(X)
+    y = np.asarray(y, dtype=np.float64)
+    p_raw, grads_w, grads_b = _grads(model, X, y, l2)
+    loss = bce_loss(np.clip(p_raw, PRED_EPS, 1.0 - PRED_EPS), y)
+    if l2:
+        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
     return loss, grads_w, grads_b
 
 
@@ -225,6 +283,7 @@ def train(
     if cfg.epochs == 0:
         return model, []
 
+    X = model._check_input(X)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     history = []
@@ -232,7 +291,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(model, X[idx], y[idx], l2=cfg.l2)
+            _, gw, gb = _grads(model, X[idx], y[idx], cfg.l2)
             for w, g in zip(model.weights, gw):
                 w -= cfg.learning_rate * g
             for b, g in zip(model.biases, gb):
@@ -256,8 +315,8 @@ def fit(
     """Stage 2: a ``(C,) + hidden_dims + (1,)`` model, seeded, trained on both pools."""
     if not source or not target:
         raise ValueError("source and target pools must be non-empty")
-    src_vecs = [scene_vector(f) for f in source]
-    tgt_vecs = [scene_vector(f) for f in target]
+    src_vecs = scene_vectors(source)
+    tgt_vecs = scene_vectors(target)
     dims = (len(src_vecs[0]),) + tuple(hidden_dims) + (1,)
     return train(DiscriminatorModel.initialize(dims, seed=seed), src_vecs, tgt_vecs, cfg)
 

@@ -79,6 +79,10 @@ def record_to_frame(record: Dict[str, Any], line: int) -> FrameRecord:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FrameFormatError("line %d: malformed record (%s)" % (line, exc))
+    if not isinstance(frame.id, str):
+        raise FrameFormatError(
+            "line %d: id must be a string, got %s" % (line, json.dumps(frame.id))
+        )
     label = frame.hidden_label
     if label is not None and (isinstance(label, bool) or not isinstance(label, int) or label < 0):
         raise FrameFormatError(

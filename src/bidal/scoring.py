@@ -3,11 +3,17 @@
 Turns a frame's objectness map into a per-location uncertainty map, combines
 both into a spatial attention factor in [1, 2], boosts the feature map with
 it, and average-pools the result into a per-channel scene vector.
+
+The math is written over leading axes, so ``scene_vectors`` scores a whole
+pool in one pass over its stacked maps (one pass per distinct map shape) and
+gives the same bytes as ``scene_vector`` frame by frame; ``discriminator.fit``
+uses it for both pools.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +28,11 @@ class EnhancedFeature:
     attention: np.ndarray
 
 
+def _xlog2x(p: np.ndarray) -> np.ndarray:
+    """p * log2(p), with 0*log(0) := 0."""
+    return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
+
+
 def entropy_map(obj: np.ndarray, log_base: float = 2.0) -> np.ndarray:
     """Elementwise binary entropy of a probability tensor.
 
@@ -29,24 +40,32 @@ def entropy_map(obj: np.ndarray, log_base: float = 2.0) -> np.ndarray:
     0*log(0) := 0 convention applies at both endpoints.
     """
     p = np.asarray(obj, dtype=np.float64)
-    if p.size and (np.min(p) < 0.0 or np.max(p) > 1.0):
+    if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("entropy_map input must lie in [0,1]")
-    q = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.where(p > 0.0, p * np.log2(p), 0.0) - np.where(
-            q > 0.0, q * np.log2(q), 0.0
-        )
+    out = -_xlog2x(p) - _xlog2x(1.0 - p)
     if log_base != 2.0:
         out = out * (np.log(2.0) / np.log(log_base))
     return out
 
 
+def _check_chw(shape: Tuple[int, ...]) -> None:
+    if len(shape) != 3 or shape[0] < 1:
+        raise ValueError("channel_max expects a non-empty (C', H, W) tensor")
+
+
 def channel_max(t: np.ndarray) -> np.ndarray:
     """Max over the leading (channel) axis of a (C', H, W) tensor."""
     t = np.asarray(t)
-    if t.ndim != 3 or t.shape[0] < 1:
-        raise ValueError("channel_max expects a non-empty (C', H, W) tensor")
-    return np.max(t, axis=0)
+    _check_chw(t.shape)
+    return t.max(axis=0)
+
+
+def _enhance(obj: np.ndarray, fmap: np.ndarray, log_base: float) -> EnhancedFeature:
+    """``enhance`` on float64 maps, one frame (C', H, W) or a stack (N, C', H, W)."""
+    s_obj = obj.max(axis=-3)
+    s_ent = entropy_map(obj, log_base=log_base).max(axis=-3)
+    attention = 1.0 + (s_obj + s_ent) / 2.0
+    return EnhancedFeature(map=attention[..., None, :, :] * fmap, attention=attention)
 
 
 def enhance(frame: FrameRecord, log_base: float = 2.0) -> EnhancedFeature:
@@ -56,18 +75,33 @@ def enhance(frame: FrameRecord, log_base: float = 2.0) -> EnhancedFeature:
     broadcast across the channel axis of the feature map.
     """
     obj = np.asarray(frame.objectness_map, dtype=np.float64)
-    s_obj = channel_max(obj)
-    s_ent = channel_max(entropy_map(obj, log_base=log_base))
-    attention = 1.0 + (s_obj + s_ent) / 2.0
-    fmap = np.asarray(frame.feature_map, dtype=np.float64)
-    return EnhancedFeature(map=attention[None, :, :] * fmap, attention=attention)
+    _check_chw(obj.shape)
+    return _enhance(obj, np.asarray(frame.feature_map, dtype=np.float64), log_base)
 
 
 def pool(e: EnhancedFeature) -> np.ndarray:
-    """Global average pool an enhanced map to a per-channel scene vector."""
-    return np.mean(np.asarray(e.map, dtype=np.float64), axis=(1, 2))
+    """Global average pool an enhanced map (or a stack of them) to scene vectors."""
+    m = np.asarray(e.map, dtype=np.float64)
+    # the spatial sum over the count, as np.mean computes it, minus its Python overhead
+    return m.sum(axis=(-2, -1)) / (m.shape[-2] * m.shape[-1])
 
 
 def scene_vector(frame: FrameRecord, log_base: float = 2.0) -> np.ndarray:
     """Shorthand for pool(enhance(frame))."""
     return pool(enhance(frame, log_base=log_base))
+
+
+def scene_vectors(frames: Sequence[FrameRecord], log_base: float = 2.0) -> List[np.ndarray]:
+    """``scene_vector`` of every frame, in order, from one pass per map shape."""
+    groups: Dict[Tuple[tuple, tuple], List[int]] = {}
+    for i, f in enumerate(frames):
+        shapes = (np.shape(f.objectness_map), np.shape(f.feature_map))
+        _check_chw(shapes[0])
+        groups.setdefault(shapes, []).append(i)
+    out: List[np.ndarray] = [None] * len(frames)
+    for idx in groups.values():
+        obj = np.stack([frames[i].objectness_map for i in idx]).astype(np.float64, copy=False)
+        fmap = np.stack([frames[i].feature_map for i in idx]).astype(np.float64, copy=False)
+        for i, v in zip(idx, pool(_enhance(obj, fmap, log_base))):
+            out[i] = v
+    return out

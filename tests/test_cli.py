@@ -2,6 +2,7 @@ import dataclasses
 import json
 import typing
 
+import numpy as np
 import pytest
 
 from bidal import BankConfig, BudgetSchedule, PipelineConfig, SyntheticConfig, TrainConfig
@@ -406,3 +407,76 @@ def test_train_disc_empty_pool_exits_2(workspace, capsys, empty):
     )
     assert rc == 2
     assert "must be non-empty" in capsys.readouterr().err
+
+
+def _nan_weight(payload):
+    from bidal.core import encode_array
+
+    payload["weights"][1] = encode_array(np.full((4, 1), np.nan), "<f8")
+
+
+@pytest.mark.parametrize("command", ["sample-source", "sample-target"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["weights"].pop(), "weights holds 1 arrays, expected 2 for layer_dims [16, 4, 1]"),
+        (lambda p: p["biases"].append(p["biases"][-1]), "biases holds 3 arrays, expected 2"),
+        (_nan_weight, "weights[1] holds non-finite values"),
+    ],
+    ids=["missing-weights", "extra-biases", "nan-weight"],
+)
+def test_inconsistent_checkpoint_exits_2(workspace, capsys, command, edit, message):
+    from bidal import DiscriminatorModel
+
+    tmp_path, data = workspace
+    model = tmp_path / "m.json"
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    payload = json.loads(model.read_text())
+    edit(payload)
+    model.write_text(json.dumps(payload))
+    pool = "source" if command == "sample-source" else "target"
+    argv = [command, "--frames", str(data / (pool + ".ndjson")), "--model", str(model),
+            "--out", str(tmp_path / "ids.txt")]
+    if command == "sample-target":
+        argv += ["--budget", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint %s: %s" % (model, message) in err, err
+    assert not (tmp_path / "ids.txt").exists()
+
+
+@pytest.mark.parametrize("bad_id", [7, None, ["t1"]])
+def test_non_string_frame_id_exits_2(workspace, capsys, bad_id):
+    tmp_path, data = workspace
+    records = [json.loads(line) for line in (data / "target.ndjson").read_text().splitlines()]
+    records[2]["id"] = bad_id
+    target = tmp_path / "bad_ids.ndjson"
+    target.write_text("".join(json.dumps(r) + "\n" for r in records))
+    model = tmp_path / "m.json"
+    from bidal import DiscriminatorModel
+
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    rc = main(["sample-target", "--frames", str(target), "--model", str(model),
+               "--budget", "4", "--out", str(tmp_path / "ids.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 3: id must be a string, got %s" % json.dumps(bad_id) in err, err
+
+
+def test_train_disc_then_sample_source_reproduces_run(workspace):
+    """With a pipeline config, train-disc initializes with the run's top-level seed."""
+    tmp_path, data = workspace
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(dict(RUN_CFG, seed=3, discriminator={"epochs": 20, "seed": 7})))
+    src, tgt = str(data / "source.ndjson"), str(data / "target.ndjson")
+    report = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg), "--source", src, "--target", tgt,
+                 "--out", str(report)]) == 0
+    model = tmp_path / "m.json"
+    assert main(["train-disc", "--source", src, "--target", tgt, "--config", str(cfg),
+                 "--out", str(model)]) == 0
+    ids = tmp_path / "ids.txt"
+    assert main(["sample-source", "--frames", src, "--model", str(model),
+                 "--mode", RUN_CFG["source_mode"], "--out", str(ids)]) == 0
+    selection = json.loads(report.read_text())["source_selection"]
+    assert ids.read_text().splitlines() == selection["ids"]

@@ -4,12 +4,15 @@ import pytest
 from bidal import (
     Domain,
     FrameRecord,
+    SyntheticConfig,
     channel_max,
     enhance,
     entropy_map,
+    generate,
     pool,
     scene_vector,
 )
+from bidal.scoring import scene_vectors
 
 from .reference import ref_binary_entropy
 
@@ -115,3 +118,82 @@ class TestPooling:
         v = scene_vector(frame)
         assert v.shape == (6,)
         assert np.allclose(v, pool(enhance(frame)), atol=0)
+
+
+def plain_scene_vector(frame):
+    """The per-frame formula written out step by step, as a byte oracle."""
+    p = np.asarray(frame.objectness_map, dtype=np.float64)
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.where(p > 0.0, p * np.log2(p), 0.0) - np.where(q > 0.0, q * np.log2(q), 0.0)
+    attention = 1.0 + (np.max(p, axis=0) + np.max(ent, axis=0)) / 2.0
+    fmap = np.asarray(frame.feature_map, dtype=np.float64)
+    return np.mean(attention[None, :, :] * fmap, axis=(1, 2))
+
+
+def edge_pool(rng, n, shape=(5, 3, 4), obj_channels=3, dtype=np.float64):
+    """Frames whose objectness holds exact 0s and 1s beside uniform values."""
+    frames = []
+    for i in range(n):
+        obj = rng.uniform(size=(obj_channels,) + shape[1:])
+        obj[rng.uniform(size=obj.shape) < 0.2] = 0.0
+        obj[rng.uniform(size=obj.shape) < 0.2] = 1.0
+        if i % 7 == 0:
+            obj[:] = float(i % 2)  # a map that is all 0 or all 1
+        frames.append(
+            FrameRecord(
+                id="e%03d" % i,
+                domain=Domain.TARGET,
+                feature_map=rng.normal(scale=3.0, size=shape).astype(dtype),
+                objectness_map=obj.astype(dtype),
+                roi_features=np.zeros((0, 4)),
+                roi_confidences=np.zeros(0),
+            )
+        )
+    return frames
+
+
+class TestBatchedSceneVectors:
+    def assert_bytes_equal(self, frames):
+        batched = scene_vectors(frames)
+        assert len(batched) == len(frames)
+        for frame, v in zip(frames, batched):
+            one = scene_vector(frame)
+            assert v.dtype == one.dtype == np.float64
+            assert v.tobytes() == one.tobytes() == plain_scene_vector(frame).tobytes(), frame.id
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_pools(self, seed):
+        source, target, _ = generate(
+            SyntheticConfig(n_source=40, n_target=60, n_eval=1, seed=seed)
+        )
+        self.assert_bytes_equal(source)
+        self.assert_bytes_equal(target)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_objectness_exactly_zero_and_one(self, dtype):
+        frames = edge_pool(np.random.default_rng(11), 50, dtype=dtype)
+        obj = np.stack([f.objectness_map for f in frames])
+        assert (obj == 0.0).any() and (obj == 1.0).any()
+        self.assert_bytes_equal(frames)
+
+    def test_mixed_map_shapes_and_dtypes_keep_pool_order(self):
+        rng = np.random.default_rng(12)
+        a = edge_pool(rng, 9, shape=(5, 3, 4))
+        b = edge_pool(rng, 6, shape=(5, 6, 2), obj_channels=1)
+        c = edge_pool(rng, 4, shape=(5, 3, 4), dtype=np.float32)
+        frames = [f for pair in zip(a, b) for f in pair] + a[len(b):] + c
+        self.assert_bytes_equal(frames)
+
+    def test_rejects_non_chw_objectness(self):
+        frame = make_frame(np.random.default_rng(13))
+        flat = FrameRecord(
+            id="flat",
+            domain=Domain.TARGET,
+            feature_map=frame.feature_map,
+            objectness_map=frame.objectness_map[0],
+            roi_features=frame.roi_features,
+            roi_confidences=frame.roi_confidences,
+        )
+        with pytest.raises(ValueError):
+            scene_vectors([frame, flat])

@@ -9,7 +9,6 @@ simulator can play the role of the human annotator.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence, Tuple
@@ -166,8 +165,6 @@ class PipelineState:
 
     selected_source: Tuple[str, ...] = ()
     labeled_target: Tuple[str, ...] = ()
-    round: int = 0
-    rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "selected_source", tuple(self.selected_source))
@@ -176,25 +173,6 @@ class PipelineState:
             raise ValueError("labeled_target contains duplicate ids")
         if set(self.selected_source) & set(self.labeled_target):
             raise ValueError("selected_source and labeled_target must be disjoint")
-
-    def to_json(self) -> str:
-        payload = {
-            "selected_source": list(self.selected_source),
-            "labeled_target": list(self.labeled_target),
-            "round": self.round,
-            "rng_seed": self.rng_seed,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "PipelineState":
-        payload = json.loads(text)
-        return PipelineState(
-            selected_source=tuple(payload["selected_source"]),
-            labeled_target=tuple(payload["labeled_target"]),
-            round=int(payload["round"]),
-            rng_seed=int(payload["rng_seed"]),
-        )
 
 
 @dataclass(frozen=True)

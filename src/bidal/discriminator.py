@@ -14,8 +14,10 @@ in one batched pass (``scoring.scene_vectors``). ``forward`` scores one
 vector through the same layer products as ``predict``, with a scalar sigmoid
 and clamp, and gives the same bytes.
 
-A checkpoint must hold one finite weight matrix and bias vector per pair of
-adjacent layers; ``load`` raises ``ValueError`` naming the file otherwise.
+A checkpoint must be a JSON object of the types ``save`` writes, with one
+finite weight matrix and bias vector per pair of adjacent layers; ``load``
+raises ``ValueError`` naming the file and the key otherwise. ``fit`` rejects
+pools whose feature maps differ in channel count, naming the first such frame.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import FrameRecord, Score, decode_array, encode_array
+from .core import FrameRecord, Score, _int_tuple, decode_array, encode_array
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
@@ -137,6 +139,11 @@ class DiscriminatorModel:
     def load(cls, path):
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(
+                "checkpoint %s: top level must be a JSON object, got %s"
+                % (path, type(payload).__name__)
+            )
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError("unsupported checkpoint version")
         try:
@@ -146,6 +153,7 @@ class DiscriminatorModel:
         except KeyError as exc:
             raise ValueError("checkpoint %s lacks key %s" % (path, exc))
         try:
+            _check_types(dims, weights, biases, leak, rng_seed)
             _check_counts(dims, weights, biases)
         except ValueError as exc:
             raise ValueError("checkpoint %s: %s" % (path, exc))
@@ -164,6 +172,27 @@ class DiscriminatorModel:
                         "checkpoint %s: %s[%d] holds non-finite values" % (path, name, i)
                     )
         return cls(dims, weights, biases, leak=leak, rng_seed=rng_seed)
+
+
+def _check_types(layer_dims, weights, biases, leak, rng_seed) -> None:
+    """The JSON types of a checkpoint's values; the error names the key."""
+
+    def reject(key, want, value):
+        raise ValueError("%s must be %s, got %s" % (key, want, type(value).__name__))
+
+    if not isinstance(layer_dims, list):
+        reject("layer_dims", "a list", layer_dims)
+    _int_tuple(layer_dims, "layer_dims")
+    for name, blobs in (("weights", weights), ("biases", biases)):
+        if not isinstance(blobs, list):
+            reject(name, "a list", blobs)
+        for i, blob in enumerate(blobs):
+            if not isinstance(blob, str):
+                reject("%s[%d]" % (name, i), "a base64 string", blob)
+    if isinstance(leak, bool) or not isinstance(leak, (int, float)):
+        reject("leak", "a number", leak)
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
+        reject("rng_seed", "an integer", rng_seed)
 
 
 def _check_counts(layer_dims, weights, biases) -> None:
@@ -315,6 +344,13 @@ def fit(
     """Stage 2: a ``(C,) + hidden_dims + (1,)`` model, seeded, trained on both pools."""
     if not source or not target:
         raise ValueError("source and target pools must be non-empty")
+    channels = np.shape(source[0].feature_map)[0]
+    for f in list(source) + list(target):
+        if np.shape(f.feature_map)[0] != channels:
+            raise ValueError(
+                "frame %s feature_map has %d channels, expected %d"
+                % (f.id, np.shape(f.feature_map)[0], channels)
+            )
     src_vecs = scene_vectors(source)
     tgt_vecs = scene_vectors(target)
     dims = (len(src_vecs[0]),) + tuple(hidden_dims) + (1,)
@@ -324,11 +360,3 @@ def fit(
 def domainness(model: DiscriminatorModel, frame: FrameRecord) -> Score:
     """Score one frame: sigmoid output of the MLP on its pooled enhanced map."""
     return Score(frame_id=frame.id, value=forward(model, scene_vector(frame)))
-
-
-def domainness_logit(model: DiscriminatorModel, frame: FrameRecord) -> Score:
-    """Same ranking as domainness, expressed as a raw logit."""
-    return Score(
-        frame_id=frame.id,
-        value=float(model.logits(scene_vector(frame)[None, :])[0]),
-    )

@@ -67,8 +67,6 @@ def update_labeled_pool(state: PipelineState, delta: Sequence[str]) -> PipelineS
     return PipelineState(
         selected_source=state.selected_source,
         labeled_target=state.labeled_target + tuple(delta),
-        round=state.round + 1,
-        rng_seed=state.rng_seed,
     )
 
 
@@ -122,9 +120,7 @@ def run_bidomain(
         "ids": list(selected_source),
         "scores": {s.frame_id: s.value for s in src_scores},
     }
-    state = PipelineState(
-        selected_source=tuple(selected_source), rng_seed=cfg.seed
-    )
+    state = PipelineState(selected_source=tuple(selected_source))
     src_labeled = [(by_id[i], by_id[i].hidden_label) for i in selected_source]
     det_state = oracle.finetune(det_state, src_labeled, cfg.source_finetune_epochs)
 

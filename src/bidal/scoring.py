@@ -1,8 +1,10 @@
 """Foreground-aware scene scoring.
 
-Turns a frame's objectness map into a per-location uncertainty map, combines
-both into a spatial attention factor in [1, 2], boosts the feature map with
-it, and average-pools the result into a per-channel scene vector.
+Turns a frame's (C', H, W) objectness map into a per-location base-2 binary
+entropy map, combines the channel maxima of both into a spatial attention
+factor in [1, 2], boosts the feature map with it, and average-pools the
+result into a per-channel scene vector. ``enhance``, ``scene_vector`` and
+``scene_vectors`` reject any other objectness shape, or one with no channels.
 
 The math is written over leading axes, so ``scene_vectors`` scores a whole
 pool in one pass over its stacked maps (one pass per distinct map shape) and
@@ -33,42 +35,32 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
     return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
 
 
-def entropy_map(obj: np.ndarray, log_base: float = 2.0) -> np.ndarray:
+def entropy_map(obj: np.ndarray) -> np.ndarray:
     """Elementwise binary entropy of a probability tensor.
 
-    Uses base-2 logs by default so the output lives in [0, 1]; the
-    0*log(0) := 0 convention applies at both endpoints.
+    Uses base-2 logs, so the output lives in [0, 1]; the 0*log(0) := 0
+    convention applies at both endpoints.
     """
     p = np.asarray(obj, dtype=np.float64)
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("entropy_map input must lie in [0,1]")
-    out = -_xlog2x(p) - _xlog2x(1.0 - p)
-    if log_base != 2.0:
-        out = out * (np.log(2.0) / np.log(log_base))
-    return out
+    return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
 def _check_chw(shape: Tuple[int, ...]) -> None:
     if len(shape) != 3 or shape[0] < 1:
-        raise ValueError("channel_max expects a non-empty (C', H, W) tensor")
+        raise ValueError("objectness_map must be a non-empty (C', H, W) tensor")
 
 
-def channel_max(t: np.ndarray) -> np.ndarray:
-    """Max over the leading (channel) axis of a (C', H, W) tensor."""
-    t = np.asarray(t)
-    _check_chw(t.shape)
-    return t.max(axis=0)
-
-
-def _enhance(obj: np.ndarray, fmap: np.ndarray, log_base: float) -> EnhancedFeature:
+def _enhance(obj: np.ndarray, fmap: np.ndarray) -> EnhancedFeature:
     """``enhance`` on float64 maps, one frame (C', H, W) or a stack (N, C', H, W)."""
     s_obj = obj.max(axis=-3)
-    s_ent = entropy_map(obj, log_base=log_base).max(axis=-3)
+    s_ent = entropy_map(obj).max(axis=-3)
     attention = 1.0 + (s_obj + s_ent) / 2.0
     return EnhancedFeature(map=attention[..., None, :, :] * fmap, attention=attention)
 
 
-def enhance(frame: FrameRecord, log_base: float = 2.0) -> EnhancedFeature:
+def enhance(frame: FrameRecord) -> EnhancedFeature:
     """Boost feature-map activations at likely-foreground locations.
 
     attention = 1 + (max_c' objectness + max_c' entropy(objectness)) / 2,
@@ -76,7 +68,7 @@ def enhance(frame: FrameRecord, log_base: float = 2.0) -> EnhancedFeature:
     """
     obj = np.asarray(frame.objectness_map, dtype=np.float64)
     _check_chw(obj.shape)
-    return _enhance(obj, np.asarray(frame.feature_map, dtype=np.float64), log_base)
+    return _enhance(obj, np.asarray(frame.feature_map, dtype=np.float64))
 
 
 def pool(e: EnhancedFeature) -> np.ndarray:
@@ -86,12 +78,12 @@ def pool(e: EnhancedFeature) -> np.ndarray:
     return m.sum(axis=(-2, -1)) / (m.shape[-2] * m.shape[-1])
 
 
-def scene_vector(frame: FrameRecord, log_base: float = 2.0) -> np.ndarray:
+def scene_vector(frame: FrameRecord) -> np.ndarray:
     """Shorthand for pool(enhance(frame))."""
-    return pool(enhance(frame, log_base=log_base))
+    return pool(enhance(frame))
 
 
-def scene_vectors(frames: Sequence[FrameRecord], log_base: float = 2.0) -> List[np.ndarray]:
+def scene_vectors(frames: Sequence[FrameRecord]) -> List[np.ndarray]:
     """``scene_vector`` of every frame, in order, from one pass per map shape."""
     groups: Dict[Tuple[tuple, tuple], List[int]] = {}
     for i, f in enumerate(frames):
@@ -102,6 +94,6 @@ def scene_vectors(frames: Sequence[FrameRecord], log_base: float = 2.0) -> List[
     for idx in groups.values():
         obj = np.stack([frames[i].objectness_map for i in idx]).astype(np.float64, copy=False)
         fmap = np.stack([frames[i].feature_map for i in idx]).astype(np.float64, copy=False)
-        for i, v in zip(idx, pool(_enhance(obj, fmap, log_base))):
+        for i, v in zip(idx, pool(_enhance(obj, fmap))):
             out[i] = v
     return out

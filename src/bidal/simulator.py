@@ -6,6 +6,8 @@ center by ``domain_shift`` and drags every ROI direction toward its
 neighbouring cluster. The proxy detector is a multinomial logistic regression
 on re-weighted ROI vectors whose held-out accuracy stands in for detection AP
 at desk scale.
+One softmax trainer, ``_descend``, fits the proxy detector and each committee
+head; a head weights every row 1 and has no L2 penalty.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class ProxyDetector:
         self.target_weight = float(target_weight)
 
     def _design(self, labeled):
-        X = np.stack([reweight(f, roi_dim=self.roi_dim).vector for f, _ in labeled])
+        X = _roi_matrix([f for f, _ in labeled], self.roi_dim)
         y = np.array([int(lab) for _, lab in labeled])
         w = np.array(
             [
@@ -177,18 +179,11 @@ class ProxyDetector:
         if not labeled or epochs == 0:
             return {"W": W, "b": b}
         X, y, w = self._design(labeled)
-        Y = np.eye(self.n_classes)[y]
-        n = X.shape[0]
-        for _ in range(epochs):
-            P = _softmax(X @ W + b)
-            err = w[:, None] * (P - Y) / n
-            W -= self.lr * (X.T @ err + self.l2 * W)
-            b -= self.lr * err.sum(axis=0)
+        _descend(X, np.eye(self.n_classes)[y], w, W, b, self.lr, self.l2, epochs)
         return {"W": W, "b": b}
 
     def logits(self, state, frames: Sequence[FrameRecord]) -> np.ndarray:
-        X = np.stack([reweight(f, roi_dim=self.roi_dim).vector for f in frames])
-        return X @ state["W"] + state["b"]
+        return _roi_matrix(frames, self.roi_dim) @ state["W"] + state["b"]
 
     def evaluate(self, state, frames: Sequence[FrameRecord]) -> float:
         preds = np.argmax(self.logits(state, frames), axis=1)
@@ -199,10 +194,24 @@ class ProxyDetector:
         return frame
 
 
+def _roi_matrix(frames: Sequence[FrameRecord], roi_dim: int) -> np.ndarray:
+    """The re-weighted ROI vectors of ``frames``, one row each."""
+    return np.stack([reweight(f, roi_dim=roi_dim).vector for f in frames])
+
+
 def _softmax(Z: np.ndarray) -> np.ndarray:
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     return E / E.sum(axis=1, keepdims=True)
+
+
+def _descend(X, Y, w, W, b, lr, l2, epochs) -> None:
+    """Full-batch descent on row-weighted, L2-penalized softmax cross-entropy, in place."""
+    n = X.shape[0]
+    for _ in range(epochs):
+        err = w[:, None] * (_softmax(X @ W + b) - Y) / n
+        W -= lr * (X.T @ err + l2 * W)
+        b -= lr * err.sum(axis=0)
 
 
 def sample_random(
@@ -248,22 +257,15 @@ def sample_committee(
     if budget <= 0:
         return []
     roi_dim = labeled_X.shape[1]
-    rngs = [np.random.default_rng(seed + h) for h in range(n_heads)]
-    heads = []
     Y = np.eye(n_classes)[np.asarray(labeled_y, dtype=int)]
-    n = labeled_X.shape[0]
-    for rng in rngs:
-        W = 0.1 * rng.normal(size=(roi_dim, n_classes))
+    ones = np.ones(labeled_X.shape[0])
+    heads = []
+    for h in range(n_heads):
+        W = 0.1 * np.random.default_rng(seed + h).normal(size=(roi_dim, n_classes))
         b = np.zeros(n_classes)
-        for _ in range(epochs):
-            P = _softmax(labeled_X @ W + b)
-            err = (P - Y) / n
-            W -= lr * labeled_X.T @ err
-            b -= lr * err.sum(axis=0)
+        _descend(labeled_X, Y, ones, W, b, lr, 0.0, epochs)
         heads.append((W, b))
-    X = np.stack(
-        [reweight(f, roi_dim=roi_dim).vector for f in unlabeled]
-    )
+    X = _roi_matrix(unlabeled, roi_dim)
     logits = [X @ W + b for W, b in heads]
     dist = np.zeros(X.shape[0])
     for i in range(len(heads)):
@@ -277,12 +279,8 @@ def default_schedule(budget: int, frac: float) -> BudgetSchedule:
     """Two rounds for small budgets, five otherwise, at fixed trigger epochs."""
     rounds = 2 if (frac <= 0.02 or budget < 5) else 5
     rounds = min(rounds, budget)
-    return BudgetSchedule.equal_split(budget, rounds, _default_epochs(rounds))
-
-
-def _default_epochs(rounds: int) -> Tuple[int, ...]:
-    presets = {1: (0,), 2: (0, 5), 5: (0, 2, 4, 6, 8)}
-    return presets.get(rounds, tuple(2 * i for i in range(rounds)))
+    epochs = (0, 5) if rounds == 2 else tuple(range(0, 2 * rounds, 2))
+    return BudgetSchedule.equal_split(budget, rounds, epochs)
 
 
 def run_strategy(
@@ -315,7 +313,7 @@ def run_strategy(
         pick = _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim)
         report = {"seed": seed, "stages": ["pretrain"], "rounds": []}
         run_rounds(
-            oracle, oracle.pretrain(source), PipelineState(rng_seed=seed),
+            oracle, oracle.pretrain(source), PipelineState(),
             sorted(target, key=lambda f: f.id), src_labeled, schedule, pick,
             round_epochs, report, eval_frames,
         )
@@ -335,7 +333,7 @@ def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim):
     if strategy == "entropy":
         return lambda unlabeled, budget, k, _: (sample_entropy(unlabeled, budget), {})
     if strategy == "committee":
-        X = np.stack([reweight(f, roi_dim=roi_dim).vector for f, _ in src_labeled])
+        X = _roi_matrix([f for f, _ in src_labeled], roi_dim)
         y = np.array([lab for _, lab in src_labeled])
         return lambda unlabeled, budget, k, _: (
             sample_committee(unlabeled, X, y, n_classes, budget, seed + 7919 * k), {}
@@ -347,9 +345,9 @@ def selection_diversity(
     frames_by_id: Dict[str, FrameRecord], selected: Sequence[str], roi_dim: int
 ) -> float:
     """Mean pairwise cosine distance of the selected re-weighted ROI vectors."""
-    vecs = [reweight(frames_by_id[i], roi_dim=roi_dim).vector for i in selected]
-    if len(vecs) < 2:
+    if len(selected) < 2:
         return 0.0
+    vecs = _roi_matrix([frames_by_id[i] for i in selected], roi_dim)
     dists = [
         1.0 - cosine(vecs[i], vecs[j])
         for i in range(len(vecs))

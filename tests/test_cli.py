@@ -480,3 +480,53 @@ def test_train_disc_then_sample_source_reproduces_run(workspace):
                  "--mode", RUN_CFG["source_mode"], "--out", str(ids)]) == 0
     selection = json.loads(report.read_text())["source_selection"]
     assert ids.read_text().splitlines() == selection["ids"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: [p], "top level must be a JSON object, got list"),
+        (lambda p: dict(p, layer_dims=[16, "4", 1]), "layer_dims must hold integers, got '4'"),
+        (lambda p: dict(p, weights=5), "weights must be a list, got int"),
+        (lambda p: dict(p, biases=[[0.0] * 4, p["biases"][1]]),
+         "biases[0] must be a base64 string, got list"),
+        (lambda p: dict(p, leak="0.01"), "leak must be a number, got str"),
+        (lambda p: dict(p, rng_seed=1.5), "rng_seed must be an integer, got float"),
+    ],
+    ids=["top-level-list", "layer-dims-str", "weights-int", "blob-list", "leak-str",
+         "rng-seed-float"],
+)
+def test_wrong_typed_checkpoint_exits_2(workspace, capsys, edit, message):
+    from bidal import DiscriminatorModel
+
+    tmp_path, data = workspace
+    model = tmp_path / "m.json"
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+    rc = main(["sample-source", "--frames", str(data / "source.ndjson"), "--model", str(model),
+               "--out", str(tmp_path / "ids.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "checkpoint %s: %s" % (model, message) in err, err
+    assert not (tmp_path / "ids.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train-disc", "run"])
+def test_mixed_channel_counts_exit_2(workspace, capsys, command):
+    from bidal import load_frames, save_frames
+
+    tmp_path, data = workspace
+    source = load_frames(str(data / "source.ndjson"))
+    source[20] = dataclasses.replace(source[20], feature_map=source[20].feature_map[:8])
+    mixed = tmp_path / "mixed.ndjson"
+    save_frames(source, str(mixed))
+    argv = [command, "--source", str(mixed), "--target", str(data / "target.ndjson"),
+            "--out", str(tmp_path / "out.json")]
+    if command == "run":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(RUN_CFG))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "frame s00020 feature_map has 8 channels, expected 16" in err, err
+    assert not (tmp_path / "out.json").exists()

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -133,17 +131,6 @@ class TestBudgetSchedule:
 
 
 class TestPipelineState:
-    def test_roundtrip_json(self):
-        s = PipelineState(("s1", "s2"), ("t1",), round=2, rng_seed=7)
-        assert PipelineState.from_json(s.to_json()) == s
-
-    def test_json_is_canonical(self):
-        s = PipelineState(("s1",), ("t1",), round=1, rng_seed=0)
-        text = s.to_json()
-        assert text == json.dumps(
-            json.loads(text), sort_keys=True, separators=(",", ":")
-        )
-
     def test_rejects_duplicate_target_ids(self):
         with pytest.raises(ValueError):
             PipelineState(labeled_target=("t1", "t1"))

@@ -12,7 +12,6 @@ from bidal import (
     TrainConfig,
     bce_loss,
     domainness,
-    domainness_logit,
     forward,
     generate,
     loss_and_grads,
@@ -324,10 +323,3 @@ class TestFrameScoring:
         s = domainness(model, self.make_frame("abc", 1.0))
         assert s.frame_id == "abc"
         assert 0.0 < s.value < 1.0
-
-    def test_logit_agrees_with_probability_ordering(self):
-        model = DiscriminatorModel.initialize((3, 4, 1), seed=1)
-        frames = [self.make_frame("f%d" % i, float(i)) for i in range(5)]
-        probs = [domainness(model, f).value for f in frames]
-        logits = [domainness_logit(model, f).value for f in frames]
-        assert np.argsort(probs).tolist() == np.argsort(logits).tolist()

@@ -45,10 +45,9 @@ def oracle():
 
 class TestUpdateLabeledPool:
     def test_appends_and_advances_round(self):
-        state = PipelineState(labeled_target=("t1",), round=1)
+        state = PipelineState(labeled_target=("t1",))
         new = update_labeled_pool(state, ["t2", "t3"])
         assert new.labeled_target == ("t1", "t2", "t3")
-        assert new.round == 2
 
     def test_rejects_double_labeling(self):
         state = PipelineState(labeled_target=("t1",))

@@ -5,7 +5,6 @@ from bidal import (
     Domain,
     FrameRecord,
     SyntheticConfig,
-    channel_max,
     enhance,
     entropy_map,
     generate,
@@ -45,10 +44,6 @@ class TestEntropyMap:
         grid = np.linspace(0.0, 1.0, 999)
         assert np.max(np.abs(entropy_map(grid) - entropy_map(1.0 - grid))) < 1e-12
 
-    def test_natural_log_base(self):
-        out = entropy_map(np.array([0.5]), log_base=np.e)
-        assert abs(out[0] - np.log(2.0)) < 1e-12
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             entropy_map(np.array([1.1]))
@@ -59,19 +54,13 @@ class TestEntropyMap:
         assert entropy_map(np.full((2, 3, 4), 0.3)).shape == (2, 3, 4)
 
 
-class TestChannelMax:
-    def test_reduces_leading_axis(self):
-        t = np.arange(24, dtype=float).reshape(2, 3, 4)
-        assert np.array_equal(channel_max(t), t[1])
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            channel_max(np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            channel_max(np.zeros((0, 3, 4)))
-
-
 class TestEnhance:
+    def test_rejects_wrong_rank(self):
+        rng = np.random.default_rng(2)
+        for obj in (np.zeros((3, 5)), np.zeros((0, 3, 5))):
+            with pytest.raises(ValueError, match="objectness_map"):
+                enhance(make_frame(rng, objectness=obj))
+
     def test_attention_range(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -9,6 +9,7 @@ simulator can play the role of the human annotator.
 from __future__ import annotations
 
 import base64
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence, Tuple
@@ -56,7 +57,7 @@ def validate_frame(frame: FrameRecord) -> list:
     if om.ndim == 3 and 0 in om.shape:
         errors.append("objectness_map has an empty dimension")
     if not np.all((om >= 0.0) & (om <= 1.0)):
-        errors.append("objectness out of [0,1]")
+        errors.append("objectness_map out of [0,1]")
     if not np.all(np.isfinite(fm)):
         errors.append("feature_map contains non-finite values")
     rois = np.asarray(frame.roi_features)
@@ -66,11 +67,11 @@ def validate_frame(frame: FrameRecord) -> list:
     k = rois.shape[0] if rois.ndim == 2 else 0
     n_conf = confs.shape[0] if confs.ndim == 1 else confs.size
     if k != n_conf:
-        errors.append("roi length mismatch")
+        errors.append("roi_features and roi_confidences length mismatch")
     if not np.all(np.isfinite(rois)):
         errors.append("roi_features contains non-finite values")
     if not np.all((confs >= 0.0) & (confs <= 1.0)):
-        errors.append("roi confidence out of [0,1]")
+        errors.append("roi_confidences out of [0,1]")
     if not frame.id:
         errors.append("frame id is empty")
     return errors
@@ -187,9 +188,12 @@ def encode_array(arr: np.ndarray, dtype: str) -> str:
 
 
 def decode_array(blob: str, shape, dtype: str, what: str) -> np.ndarray:
-    """Inverse of encode_array; a payload of the wrong length raises ValueError."""
-    raw = base64.b64decode(blob)
-    expected = np.dtype(dtype).itemsize * int(np.prod(shape)) if shape else 0
+    """Inverse of encode_array; bad base64 or a payload of the wrong length raises ValueError."""
+    try:
+        raw = base64.b64decode(blob)
+    except ValueError as exc:  # binascii.Error included
+        raise ValueError("%s is not valid base64 (%s)" % (what, exc))
+    expected = np.dtype(dtype).itemsize * math.prod(shape) if shape else 0
     if len(raw) != expected:
         raise ValueError("%s payload is %d bytes, expected %d" % (what, len(raw), expected))
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()

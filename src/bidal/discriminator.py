@@ -8,15 +8,20 @@ checked against finite differences.
 
 A training step computes only the gradients of the clamped BCE + L2 loss on
 its batch and applies them; the loss itself is computed once per epoch, over
-all vectors, for the history and the non-finite check. ``loss_and_grads``
-gives the per-batch loss beside the same gradients. ``fit`` scores each pool
-in one batched pass (``scoring.scene_vectors``). ``forward`` scores one
-vector through the same layer products as ``predict``, with a scalar sigmoid
-and clamp, and gives the same bytes.
+all vectors, for the history and the non-finite check. During ``train`` every
+weight and bias is a view of one flat parameter vector and ``_grads`` writes
+into views of one flat gradient vector, so a step's update is two numpy calls
+with the same rounding as one ``w -= lr * g`` per array; the returned model
+owns its arrays. ``loss_and_grads`` gives the per-batch loss beside the same
+gradients. ``fit`` scores each pool in one batched pass
+(``scoring.scene_vectors``). ``forward`` scores one vector through the same
+layer products as ``predict``, with a scalar sigmoid and clamp, and gives the
+same bytes.
 
-A checkpoint must be a JSON object of the types ``save`` writes, with one
-finite weight matrix and bias vector per pair of adjacent layers; ``load``
-raises ``ValueError`` naming the file and the key otherwise. ``fit`` rejects
+A checkpoint must be a JSON object of the types ``save`` writes, at version
+``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
+matrix and bias vector per pair of adjacent layers; ``load`` raises
+``ValueError`` naming the file and the key otherwise. ``fit`` rejects
 pools whose feature maps differ in channel count, naming the first such frame.
 """
 
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,13 +67,15 @@ class DiscriminatorModel:
     """Leaky-ReLU MLP with a sigmoid head; immutable once built."""
 
     def __init__(self, layer_dims, weights, biases, leak=0.01, rng_seed=0):
-        if len(layer_dims) < 3:
-            raise ValueError("need at least one hidden layer")
-        if layer_dims[-1] != 1:
-            raise ValueError("output dimension must be 1")
+        self.layer_dims = tuple(int(d) for d in layer_dims)
+        dims = list(self.layer_dims)
+        if len(dims) < 3:
+            raise ValueError("layer_dims %s needs at least one hidden layer" % dims)
+        if dims[-1] != 1:
+            raise ValueError("layer_dims %s must end in an output width of 1" % dims)
+        _check_widths(self.layer_dims)
         if not 0.0 < leak < 1.0:
             raise ValueError("leak must lie in (0,1)")
-        self.layer_dims = tuple(int(d) for d in layer_dims)
         self.weights = [np.array(w, dtype=np.float64) for w in weights]
         self.biases = [np.array(b, dtype=np.float64) for b in biases]
         self.leak = float(leak)
@@ -144,34 +151,36 @@ class DiscriminatorModel:
                 "checkpoint %s: top level must be a JSON object, got %s"
                 % (path, type(payload).__name__)
             )
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise ValueError("unsupported checkpoint version")
         try:
+            version = payload["version"]
             dims = payload["layer_dims"]
             weights, biases = payload["weights"], payload["biases"]
             leak, rng_seed = payload["leak"], payload["rng_seed"]
         except KeyError as exc:
             raise ValueError("checkpoint %s lacks key %s" % (path, exc))
         try:
+            if isinstance(version, bool) or version != CHECKPOINT_VERSION:
+                raise ValueError(
+                    "version is %s, expected %d" % (json.dumps(version), CHECKPOINT_VERSION)
+                )
             _check_types(dims, weights, biases, leak, rng_seed)
+            _check_widths(dims)
             _check_counts(dims, weights, biases)
+            weights = [
+                decode_array(blob, (dims[i], dims[i + 1]), "<f8", "weights[%d]" % i)
+                for i, blob in enumerate(weights)
+            ]
+            biases = [
+                decode_array(blob, (dims[i + 1],), "<f8", "biases[%d]" % i)
+                for i, blob in enumerate(biases)
+            ]
+            for name, arrays in (("weights", weights), ("biases", biases)):
+                for i, a in enumerate(arrays):
+                    if not np.all(np.isfinite(a)):
+                        raise ValueError("%s[%d] holds non-finite values" % (name, i))
+            return cls(dims, weights, biases, leak=leak, rng_seed=rng_seed)
         except ValueError as exc:
             raise ValueError("checkpoint %s: %s" % (path, exc))
-        weights = [
-            decode_array(blob, (dims[i], dims[i + 1]), "<f8", "weights[%d]" % i)
-            for i, blob in enumerate(weights)
-        ]
-        biases = [
-            decode_array(blob, (dims[i + 1],), "<f8", "biases[%d]" % i)
-            for i, blob in enumerate(biases)
-        ]
-        for name, arrays in (("weights", weights), ("biases", biases)):
-            for i, a in enumerate(arrays):
-                if not np.all(np.isfinite(a)):
-                    raise ValueError(
-                        "checkpoint %s: %s[%d] holds non-finite values" % (path, name, i)
-                    )
-        return cls(dims, weights, biases, leak=leak, rng_seed=rng_seed)
 
 
 def _check_types(layer_dims, weights, biases, leak, rng_seed) -> None:
@@ -193,6 +202,12 @@ def _check_types(layer_dims, weights, biases, leak, rng_seed) -> None:
         reject("leak", "a number", leak)
     if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
         reject("rng_seed", "an integer", rng_seed)
+
+
+def _check_widths(layer_dims) -> None:
+    """Every layer at least one unit wide."""
+    if any(d < 1 for d in layer_dims):
+        raise ValueError("layer_dims must hold widths of at least 1, got %s" % list(layer_dims))
 
 
 def _check_counts(layer_dims, weights, biases) -> None:
@@ -241,12 +256,17 @@ def bce_loss(preds: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def _grads(
-    model: DiscriminatorModel, X: np.ndarray, y: np.ndarray, l2: float
+    model: DiscriminatorModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    l2: float,
+    out: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None,
 ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
     """Backprop of the clamped BCE + L2 loss on a checked float64 batch.
 
-    Returns the unclamped sigmoid outputs and the weight and bias gradients.
-    A training step needs only the gradients, so it calls this directly.
+    Returns the unclamped sigmoid outputs and the weight and bias gradients,
+    written into ``out``'s (weight, bias) arrays when it is given. A training
+    step needs only the gradients, so it calls this directly.
     """
     n = X.shape[0]
     activations = [X]
@@ -264,17 +284,18 @@ def _grads(
     clamped = (p_raw < PRED_EPS) | (p_raw > 1.0 - PRED_EPS)
     delta = np.where(clamped, 0.0, p_raw - y)[:, None] / n
 
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    grads_w[-1] = activations[-1].T @ delta + l2 * model.weights[-1]
-    grads_b[-1] = delta.sum(axis=0)
-    back = delta @ model.weights[-1].T
-    for i in range(len(model.weights) - 2, -1, -1):
-        back = back * np.where(pre[i] > 0, 1.0, model.leak)
-        grads_w[i] = activations[i].T @ back + l2 * model.weights[i]
-        grads_b[i] = back.sum(axis=0)
-        if i > 0:
-            back = back @ model.weights[i].T
+    if out is None:
+        out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
+    grads_w, grads_b = out
+    back = delta
+    for i in range(len(model.weights) - 1, -1, -1):
+        if i < len(model.weights) - 1:
+            back = back @ model.weights[i + 1].T
+            back = back * np.where(pre[i] > 0, 1.0, model.leak)
+        # the same rounding as ``activations[i].T @ back + l2 * W``
+        np.matmul(activations[i].T, back, out=grads_w[i])
+        grads_w[i] += l2 * model.weights[i]
+        np.sum(back, axis=0, out=grads_b[i])
     return p_raw, grads_w, grads_b
 
 
@@ -295,13 +316,28 @@ def loss_and_grads(
     return loss, grads_w, grads_b
 
 
+def _flat_views(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """One flat vector holding copies of ``arrays``, and a view of it shaped like each."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
 def train(
     model: DiscriminatorModel,
     source_vs: Sequence[np.ndarray],
     target_vs: Sequence[np.ndarray],
     cfg: TrainConfig,
 ) -> Tuple[DiscriminatorModel, List[float]]:
-    """Seeded mini-batch gradient descent; returns a new model and per-epoch loss."""
+    """Seeded mini-batch gradient descent; returns a new model and per-epoch loss.
+
+    Every weight and bias is a view of one parameter vector, and every
+    gradient a view of one gradient vector, so a step's update is two calls.
+    The returned model owns its arrays.
+    """
     if len(source_vs) == 0 or len(target_vs) == 0:
         raise ValueError("both domains must contribute at least one vector")
     X = np.vstack([np.asarray(v, dtype=np.float64) for v in list(source_vs) + list(target_vs)])
@@ -313,6 +349,11 @@ def train(
         return model, []
 
     X = model._check_input(X)
+    layers = len(model.weights)
+    theta, params = _flat_views(model.weights + model.biases)
+    model.weights, model.biases = params[:layers], params[layers:]
+    G, grads = _flat_views(params)  # only the shapes matter: _grads overwrites G
+    out = (grads[:layers], grads[layers:])
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     history = []
@@ -320,18 +361,17 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, gw, gb = _grads(model, X[idx], y[idx], cfg.l2)
-            for w, g in zip(model.weights, gw):
-                w -= cfg.learning_rate * g
-            for b, g in zip(model.biases, gb):
-                b -= cfg.learning_rate * g
+            _grads(model, X[idx], y[idx], cfg.l2, out=out)
+            # the same rounding as ``p -= lr * g`` per array
+            G *= cfg.learning_rate
+            theta -= G
         epoch_loss = bce_loss(model.predict(X), y)
         if not np.isfinite(epoch_loss):
             raise NumericalError(
                 "non-finite loss after epoch %d (lr=%g)" % (len(history) + 1, cfg.learning_rate)
             )
         history.append(epoch_loss)
-    return model, history
+    return model.copy(), history
 
 
 def fit(

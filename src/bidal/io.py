@@ -2,7 +2,9 @@
 
 Frames are stored as newline-delimited JSON with base64 little-endian
 float32 tensor payloads, so load(save(x)) round-trips bit-exactly for
-float32 data. Config reading is strict: unknown keys and wrong types are rejected.
+float32 data. Frame records and configs are read strictly: a missing or
+unknown key, or a value of the wrong type, is rejected with a message that
+names it (and, for a frame record, its line).
 """
 
 from __future__ import annotations
@@ -58,40 +60,67 @@ def frame_to_record(frame: FrameRecord) -> Dict[str, Any]:
     return record
 
 
+# the required keys of a frame record, and the rank of each array's shape entry
+_RECORD_KEYS = ("id", "domain", "shapes", "feature_map", "objectness_map", "roi_features",
+                "roi_confidences")
+_SHAPE_RANKS = {"feature_map": 3, "objectness_map": 3, "roi_features": 2}
+_DOMAINS = tuple(d.value for d in Domain)
+
+
+def _check_record_keys(d: Dict[str, Any], required, optional, prefix: str, line: int) -> None:
+    unknown = sorted(d.keys() - set(required) - set(optional))
+    if unknown:
+        raise FrameFormatError("line %d: unknown key '%s%s'" % (line, prefix, unknown[0]))
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise FrameFormatError("line %d: missing key '%s%s'" % (line, prefix, missing[0]))
+
+
 def record_to_frame(record: Dict[str, Any], line: int) -> FrameRecord:
-    try:
-        shapes = record["shapes"]
-        fm = decode_array(record["feature_map"], shapes["feature_map"], "<f4", "feature_map")
-        om = decode_array(
-            record["objectness_map"], shapes["objectness_map"], "<f4", "objectness_map"
-        )
-        roi_shape = shapes["roi_features"]
-        rois = decode_array(record["roi_features"], roi_shape, "<f4", "roi_features")
-        confs = decode_array(record["roi_confidences"], roi_shape[:1], "<f4", "roi_confidences")
-        frame = FrameRecord(
-            id=record["id"],
-            domain=Domain(record["domain"]),
-            feature_map=fm,
-            objectness_map=om,
-            roi_features=rois,
-            roi_confidences=confs,
-            hidden_label=record.get("hidden_label"),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FrameFormatError("line %d: malformed record (%s)" % (line, exc))
-    if not isinstance(frame.id, str):
-        raise FrameFormatError(
-            "line %d: id must be a string, got %s" % (line, json.dumps(frame.id))
-        )
-    label = frame.hidden_label
+    """A frame from one ndjson record; any error names the line and the field."""
+
+    def fail(message):
+        raise FrameFormatError("line %d: %s" % (line, message))
+
+    if not isinstance(record, dict):
+        fail("record must be a JSON object, got %s" % type(record).__name__)
+    _check_record_keys(record, _RECORD_KEYS, ("hidden_label",), "", line)
+    shapes = record["shapes"]
+    if not isinstance(shapes, dict):
+        fail("shapes must be a JSON object, got %s" % json.dumps(shapes))
+    _check_record_keys(shapes, tuple(_SHAPE_RANKS), (), "shapes.", line)
+    for key, rank in _SHAPE_RANKS.items():
+        shape = shapes[key]
+        # ``type(v) is int`` also turns away booleans
+        if type(shape) is not list or len(shape) != rank or not all(
+            type(v) is int and v >= 0 for v in shape
+        ):
+            fail("shapes.%s must be a list of %d non-negative integers, got %s"
+                 % (key, rank, json.dumps(shape)))
+    arrays = {}
+    roi_shape = shapes["roi_features"]
+    for key, shape in (("feature_map", shapes["feature_map"]),
+                       ("objectness_map", shapes["objectness_map"]),
+                       ("roi_features", roi_shape), ("roi_confidences", roi_shape[:1])):
+        if not isinstance(record[key], str):
+            fail("%s must be a base64 string, got %s" % (key, type(record[key]).__name__))
+        try:
+            arrays[key] = decode_array(record[key], shape, "<f4", key)
+        except ValueError as exc:
+            fail(str(exc))
+    if not isinstance(record["id"], str):
+        fail("id must be a string, got %s" % json.dumps(record["id"]))
+    if record["domain"] not in _DOMAINS:
+        fail("domain must be \"source\" or \"target\", got %s" % json.dumps(record["domain"]))
+    label = record.get("hidden_label")
     if label is not None and (isinstance(label, bool) or not isinstance(label, int) or label < 0):
-        raise FrameFormatError(
-            "line %d: hidden_label must be a non-negative integer or null, got %s"
-            % (line, json.dumps(label))
-        )
+        fail("hidden_label must be a non-negative integer or null, got %s" % json.dumps(label))
+    frame = FrameRecord(
+        id=record["id"], domain=Domain(record["domain"]), hidden_label=label, **arrays
+    )
     errors = validate_frame(frame)
     if errors:
-        raise FrameFormatError("line %d: invalid frame: %s" % (line, "; ".join(errors)))
+        fail("invalid frame: %s" % "; ".join(errors))
     return frame
 
 

@@ -5,7 +5,14 @@ domain discriminator on pooled enhanced features of both pools with the
 detector frozen, (3) select target-like source frames and fine-tune on them,
 (4) loop over epochs, firing a target sampling round at each trigger epoch
 and fine-tuning on the union of both labeled pools. Stage 4 is
-``run_rounds``; its bi-domain pick is ``sample_round``, baselines pass their own.
+``run_rounds``; its bi-domain pick is ``sample_round``'s sibling
+``_sample_round``, baselines pass their own.
+
+The discriminator is fixed after stage 2, so ``run_bidomain`` scores each
+target frame object once per run: one ``{FrameRecord: float}`` memo feeds
+every round's banks and the report's per-pick scores. The memo is keyed on
+the frame object, so an oracle whose ``features`` returns new frames gets
+them rescored, and it is dropped when the run returns.
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run writes a selection manifest and halts before
@@ -14,6 +21,7 @@ fine-tuning so the frames can be annotated offline.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -24,7 +32,7 @@ import numpy as np
 from .core import BudgetSchedule, Domain, FrameRecord, PipelineState
 from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
-from .target_sampler import BankConfig, sample_round
+from .target_sampler import BankConfig, _sample_round
 
 
 class DetectorOracle(Protocol):
@@ -128,10 +136,14 @@ def run_bidomain(
     schedule = _clip_schedule(cfg.schedule, len(target), report)
     roi_dim = _roi_dim(source + target)
 
+    # the discriminator is fixed from here on, so each frame object is scored
+    # once per run; an oracle that returns new frames each round gets them rescored
+    score = functools.cache(lambda frame: domainness(disc, frame).value)
+
     def pick(unlabeled, budget, k, det_state):
         current = {f.id: oracle.features(det_state, f) for f in unlabeled}
-        delta = sample_round(list(current.values()), disc, budget, roi_dim, cfg.bank_config)
-        return delta, {i: domainness(disc, current[i]).value for i in delta}
+        delta = _sample_round(list(current.values()), score, budget, roi_dim, cfg.bank_config)
+        return delta, {i: score(current[i]) for i in delta}
 
     det_state, state = run_rounds(
         oracle, det_state, state, target, src_labeled, schedule, pick,

@@ -8,14 +8,20 @@ on re-weighted ROI vectors whose held-out accuracy stands in for detection AP
 at desk scale.
 One softmax trainer, ``_descend``, fits the proxy detector and each committee
 head; a head weights every row 1 and has no L2 penalty.
+
+Per-frame work that cannot change within a run is done once per run: each
+``ProxyDetector`` keeps its frames' re-weighted ROI rows (every run builds its
+own detector), and the entropy baseline's pick keeps its frames' entropies
+for ``_sample_entropy``, the sibling that ``sample_entropy`` wraps.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -149,9 +155,16 @@ class ProxyDetector:
         # labeled target frames are scarce; upweighting them mimics the
         # emphasis a detector fine-tune would give freshly annotated data
         self.target_weight = float(target_weight)
+        # each frame object's re-weighted ROI vector, computed once per detector
+        roi_dim = self.roi_dim
+        self._row = functools.cache(lambda f: reweight(f, roi_dim=roi_dim).vector)
+
+    def _roi_rows(self, frames: Sequence[FrameRecord]) -> np.ndarray:
+        """``_roi_matrix(frames, self.roi_dim)``, each frame's row computed once."""
+        return np.stack([self._row(f) for f in frames])
 
     def _design(self, labeled):
-        X = _roi_matrix([f for f, _ in labeled], self.roi_dim)
+        X = self._roi_rows([f for f, _ in labeled])
         y = np.array([int(lab) for _, lab in labeled])
         w = np.array(
             [
@@ -183,7 +196,7 @@ class ProxyDetector:
         return {"W": W, "b": b}
 
     def logits(self, state, frames: Sequence[FrameRecord]) -> np.ndarray:
-        return _roi_matrix(frames, self.roi_dim) @ state["W"] + state["b"]
+        return self._roi_rows(frames) @ state["W"] + state["b"]
 
     def evaluate(self, state, frames: Sequence[FrameRecord]) -> float:
         preds = np.argmax(self.logits(state, frames), axis=1)
@@ -238,7 +251,14 @@ def frame_entropy(frame: FrameRecord) -> float:
 
 def sample_entropy(unlabeled: Sequence[FrameRecord], budget: int) -> List[str]:
     """Top-budget frames by mean confidence entropy, descending, id tie-break."""
-    ranked = sorted(unlabeled, key=lambda f: (-frame_entropy(f), f.id))
+    return _sample_entropy(unlabeled, budget, frame_entropy)
+
+
+def _sample_entropy(
+    unlabeled: Sequence[FrameRecord], budget: int, entropy: Callable[[FrameRecord], float]
+) -> List[str]:
+    """``sample_entropy`` with each frame's entropy given by ``entropy``."""
+    ranked = sorted(unlabeled, key=lambda f: (-entropy(f), f.id))
     return [f.id for f in ranked[: max(budget, 0)]]
 
 
@@ -331,7 +351,9 @@ def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim):
             sample_random(unlabeled, budget, seed + 7919 * k), {}
         )
     if strategy == "entropy":
-        return lambda unlabeled, budget, k, _: (sample_entropy(unlabeled, budget), {})
+        # a frame's entropy never changes, so each is computed once per run
+        entropy = functools.cache(frame_entropy)
+        return lambda unlabeled, budget, k, _: (_sample_entropy(unlabeled, budget, entropy), {})
     if strategy == "committee":
         X = _roi_matrix([f for f, _ in src_labeled], roi_dim)
         y = np.array([lab for _, lab in src_labeled])

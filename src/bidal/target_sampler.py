@@ -6,7 +6,10 @@ cap is reached every frame founds a bank; afterwards a frame either joins its
 nearest bank, or — when it is less similar to every prototype than the two
 closest prototypes are to each other — triggers a count-weighted merge of the
 most similar pair and founds a fresh bank. Finally the highest-domainness
-member of each bank is selected.
+member of each bank is selected. ``sample_round`` scores each frame with
+``domainness``; its sibling ``_sample_round`` takes the score as a function,
+so a caller that keeps scores across rounds (``pipeline.run_bidomain``) runs
+the same code path.
 
 The bank is incremental: the prototypes sit as rows of a (cap, d) matrix with
 their norms, beside a cap x cap matrix of pair cosines whose aggregates (the
@@ -23,7 +26,7 @@ as they always have.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -263,6 +266,19 @@ def sample_round(
     config: BankConfig = BankConfig(),
 ) -> List[str]:
     """One sampling round: reweight, cluster into banks, pick one frame per bank."""
+    return _sample_round(
+        unlabeled, lambda f: domainness(model, f).value, budget, roi_dim, config
+    )
+
+
+def _sample_round(
+    unlabeled: Sequence[FrameRecord],
+    score: Callable[[FrameRecord], float],
+    budget: int,
+    roi_dim: Optional[int],
+    config: BankConfig,
+) -> List[str]:
+    """``sample_round`` with the frame's domainness given by ``score``."""
     for f in unlabeled:
         if f.domain != Domain.TARGET:
             raise ValueError("frame %r is not target-tagged" % f.id)
@@ -270,5 +286,5 @@ def sample_round(
         return []
     rois = [reweight(f, roi_dim=roi_dim) for f in unlabeled]
     banks = build_banks(rois, budget, config=config)
-    scores = {f.id: domainness(model, f).value for f in unlabeled}
+    scores = {f.id: score(f) for f in unlabeled}
     return select_targets(banks, scores)

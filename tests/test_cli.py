@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import typing
@@ -492,9 +493,14 @@ def test_train_disc_then_sample_source_reproduces_run(workspace):
          "biases[0] must be a base64 string, got list"),
         (lambda p: dict(p, leak="0.01"), "leak must be a number, got str"),
         (lambda p: dict(p, rng_seed=1.5), "rng_seed must be an integer, got float"),
+        (lambda p: dict(p, layer_dims=[16, 0, 1], weights=["", ""], biases=["", p["biases"][1]]),
+         "layer_dims must hold widths of at least 1, got [16, 0, 1]"),
+        (lambda p: dict(p, layer_dims=[16, -4, 1]),
+         "layer_dims must hold widths of at least 1, got [16, -4, 1]"),
+        (lambda p: dict(p, version=2), "version is 2, expected 1"),
     ],
     ids=["top-level-list", "layer-dims-str", "weights-int", "blob-list", "leak-str",
-         "rng-seed-float"],
+         "rng-seed-float", "zero-width", "negative-width", "wrong-version"],
 )
 def test_wrong_typed_checkpoint_exits_2(workspace, capsys, edit, message):
     from bidal import DiscriminatorModel
@@ -530,3 +536,123 @@ def test_mixed_channel_counts_exit_2(workspace, capsys, command):
     err = capsys.readouterr().err
     assert "frame s00020 feature_map has 8 channels, expected 16" in err, err
     assert not (tmp_path / "out.json").exists()
+
+
+def _blob_edit(key, edit):
+    """Decode a frame record's float32 payload ``key``, apply ``edit``, re-encode."""
+    from bidal.core import encode_array
+
+    def apply(record):
+        values = np.frombuffer(base64.b64decode(record[key]), dtype="<f4").copy()
+        record[key] = encode_array(edit(values), "<f4")
+
+    return apply
+
+
+def _nan_first(values):
+    values[0] = np.nan
+    return values
+
+
+def _set(key, value):
+    def apply(record):
+        if isinstance(key, tuple):
+            record[key[0]][key[1]] = value
+        else:
+            record[key] = value
+
+    return apply
+
+
+def _drop(key):
+    return lambda record: record.pop(key)
+
+
+# frame-record field -> {fault: edit of the third target record}; a missing
+# hidden_label is a valid unlabeled frame, so it has no "missing" case
+FRAME_FAULTS = {
+    "id": {"missing": _drop("id"), "type": _set("id", 7), "shape": _set("id", ["t00002"]),
+           "nan": _set("id", float("nan"))},
+    "domain": {"missing": _drop("domain"), "type": _set("domain", 1),
+               "shape": _set("domain", ["target"]), "nan": _set("domain", float("nan"))},
+    "shapes": {"missing": _drop("shapes"), "type": _set("shapes", "16x4x4"),
+               "shape": _set(("shapes", "feature_map"), [16, 16]),
+               "nan": _set(("shapes", "roi_features"), [float("nan"), 16])},
+    "hidden_label": {"type": _set("hidden_label", "a"), "shape": _set("hidden_label", [1]),
+                     "nan": _set("hidden_label", float("nan"))},
+}
+for _key in ("feature_map", "objectness_map", "roi_features", "roi_confidences"):
+    FRAME_FAULTS[_key] = {"missing": _drop(_key), "type": _set(_key, 5),
+                          "shape": _blob_edit(_key, lambda v: v[:-1]),
+                          "nan": _blob_edit(_key, _nan_first)}
+
+
+def _ckpt_nan(key):
+    def apply(payload):
+        from bidal.core import encode_array
+
+        values = np.frombuffer(base64.b64decode(payload[key][0]), dtype="<f8").copy()
+        payload[key][0] = encode_array(_nan_first(values), "<f8")
+
+    return apply
+
+
+def _ckpt_truncate(key):
+    def apply(payload):
+        payload[key][0] = base64.b64encode(base64.b64decode(payload[key][0])[:-8]).decode()
+
+    return apply
+
+
+# checkpoint key -> {fault: edit of a saved (16, 4, 1) model}
+CHECKPOINT_FAULTS = {
+    "version": {"type": _set("version", "1"), "shape": _set("version", [1])},
+    "layer_dims": {"type": _set("layer_dims", "16,4,1"),
+                   "shape": _set("layer_dims", [16, 4, 2, 1]),
+                   "nan": _set("layer_dims", [16, float("nan"), 1])},
+    "weights": {"type": _set("weights", 5), "shape": _ckpt_truncate("weights"),
+                "nan": _ckpt_nan("weights")},
+    "biases": {"type": _set("biases", 5), "shape": _ckpt_truncate("biases"),
+               "nan": _ckpt_nan("biases")},
+    "leak": {"type": _set("leak", "0.01"), "shape": _set("leak", [0.01])},
+    "rng_seed": {"type": _set("rng_seed", "0"), "shape": _set("rng_seed", [0])},
+}
+for _key, _faults in CHECKPOINT_FAULTS.items():
+    _faults["missing"] = _drop(_key)
+    _faults.setdefault("nan", _set(_key, float("nan")))
+
+
+@pytest.mark.parametrize(
+    "reader, field, fault",
+    [("frame", k, f) for k, faults in FRAME_FAULTS.items() for f in faults]
+    + [("checkpoint", k, f) for k, faults in CHECKPOINT_FAULTS.items() for f in faults],
+)
+def test_fuzzed_field_exits_2_naming_it(workspace, capsys, reader, field, fault):
+    """Frame records through sample-target, checkpoints through sample-source."""
+    from bidal import DiscriminatorModel
+
+    tmp_path, data = workspace
+    model = tmp_path / "m.json"
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    frames = data / "target.ndjson"
+    if reader == "frame":
+        records = [json.loads(line) for line in frames.read_text().splitlines()]
+        FRAME_FAULTS[field][fault](records[2])
+        frames = tmp_path / "fuzzed.ndjson"
+        frames.write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = ["sample-target", "--budget", "4"]
+    else:
+        payload = json.loads(model.read_text())
+        CHECKPOINT_FAULTS[field][fault](payload)
+        model.write_text(json.dumps(payload))
+        frames = data / "source.ndjson"
+        argv = ["sample-source"]
+    out = tmp_path / "ids.txt"
+    rc = main(argv + ["--frames", str(frames), "--model", str(model), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    where = "line 3: " if reader == "frame" else "checkpoint %s" % model
+    assert err.startswith("data error: " + where), err
+    assert field in err.split(where, 1)[1], err
+    assert not out.exists()

@@ -75,6 +75,13 @@ class TestModel:
         with pytest.raises(ValueError):
             DiscriminatorModel.initialize((4, 8, 2))  # wide output
 
+    @pytest.mark.parametrize("dims", [(16, 0, 1), (16, -4, 1)])
+    def test_rejects_non_positive_widths(self, dims):
+        weights = [np.zeros((max(a, 0), max(b, 0))) for a, b in zip(dims, dims[1:])]
+        biases = [np.zeros(max(b, 0)) for b in dims[1:]]
+        with pytest.raises(ValueError, match="layer_dims must hold widths of at least 1"):
+            DiscriminatorModel(dims, weights, biases)
+
     def test_predict_is_clamped(self):
         model = DiscriminatorModel.initialize((2, 4, 1))
         # huge bias drives the raw sigmoid to 1; predict must stay inside (0,1)
@@ -222,6 +229,13 @@ class TestGradientStep:
         assert loss == want_loss
         for got, lg, want in zip(gw + gb, lw + lb, want_w + want_b):
             assert got.tobytes() == lg.tobytes() == want.tobytes()
+        # a training step's preallocated, non-zero gradient arrays are overwritten
+        out = ([np.full_like(w, 7.0) for w in model.weights],
+               [np.full_like(b, 7.0) for b in model.biases])
+        _, ow, ob = _grads(model, X, y, l2, out=out)
+        assert ow is out[0] and ob is out[1]
+        for got, want in zip(ow + ob, want_w + want_b):
+            assert got.tobytes() == want.tobytes()
 
 
 # sha256 of fit's weights, biases and loss history for the configuration in
@@ -278,6 +292,16 @@ class TestTraining:
         train(model, src, tgt, TrainConfig(epochs=5, seed=5))
         for w, orig in zip(model.weights, before):
             assert np.array_equal(w, orig)
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_returned_model_owns_its_arrays(self, epochs):
+        rng = np.random.default_rng(8)
+        src, tgt = two_blob_vectors(rng, n=10)
+        model = DiscriminatorModel.initialize((5, 8, 4, 1), seed=8)
+        trained, _ = train(model, src, tgt, TrainConfig(epochs=epochs, seed=8))
+        for a in trained.weights + trained.biases:
+            assert a.base is None and a.flags.owndata
+        assert not any(np.shares_memory(a, b) for a in trained.weights for b in trained.biases)
 
     def test_zero_epochs_returns_copy(self):
         rng = np.random.default_rng(6)

@@ -90,6 +90,31 @@ class TestFrameFiles:
         with pytest.raises(FrameFormatError):
             load_frames(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("shapes"), "line 1: missing key 'shapes'"),
+            (lambda r: r["shapes"].pop("roi_features"),
+             "line 1: missing key 'shapes.roi_features'"),
+            (lambda r: r.update(foo=1), "line 1: unknown key 'foo'"),
+            (lambda r: r["shapes"].update(bar=[1]), "line 1: unknown key 'shapes.bar'"),
+            (lambda r: r.update(domain="lidar"),
+             'line 1: domain must be "source" or "target", got "lidar"'),
+            (lambda r: r.update(feature_map="abc"), "line 1: feature_map is not valid base64 ("),
+        ],
+        ids=["missing", "missing-shape", "unknown", "unknown-shape", "bad-domain", "bad-base64"],
+    )
+    def test_record_errors_name_the_key(self, tmp_path, edit, message):
+        path = str(tmp_path / "frames.ndjson")
+        save_frames(sample_frames(n=1, seed=4), path)
+        record = json.loads(open(path).read().splitlines()[0])
+        edit(record)
+        with open(path, "w") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(FrameFormatError) as info:
+            load_frames(path)
+        assert str(info.value).startswith(message), info.value
+
     def test_nan_objectness_is_format_error(self, tmp_path):
         frames = sample_frames(n=1, seed=6)
         objectness = frames[1].objectness_map.copy()

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
+import bidal.pipeline
 from bidal import (
     BudgetSchedule,
     PipelineConfig,
@@ -158,3 +160,40 @@ class TestRunBidomain:
         assert set(sel["ids"]) <= set(sel["scores"])
         vals = [sel["scores"][i] for i in sel["ids"]]
         assert vals == sorted(vals, reverse=True)
+
+
+class FreshFramesDetector(ProxyDetector):
+    """An oracle whose ``features`` returns a new frame object every round."""
+
+    def features(self, state, frame):
+        return dataclasses.replace(frame)
+
+
+# sha256 of serialize_report for test_target_frames_scored_once_per_run's run,
+# recorded before the run kept one domainness score per frame object
+THREE_ROUND_REPORT = "eadbc8a83961a5fc791243c114ad16bf6da9dada868b0962ad6570cdd524ad3c"
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["same-frames", "fresh-frames"])
+def test_target_frames_scored_once_per_run(monkeypatch, fresh):
+    calls = []
+    real = bidal.pipeline.domainness
+
+    def counting(model, frame):
+        calls.append(frame.id)
+        return real(model, frame)
+
+    monkeypatch.setattr(bidal.pipeline, "domainness", counting)
+    src, tgt, ev = small_world()
+    cfg = small_pipeline_config(schedule=BudgetSchedule(3, (3, 3, 3), (0, 2, 4)))
+    detector = (FreshFramesDetector if fresh else ProxyDetector)(
+        n_classes=3, roi_dim=16, pretrain_epochs=30
+    )
+    _, _, report = run_bidomain(src, tgt, detector, cfg, ev)
+    if fresh:
+        # every round's frames are new objects, so each round rescores its pool
+        assert len(calls) == len(tgt) + (len(tgt) - 3) + (len(tgt) - 6)
+    else:
+        assert sorted(calls) == sorted(f.id for f in tgt)
+    digest = hashlib.sha256(serialize_report(report).encode()).hexdigest()
+    assert digest == THREE_ROUND_REPORT

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from bidal import (
     train,
     validate_frame,
 )
+import bidal.simulator
 from bidal.simulator import run_strategy
 
 from .reference import ref_binary_entropy, ref_rank_ids
@@ -267,3 +270,42 @@ def test_run_strategy_golden(strategy, budget):
     assert [r["budget"] for r in rounds] == list(schedule.per_round)
     assert [i for r in rounds for i in r["selected"]] == result["selected"]
     assert result["report"]["final_metric"] == result["accuracy"]
+
+
+# sha256 of the report's JSON for test_benchmark_golden's sweep, recorded before
+# each run kept its frames' ROI rows, entropies and domainness scores
+BENCHMARK_GOLDEN = "56c30418fec9d8e624a9e7ddc027640a5527bfb32f9b215b45308fb4b448dd92"
+
+
+def test_benchmark_golden():
+    """All four strategies at 2 and 5 rounds (budgets 2 and 6 of 120 frames)."""
+    report = benchmark(
+        SyntheticConfig(n_source=40, n_target=120, n_eval=30, seed=2),
+        strategies=("random", "entropy", "committee", "bidomain"),
+        seeds=(0, 1),
+        budget_fracs=(0.02, 0.05),
+        disc_epochs=10,
+    )
+    assert {r["budget"] for r in report.rows} == {2, 6}
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == BENCHMARK_GOLDEN
+
+
+@pytest.mark.parametrize(
+    "strategy, counted", [("entropy", "frame_entropy"), ("random", "reweight")]
+)
+def test_per_frame_work_done_once_per_run(monkeypatch, strategy, counted):
+    """Entropies and the detector's ROI rows are computed once per frame per run."""
+    calls = Counter()
+    real = getattr(bidal.simulator, counted)
+
+    def counting(frame, *args, **kwargs):
+        calls[frame.id] += 1
+        return real(frame, *args, **kwargs)
+
+    monkeypatch.setattr(bidal.simulator, counted, counting)
+    src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
+    schedule = default_schedule(10, 0.25)
+    assert schedule.rounds == 5
+    run_strategy(strategy, src, tgt, ev, schedule, seed=4, n_classes=3, roi_dim=16)
+    assert calls and max(calls.values()) == 1
+    assert strategy != "entropy" or set(calls) == {f.id for f in tgt}

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import io as frameio
-from .core import Domain
+from .core import write_ids
 # ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
 from .discriminator import DiscriminatorModel, NumericalError, TrainConfig, fit, train
 from .pipeline import PipelineConfig, _roi_dim, run_bidomain, serialize_report
@@ -134,27 +134,20 @@ def _cmd_train_disc(args) -> int:
 
 
 def _cmd_sample_source(args) -> int:
-    frames = [
-        f for f in frameio.load_frames(args.frames) if f.domain == Domain.SOURCE
-    ]
+    frames = frameio.load_frames(args.frames)
     model = DiscriminatorModel.load(args.model)
     mode = frameio.parse_source_mode(args.mode)
     selected = select_source(score_source(frames, model), mode)
-    with open(args.out, "w") as fh:
-        fh.write("".join(i + "\n" for i in selected))
+    write_ids(args.out, selected)
     print("selected %d of %d source frames" % (len(selected), len(frames)))
     return EXIT_OK
 
 
 def _cmd_sample_target(args) -> int:
-    frames = [
-        f for f in frameio.load_frames(args.frames) if f.domain == Domain.TARGET
-    ]
+    frames = sorted(frameio.load_frames(args.frames), key=lambda f: f.id)
     model = DiscriminatorModel.load(args.model)
-    frames = sorted(frames, key=lambda f: f.id)
     selected = sample_round(frames, model, args.budget, roi_dim=_roi_dim(frames))
-    with open(args.out, "w") as fh:
-        fh.write("".join(i + "\n" for i in selected))
+    write_ids(args.out, selected)
     print("selected %d of %d target frames" % (len(selected), len(frames)))
     return EXIT_OK
 

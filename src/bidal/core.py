@@ -4,11 +4,15 @@ A FrameRecord is one scene's pre-digested detector output: a dense BEV-style
 feature map, a per-anchor objectness map, and a list of ROI feature vectors
 with confidences. Samplers never look at ``hidden_label``; it exists so the
 simulator can play the role of the human annotator.
+
+Each on-disk text format has one writer here: ``canonical_json`` (reports,
+summaries, checkpoints, frame records) and ``write_ids`` (id-list files).
 """
 
 from __future__ import annotations
 
 import base64
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -197,3 +201,14 @@ def decode_array(blob: str, shape, dtype: str, what: str) -> np.ndarray:
     if len(raw) != expected:
         raise ValueError("%s payload is %d bytes, expected %d" % (what, len(raw), expected))
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def canonical_json(obj: Any) -> str:
+    """Sorted keys, no whitespace: the same value always gives the same bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_ids(path: str, ids: Sequence[str]) -> None:
+    """Write one frame id per line."""
+    with open(path, "w") as fh:
+        fh.write("".join(i + "\n" for i in ids))

@@ -21,23 +21,30 @@ same bytes.
 A checkpoint must be a JSON object of the types ``save`` writes, at version
 ``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
 matrix and bias vector per pair of adjacent layers; ``load`` raises
-``ValueError`` naming the file and the key otherwise. ``fit`` rejects
-pools whose feature maps differ in channel count, naming the first such frame.
+``ValueError`` naming the file and the key otherwise.
+
+``fit`` holds the pool rules that ``run`` and ``train-disc`` share: both
+pools non-empty, frame ids unique across both pools, every frame tagged with
+its own pool's domain, and one feature-map channel count. Each rule raises
+``ValueError`` naming the offending frames.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FrameRecord, Score, _int_tuple, decode_array, encode_array
+from .core import (Domain, FrameRecord, Score, _int_tuple, canonical_json, decode_array,
+                   encode_array)
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
 CHECKPOINT_VERSION = 1
+LEAK = 0.01
 
 
 class NumericalError(RuntimeError):
@@ -66,7 +73,7 @@ class TrainConfig:
 class DiscriminatorModel:
     """Leaky-ReLU MLP with a sigmoid head; immutable once built."""
 
-    def __init__(self, layer_dims, weights, biases, leak=0.01, rng_seed=0):
+    def __init__(self, layer_dims, weights, biases, leak=LEAK, rng_seed=0):
         self.layer_dims = tuple(int(d) for d in layer_dims)
         dims = list(self.layer_dims)
         if len(dims) < 3:
@@ -88,7 +95,7 @@ class DiscriminatorModel:
                 raise ValueError("bias shape mismatch at layer %d" % i)
 
     @classmethod
-    def initialize(cls, layer_dims, seed=0, leak=0.01):
+    def initialize(cls, layer_dims, seed=0):
         """Glorot-uniform init, deterministic per seed."""
         rng = np.random.default_rng(seed)
         weights, biases = [], []
@@ -96,7 +103,7 @@ class DiscriminatorModel:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        return cls(layer_dims, weights, biases, leak=leak, rng_seed=seed)
+        return cls(layer_dims, weights, biases, rng_seed=seed)
 
     def copy(self):
         return DiscriminatorModel(
@@ -140,7 +147,7 @@ class DiscriminatorModel:
             "biases": [encode_array(b, "<f8") for b in self.biases],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(canonical_json(payload))
 
     @classmethod
     def load(cls, path):
@@ -384,8 +391,16 @@ def fit(
     """Stage 2: a ``(C,) + hidden_dims + (1,)`` model, seeded, trained on both pools."""
     if not source or not target:
         raise ValueError("source and target pools must be non-empty")
+    frames = list(source) + list(target)
+    repeated = sorted(i for i, n in Counter(f.id for f in frames).items() if n > 1)
+    if repeated:
+        raise ValueError("frame ids must be unique across both pools; repeated: %r" % repeated[:5])
+    mistagged = [f.id for f in source if f.domain != Domain.SOURCE]
+    mistagged += [f.id for f in target if f.domain != Domain.TARGET]
+    if mistagged:
+        raise ValueError("frames tagged with the other pool's domain: %r" % mistagged[:5])
     channels = np.shape(source[0].feature_map)[0]
-    for f in list(source) + list(target):
+    for f in frames:
         if np.shape(f.feature_map)[0] != channels:
             raise ValueError(
                 "frame %s feature_map has %d channels, expected %d"

@@ -15,8 +15,8 @@ from typing import Any, Dict, List, Sequence, Union, get_args, get_origin, get_t
 
 import numpy as np
 
-from .core import (BudgetSchedule, Domain, FrameRecord, SyntheticConfig, decode_array,
-                   encode_array, validate_frame)
+from .core import (BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonical_json,
+                   decode_array, encode_array, validate_frame)
 from .pipeline import PipelineConfig
 from .source_sampler import Proportion, SourceSelectionMode, Threshold, TopK
 
@@ -127,9 +127,7 @@ def record_to_frame(record: Dict[str, Any], line: int) -> FrameRecord:
 def save_frames(frames: Sequence[FrameRecord], path: str) -> None:
     with open(path, "w") as fh:
         for frame in frames:
-            fh.write(
-                json.dumps(frame_to_record(frame), sort_keys=True, separators=(",", ":"))
-            )
+            fh.write(canonical_json(frame_to_record(frame)))
             fh.write("\n")
 
 

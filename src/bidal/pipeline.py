@@ -8,6 +8,11 @@ and fine-tuning on the union of both labeled pools. Stage 4 is
 ``run_rounds``; its bi-domain pick is ``sample_round``'s sibling
 ``_sample_round``, baselines pass their own.
 
+The pool rules (both pools non-empty, frame ids unique across both, every
+frame tagged with its own pool's domain) live in ``discriminator.fit``,
+which ``run`` and ``train-disc`` share. ``run_bidomain`` adds one rule of its
+own before stage 1: every source frame carries a label.
+
 The discriminator is fixed after stage 2, so ``run_bidomain`` scores each
 target frame object once per run: one ``{FrameRecord: float}`` memo feeds
 every round's banks and the report's per-pick scores. The memo is keyed on
@@ -22,14 +27,12 @@ fine-tuning so the frames can be annotated offline.
 from __future__ import annotations
 
 import functools
-import json
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .core import BudgetSchedule, Domain, FrameRecord, PipelineState
+from .core import BudgetSchedule, FrameRecord, PipelineState, canonical_json, write_ids
 from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
 from .target_sampler import BankConfig, _sample_round
@@ -87,18 +90,9 @@ def run_bidomain(
     manifest_path: Optional[str] = None,
 ) -> Tuple[Any, PipelineState, Dict[str, Any]]:
     """Run the full bi-domain pipeline; returns (model state, pool state, report)."""
-    if not source or not target:
-        raise ValueError("source and target pools must be non-empty")
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
     by_id = {f.id: f for f in source + target}
-    repeated = sorted(i for i, n in Counter(f.id for f in source + target).items() if n > 1)
-    if repeated:
-        raise ValueError("frame ids must be unique across both pools; repeated: %r" % repeated[:5])
-    mistagged = [f.id for f in source if f.domain != Domain.SOURCE]
-    mistagged += [f.id for f in target if f.domain != Domain.TARGET]
-    if mistagged:
-        raise ValueError("frames tagged with the other pool's domain: %r" % mistagged[:5])
     unlabeled = [f.id for f in source if f.hidden_label is None]
     if unlabeled:
         raise ValueError("source frames must carry labels; unlabeled: %r" % unlabeled[:5])
@@ -194,8 +188,7 @@ def run_rounds(
             missing = [i for i in delta if by_id[i].hidden_label is None]
             if missing:
                 if manifest_path is not None:
-                    with open(manifest_path, "w") as fh:
-                        fh.write("".join(i + "\n" for i in delta))
+                    write_ids(manifest_path, delta)
                 report["halted"] = "selected frames lack labels; manifest emitted"
                 return det_state, state
             state = update_labeled_pool(state, delta)
@@ -214,9 +207,8 @@ def run_rounds(
     return det_state, state
 
 
-def serialize_report(report: Dict[str, Any]) -> str:
-    """Canonical JSON for byte-identical reproducibility checks."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+# canonical JSON, for byte-identical reproducibility checks
+serialize_report = canonical_json
 
 
 def _roi_dim(frames: Sequence[FrameRecord]) -> int:

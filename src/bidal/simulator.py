@@ -19,23 +19,32 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import BudgetSchedule, Domain, FrameRecord, PipelineState, SyntheticConfig
+from .core import (BudgetSchedule, Domain, FrameRecord, PipelineState, SyntheticConfig,
+                   canonical_json)
 from .discriminator import TrainConfig
 from .pipeline import PipelineConfig, run_bidomain, run_rounds
 from .scoring import entropy_map
-from .source_sampler import Threshold
 from .target_sampler import cosine, reweight
 
 
 CLUSTER_SCENE_SCALE = 1.0
 SCENE_NOISE = 1.0
 FEATURE_NOISE = 0.25
+
+SOFTMAX_LR = 0.2  # the step of ``_descend``, for the proxy detector and every committee head
+PROXY_L2 = 1e-3
+# labeled target frames are scarce; upweighting them mimics the emphasis a
+# detector fine-tune would give freshly annotated data
+TARGET_WEIGHT = 3.0
+COMMITTEE_HEADS = 2
+COMMITTEE_EPOCHS = 100
+ROUND_EPOCHS = 25  # fine-tune epochs after each round of every strategy
+PERMUTATION_RESAMPLES = 10000
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -138,23 +147,10 @@ def generate(
 class ProxyDetector:
     """Regularized softmax regression on re-weighted ROI vectors."""
 
-    def __init__(
-        self,
-        n_classes,
-        roi_dim,
-        lr=0.2,
-        pretrain_epochs=100,
-        l2=1e-3,
-        target_weight=3.0,
-    ):
+    def __init__(self, n_classes, roi_dim, pretrain_epochs=100):
         self.n_classes = int(n_classes)
         self.roi_dim = int(roi_dim)
-        self.lr = float(lr)
         self.pretrain_epochs = int(pretrain_epochs)
-        self.l2 = float(l2)
-        # labeled target frames are scarce; upweighting them mimics the
-        # emphasis a detector fine-tune would give freshly annotated data
-        self.target_weight = float(target_weight)
         # each frame object's re-weighted ROI vector, computed once per detector
         roi_dim = self.roi_dim
         self._row = functools.cache(lambda f: reweight(f, roi_dim=roi_dim).vector)
@@ -168,7 +164,7 @@ class ProxyDetector:
         y = np.array([int(lab) for _, lab in labeled])
         w = np.array(
             [
-                self.target_weight if f.domain == Domain.TARGET else 1.0
+                TARGET_WEIGHT if f.domain == Domain.TARGET else 1.0
                 for f, _ in labeled
             ]
         )
@@ -192,7 +188,7 @@ class ProxyDetector:
         if not labeled or epochs == 0:
             return {"W": W, "b": b}
         X, y, w = self._design(labeled)
-        _descend(X, np.eye(self.n_classes)[y], w, W, b, self.lr, self.l2, epochs)
+        _descend(X, np.eye(self.n_classes)[y], w, W, b, PROXY_L2, epochs)
         return {"W": W, "b": b}
 
     def logits(self, state, frames: Sequence[FrameRecord]) -> np.ndarray:
@@ -218,13 +214,13 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-def _descend(X, Y, w, W, b, lr, l2, epochs) -> None:
+def _descend(X, Y, w, W, b, l2, epochs) -> None:
     """Full-batch descent on row-weighted, L2-penalized softmax cross-entropy, in place."""
     n = X.shape[0]
     for _ in range(epochs):
         err = w[:, None] * (_softmax(X @ W + b) - Y) / n
-        W -= lr * (X.T @ err + l2 * W)
-        b -= lr * err.sum(axis=0)
+        W -= SOFTMAX_LR * (X.T @ err + l2 * W)
+        b -= SOFTMAX_LR * err.sum(axis=0)
 
 
 def sample_random(
@@ -269,9 +265,6 @@ def sample_committee(
     n_classes: int,
     budget: int,
     seed: int,
-    n_heads: int = 2,
-    epochs: int = 100,
-    lr: float = 0.2,
 ) -> List[str]:
     """Disagreement sampling: heads with different inits, ranked by logit distance."""
     if budget <= 0:
@@ -280,10 +273,10 @@ def sample_committee(
     Y = np.eye(n_classes)[np.asarray(labeled_y, dtype=int)]
     ones = np.ones(labeled_X.shape[0])
     heads = []
-    for h in range(n_heads):
+    for h in range(COMMITTEE_HEADS):
         W = 0.1 * np.random.default_rng(seed + h).normal(size=(roi_dim, n_classes))
         b = np.zeros(n_classes)
-        _descend(labeled_X, Y, ones, W, b, lr, 0.0, epochs)
+        _descend(labeled_X, Y, ones, W, b, 0.0, COMMITTEE_EPOCHS)
         heads.append((W, b))
     X = _roi_matrix(unlabeled, roi_dim)
     logits = [X @ W + b for W, b in heads]
@@ -313,18 +306,15 @@ def run_strategy(
     n_classes: int,
     roi_dim: int,
     disc_epochs: int = 150,
-    round_epochs: int = 25,
 ) -> Dict[str, Any]:
     """One full pipeline run for one strategy; returns accuracy, selections and report."""
     oracle = ProxyDetector(n_classes=n_classes, roi_dim=roi_dim)
     if strategy == "bidomain":
         cfg = PipelineConfig(
             schedule=schedule,
-            source_mode=Threshold(0.0),
-            source_finetune_epochs=15,
             discriminator=TrainConfig(epochs=disc_epochs, seed=seed),
             seed=seed,
-            round_finetune_epochs=round_epochs,
+            round_finetune_epochs=ROUND_EPOCHS,
         )
         _, _, report = run_bidomain(source, target, oracle, cfg, eval_frames)
     else:
@@ -335,7 +325,7 @@ def run_strategy(
         run_rounds(
             oracle, oracle.pretrain(source), PipelineState(),
             sorted(target, key=lambda f: f.id), src_labeled, schedule, pick,
-            round_epochs, report, eval_frames,
+            ROUND_EPOCHS, report, eval_frames,
         )
     return {
         "accuracy": report["final_metric"],
@@ -378,16 +368,14 @@ def selection_diversity(
     return float(np.mean(dists))
 
 
-def paired_permutation_pvalue(
-    diffs: Sequence[float], n_resamples: int = 10000, seed: int = 0
-) -> float:
+def paired_permutation_pvalue(diffs: Sequence[float], seed: int = 0) -> float:
     """One-sided sign-flip test for mean(diffs) > 0; no distributional assumption."""
     d = np.asarray(diffs, dtype=np.float64)
     rng = np.random.default_rng(seed)
     observed = d.mean()
-    signs = rng.choice([-1.0, 1.0], size=(n_resamples, d.size))
+    signs = rng.choice([-1.0, 1.0], size=(PERMUTATION_RESAMPLES, d.size))
     resampled = (signs * d).mean(axis=1)
-    return float((1 + np.sum(resampled >= observed)) / (n_resamples + 1))
+    return float((1 + np.sum(resampled >= observed)) / (PERMUTATION_RESAMPLES + 1))
 
 
 @dataclass
@@ -396,11 +384,7 @@ class BenchmarkReport:
     summary: Dict[str, Any]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"rows": self.rows, "summary": self.summary},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({"rows": self.rows, "summary": self.summary})
 
     def write_csv(self, path: str) -> None:
         fields = ["strategy", "seed", "budget", "accuracy", "diversity"]

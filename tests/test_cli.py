@@ -410,6 +410,52 @@ def test_train_disc_empty_pool_exits_2(workspace, capsys, empty):
     assert "must be non-empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, pool, message",
+    [
+        ("sample-target", "source", "frame 's00000' is not target-tagged"),
+        ("sample-source", "target", "frame 't00000' is not source-tagged"),
+    ],
+    ids=["sample-target", "sample-source"],
+)
+def test_sample_other_pools_file_exits_2(workspace, capsys, command, pool, message):
+    from bidal import DiscriminatorModel
+
+    tmp_path, data = workspace
+    model = tmp_path / "m.json"
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    argv = [command, "--frames", str(data / (pool + ".ndjson")), "--model", str(model),
+            "--out", str(tmp_path / "ids.txt")]
+    if command == "sample-target":
+        argv += ["--budget", "4"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ids.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "source, target, message",
+    [
+        ("target", "source", "frames tagged with the other pool's domain: ['t00000'"),
+        ("source", "source", "frame ids must be unique across both pools; repeated: ['s00000'"),
+    ],
+    ids=["swapped", "same-file"],
+)
+def test_train_disc_pool_rules_exit_2(workspace, capsys, source, target, message):
+    tmp_path, data = workspace
+    rc = main(
+        [
+            "train-disc",
+            "--source", str(data / (source + ".ndjson")),
+            "--target", str(data / (target + ".ndjson")),
+            "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def _nan_weight(payload):
     from bidal.core import encode_array
 

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +256,43 @@ def test_fit_golden():
         h.update(a.tobytes())
     h.update(np.asarray(history, dtype=np.float64).tobytes())
     assert h.hexdigest() == FIT_GOLDEN
+
+
+class TestFitPoolRules:
+    """``fit`` holds the pool rules that ``run`` and ``train-disc`` share."""
+
+    def pools(self):
+        source, target, _ = generate(SyntheticConfig(n_source=6, n_target=6, n_eval=1, seed=1))
+        return source, target
+
+    def fit(self, source, target):
+        return fit(source, target, (4,), TrainConfig(epochs=1), seed=0)
+
+    @pytest.mark.parametrize("empty", ["source", "target"])
+    def test_pools_must_be_non_empty(self, empty):
+        source, target = self.pools()
+        pools = {"source": source, "target": target, empty: []}
+        with pytest.raises(ValueError, match="source and target pools must be non-empty"):
+            self.fit(pools["source"], pools["target"])
+
+    @pytest.mark.parametrize("pool", ["within", "across"])
+    def test_ids_must_be_unique_across_both_pools(self, pool):
+        source, target = self.pools()
+        twin = source[2] if pool == "within" else target[2]
+        source.append(dataclasses.replace(twin, domain=Domain.SOURCE))
+        message = "frame ids must be unique across both pools; repeated: ['%s']" % twin.id
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.fit(source, target)
+
+    @pytest.mark.parametrize("pool", ["source", "target"])
+    def test_frames_must_carry_their_pools_domain(self, pool):
+        source, target = self.pools()
+        frames = source if pool == "source" else target
+        other = Domain.TARGET if pool == "source" else Domain.SOURCE
+        frames[3] = dataclasses.replace(frames[3], domain=other)
+        message = "frames tagged with the other pool's domain: ['%s']" % frames[3].id
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.fit(source, target)
 
 
 class TestTraining:

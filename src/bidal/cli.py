@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import io as frameio
-from .core import write_ids
+from .core import ConfigError, read_json, write_ids
 # ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
 from .discriminator import DiscriminatorModel, NumericalError, TrainConfig, fit, train
 from .pipeline import PipelineConfig, _roi_dim, run_bidomain, serialize_report
@@ -32,6 +32,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(EXIT_USAGE)
+
+
+def _count(text: str) -> int:
+    """A flag's integer value of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be an integer of at least 1, got %r" % text)
+    return int(text)
+
+
+def _numbers(text: str) -> list:
+    """A flag's comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be comma-separated numbers, got %r" % text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-target", help="diversity-based target selection")
     p.add_argument("--frames", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_count, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="full bi-domain pipeline")
@@ -73,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="strategy benchmark sweep")
     p.add_argument("--config", help="synthetic config JSON")
     p.add_argument("--strategies", default="random,bidomain")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--budgets", default="0.01,0.05")
+    p.add_argument("--seeds", type=_count, default=5)
+    p.add_argument("--budgets", type=_numbers, default="0.01,0.05")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -83,27 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _synthetic_config(args) -> SyntheticConfig:
-    if args.config:
-        cfg = frameio.load_config(args.config)
-        if not isinstance(cfg, SyntheticConfig):
-            raise frameio.ConfigError("expected a synthetic config")
-    else:
-        cfg = SyntheticConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _pipeline_config(path) -> PipelineConfig:
-    cfg = frameio.load_config(path)
-    if not isinstance(cfg, PipelineConfig):
-        raise frameio.ConfigError("expected a pipeline config")
-    return cfg
+def _config(path, cls, seed):
+    """The ``cls`` config in ``path`` (``cls()`` without one), with ``seed`` unless it is None."""
+    cfg = frameio.load_config(path) if path else cls()
+    if not isinstance(cfg, cls):
+        kind = "pipeline" if cls is PipelineConfig else "synthetic"
+        raise ConfigError("expected a %s config" % kind)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _cmd_gen(args) -> int:
-    cfg = _synthetic_config(args)
+    cfg = _config(args.config, SyntheticConfig, args.seed)
     os.makedirs(args.out, exist_ok=True)
     source, target, eval_frames = generate(cfg)
     frameio.save_frames(source, os.path.join(args.out, "source.ndjson"))
@@ -119,7 +124,7 @@ def _cmd_train_disc(args) -> int:
     target = frameio.load_frames(args.target)
     # with a pipeline config, initialize with its top-level seed, as `run` does
     if args.config:
-        pcfg = _pipeline_config(args.config)
+        pcfg = _config(args.config, PipelineConfig, None)
         cfg, hidden_dims, seed = pcfg.discriminator, pcfg.hidden_dims, pcfg.seed
     else:
         cfg, hidden_dims = TrainConfig(), PipelineConfig.hidden_dims
@@ -153,9 +158,7 @@ def _cmd_sample_target(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _pipeline_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _config(args.config, PipelineConfig, args.seed)
     source = frameio.load_frames(args.source)
     target = frameio.load_frames(args.target)
     eval_frames = frameio.load_frames(args.eval_frames) if args.eval_frames else []
@@ -175,14 +178,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _synthetic_config(args)
+    cfg = _config(args.config, SyntheticConfig, args.seed)
     strategies = [s for s in args.strategies.split(",") if s]
-    budgets = [float(b) for b in args.budgets.split(",") if b]
     report = benchmark(
         cfg,
         strategies=strategies,
         seeds=tuple(range(args.seeds)),
-        budget_fracs=budgets,
+        budget_fracs=args.budgets,
     )
     os.makedirs(args.out, exist_ok=True)
     report.write_csv(os.path.join(args.out, "benchmark.csv"))
@@ -194,20 +196,19 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.path) as fh:
-        payload = json.load(fh)
+    payload = read_json(args.path, "report")
     if "summary" in payload:
         print(json.dumps(payload["summary"], indent=2, sort_keys=True))
-    else:
-        rounds = payload.get("rounds", [])
-        print("stages: %s" % ", ".join(payload.get("stages", [])))
-        for r in rounds:
-            print(
-                "round %d @ epoch %d: %d selected"
-                % (r["round"], r["trigger_epoch"], len(r["selected"]))
-            )
-        if "final_metric" in payload:
-            print("final metric: %.4f" % payload["final_metric"])
+        return EXIT_OK
+    print("stages: %s" % ", ".join(payload.get("stages", [])))
+    for i, r in enumerate(payload.get("rounds", [])):
+        missing = [k for k in ("round", "trigger_epoch", "selected") if k not in r]
+        if missing:
+            raise ConfigError("report %s rounds[%d] requires %s" % (args.path, i, missing[0]))
+        print("round %d @ epoch %d: %d selected"
+              % (r["round"], r["trigger_epoch"], len(r["selected"])))
+    if "final_metric" in payload:
+        print("final metric: %.4f" % payload["final_metric"])
     return EXIT_OK
 
 
@@ -233,7 +234,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write("numerical failure: %s\n" % exc)
         return EXIT_NUMERIC
-    except (frameio.FrameFormatError, frameio.ConfigError, FileNotFoundError, ValueError) as exc:
+    # ConfigError and FrameFormatError are ValueErrors; OSError names the path
+    except (OSError, ValueError) as exc:
         sys.stderr.write("data error: %s\n" % exc)
         return EXIT_DATA
 

@@ -7,6 +7,10 @@ simulator can play the role of the human annotator.
 
 Each on-disk text format has one writer here: ``canonical_json`` (reports,
 summaries, checkpoints, frame records) and ``write_ids`` (id-list files).
+
+Configs and checkpoints are read by one schema walk, ``_build``: each value
+of a JSON object is checked against its dataclass field's declared type, with
+no coercion, and a fault raises ``ConfigError`` naming the value's path.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Any, Sequence, Tuple
+from typing import (Any, Callable, Dict, Mapping, Sequence, Tuple, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -212,3 +217,75 @@ def write_ids(path: str, ids: Sequence[str]) -> None:
     """Write one frame id per line."""
     with open(path, "w") as fh:
         fh.write("".join(i + "\n" for i in ids))
+
+
+class ConfigError(ValueError):
+    """A config or checkpoint that does not match its schema; the message names the path."""
+
+
+def read_json(path: str, what: str) -> Dict[str, Any]:
+    """The JSON object in ``path``, a ``what`` file; anything else raises ``ConfigError``."""
+    with open(path) as fh:
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("invalid JSON in %s: %s" % (path, exc))
+    if not isinstance(d, dict):
+        raise ConfigError("%s %s must be a JSON object, got %s" % (what, path, _shown(d)))
+    return d
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, or its type alone when the repr is long (say, a base64 blob)."""
+    text = repr(value)
+    return text if len(text) <= 80 else "a %s" % type(value).__name__
+
+
+def _check_keys(d: Dict[str, Any], allowed, context: str) -> None:
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError("unknown %s keys: %s" % (context, ", ".join(unknown)))
+
+
+def _schema(cls) -> Dict[str, Tuple[Any, bool]]:
+    """Each field of dataclass ``cls``: its declared type and whether it has no default."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING) for f in fields(cls)}
+
+
+def _typed(value: Any, tp: Any, where: str, readers: Mapping[Any, Callable]) -> Any:
+    """``value`` checked against the declared field type ``tp``, never coerced."""
+    if tp in readers:
+        return readers[tp](value, where)
+    if is_dataclass(tp):
+        return _build(tp, value, where, readers)
+    if get_origin(tp) is tuple:
+        item, *rest = get_args(tp)
+        n = None if rest == [Ellipsis] else 1 + len(rest)
+        if not isinstance(value, list) or n not in (None, len(value)):
+            length = "" if n is None else "%d " % n
+            raise ConfigError(
+                "%s must be a list of %s%s, got %s" % (where, length, item.__name__, _shown(value))
+            )
+        return tuple(_typed(v, item, "%s[%d]" % (where, i), readers) for i, v in enumerate(value))
+    # a float field takes ints; only a bool field takes booleans
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    if not ok or isinstance(value, bool) != (tp is bool):
+        raise ConfigError("%s must be %s, got %s" % (where, tp.__name__, _shown(value)))
+    return value
+
+
+def _build(cls, d: Any, context: str, readers: Mapping[Any, Callable]):
+    """``cls(**d)``, each value checked against its field's type (or read by ``readers[type]``)."""
+    if not isinstance(d, dict):
+        raise ConfigError("%s must be a JSON object, got %s" % (context, _shown(d)))
+    schema = _schema(cls)
+    _check_keys(d, schema, context)
+    for name, (_, required) in schema.items():
+        if required and name not in d:
+            raise ConfigError("%s requires %s" % (context, name))
+    kwargs = {k: _typed(v, schema[k][0], "%s %s" % (context, k), readers) for k, v in d.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError("bad %s: %s" % (context, exc))

@@ -18,7 +18,7 @@ gradients. ``fit`` scores each pool in one batched pass
 layer products as ``predict``, with a scalar sigmoid and clamp, and gives the
 same bytes.
 
-A checkpoint must be a JSON object of the types ``save`` writes, at version
+A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
 ``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
 matrix and bias vector per pair of adjacent layers; ``load`` raises
 ``ValueError`` naming the file and the key otherwise.
@@ -31,15 +31,14 @@ its own pool's domain, and one feature-map channel count. Each rule raises
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Domain, FrameRecord, Score, _int_tuple, canonical_json, decode_array,
-                   encode_array)
+from .core import (Domain, FrameRecord, Score, _build, canonical_json, decode_array,
+                   encode_array, read_json)
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
@@ -138,77 +137,46 @@ class DiscriminatorModel:
         return np.clip(p, PRED_EPS, 1.0 - PRED_EPS)
 
     def save(self, path):
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "layer_dims": list(self.layer_dims),
-            "leak": self.leak,
-            "rng_seed": self.rng_seed,
-            "weights": [encode_array(w, "<f8") for w in self.weights],
-            "biases": [encode_array(b, "<f8") for b in self.biases],
-        }
+        ckpt = _Checkpoint(CHECKPOINT_VERSION, self.layer_dims,
+                           tuple(encode_array(w, "<f8") for w in self.weights),
+                           tuple(encode_array(b, "<f8") for b in self.biases),
+                           self.leak, self.rng_seed)
         with open(path, "w") as fh:
-            fh.write(canonical_json(payload))
+            fh.write(canonical_json(asdict(ckpt)))
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError(
-                "checkpoint %s: top level must be a JSON object, got %s"
-                % (path, type(payload).__name__)
-            )
+        where = "checkpoint %s" % path
+        ckpt = _build(_Checkpoint, read_json(path, "checkpoint"), where, {})
+        dims = ckpt.layer_dims
         try:
-            version = payload["version"]
-            dims = payload["layer_dims"]
-            weights, biases = payload["weights"], payload["biases"]
-            leak, rng_seed = payload["leak"], payload["rng_seed"]
-        except KeyError as exc:
-            raise ValueError("checkpoint %s lacks key %s" % (path, exc))
-        try:
-            if isinstance(version, bool) or version != CHECKPOINT_VERSION:
-                raise ValueError(
-                    "version is %s, expected %d" % (json.dumps(version), CHECKPOINT_VERSION)
-                )
-            _check_types(dims, weights, biases, leak, rng_seed)
+            if ckpt.version != CHECKPOINT_VERSION:
+                raise ValueError("version is %d, expected %d" % (ckpt.version, CHECKPOINT_VERSION))
             _check_widths(dims)
-            _check_counts(dims, weights, biases)
-            weights = [
-                decode_array(blob, (dims[i], dims[i + 1]), "<f8", "weights[%d]" % i)
-                for i, blob in enumerate(weights)
-            ]
-            biases = [
-                decode_array(blob, (dims[i + 1],), "<f8", "biases[%d]" % i)
-                for i, blob in enumerate(biases)
-            ]
+            _check_counts(dims, ckpt.weights, ckpt.biases)
+            weights = [decode_array(blob, dims[i:i + 2], "<f8", "weights[%d]" % i)
+                       for i, blob in enumerate(ckpt.weights)]
+            biases = [decode_array(blob, dims[i + 1:i + 2], "<f8", "biases[%d]" % i)
+                      for i, blob in enumerate(ckpt.biases)]
             for name, arrays in (("weights", weights), ("biases", biases)):
                 for i, a in enumerate(arrays):
                     if not np.all(np.isfinite(a)):
                         raise ValueError("%s[%d] holds non-finite values" % (name, i))
-            return cls(dims, weights, biases, leak=leak, rng_seed=rng_seed)
+            return cls(dims, weights, biases, leak=ckpt.leak, rng_seed=ckpt.rng_seed)
         except ValueError as exc:
-            raise ValueError("checkpoint %s: %s" % (path, exc))
+            raise ValueError("%s: %s" % (where, exc))
 
 
-def _check_types(layer_dims, weights, biases, leak, rng_seed) -> None:
-    """The JSON types of a checkpoint's values; the error names the key."""
+@dataclass(frozen=True)
+class _Checkpoint:
+    """The JSON object ``save`` writes and ``load`` reads through the schema walk."""
 
-    def reject(key, want, value):
-        raise ValueError("%s must be %s, got %s" % (key, want, type(value).__name__))
-
-    if not isinstance(layer_dims, list):
-        reject("layer_dims", "a list", layer_dims)
-    _int_tuple(layer_dims, "layer_dims")
-    for name, blobs in (("weights", weights), ("biases", biases)):
-        if not isinstance(blobs, list):
-            reject(name, "a list", blobs)
-        for i, blob in enumerate(blobs):
-            if not isinstance(blob, str):
-                reject("%s[%d]" % (name, i), "a base64 string", blob)
-    if isinstance(leak, bool) or not isinstance(leak, (int, float)):
-        reject("leak", "a number", leak)
-    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
-        reject("rng_seed", "an integer", rng_seed)
+    version: int
+    layer_dims: Tuple[int, ...]
+    weights: Tuple[str, ...]
+    biases: Tuple[str, ...]
+    leak: float
+    rng_seed: int
 
 
 def _check_widths(layer_dims) -> None:

@@ -4,29 +4,26 @@ Frames are stored as newline-delimited JSON with base64 little-endian
 float32 tensor payloads, so load(save(x)) round-trips bit-exactly for
 float32 data. Frame records and configs are read strictly: a missing or
 unknown key, or a value of the wrong type, is rejected with a message that
-names it (and, for a frame record, its line).
+names it (and, for a frame record, its line). A frame id may appear once per
+file. Configs are read by ``core``'s schema walk, with ``_READERS`` for two types.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields, is_dataclass
-from typing import Any, Dict, List, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Dict, List, Sequence, Union
 
 import numpy as np
 
-from .core import (BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonical_json,
-                   decode_array, encode_array, validate_frame)
+from .core import (BudgetSchedule, ConfigError, Domain, FrameRecord, SyntheticConfig, _build,
+                   _check_keys, _schema, _typed, canonical_json, decode_array, encode_array,
+                   read_json, validate_frame)
 from .pipeline import PipelineConfig
 from .source_sampler import Proportion, SourceSelectionMode, Threshold, TopK
 
 
 class FrameFormatError(ValueError):
     """Malformed frame file; message carries the offending line number."""
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # per-round budgets and trigger epochs for the standard desk-scale presets
@@ -132,7 +129,9 @@ def save_frames(frames: Sequence[FrameRecord], path: str) -> None:
 
 
 def load_frames(path: str) -> List[FrameRecord]:
+    """The frames in ``path``, in file order; an id may appear on one line only."""
     frames = []
+    first_line = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -142,54 +141,12 @@ def load_frames(path: str) -> List[FrameRecord]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FrameFormatError("line %d: invalid JSON (%s)" % (line_no, exc))
-            frames.append(record_to_frame(record, line_no))
+            frame = record_to_frame(record, line_no)
+            if first_line.setdefault(frame.id, line_no) != line_no:
+                raise FrameFormatError("line %d: id %r repeats line %d"
+                                       % (line_no, frame.id, first_line[frame.id]))
+            frames.append(frame)
     return frames
-
-
-def _check_keys(d: Dict[str, Any], allowed, context: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            "unknown %s keys: %s" % (context, ", ".join(sorted(unknown)))
-        )
-
-
-def _typed(value: Any, tp: Any, where: str) -> Any:
-    """``value`` checked against the declared field type ``tp``, never coerced."""
-    if tp in _READERS:
-        return _READERS[tp](value, where)
-    if is_dataclass(tp):
-        return _build(tp, value, where)
-    if get_origin(tp) is tuple:
-        item, *rest = get_args(tp)
-        n = None if rest == [Ellipsis] else 1 + len(rest)
-        if not isinstance(value, list) or n not in (None, len(value)):
-            length = "" if n is None else "%d " % n
-            raise ConfigError(
-                "%s must be a list of %s%s, got %r" % (where, length, item.__name__, value)
-            )
-        return tuple(_typed(v, item, "%s[%d]" % (where, i)) for i, v in enumerate(value))
-    # a float field takes ints; only a bool field takes booleans
-    ok = isinstance(value, (int, float) if tp is float else tp)
-    if not ok or isinstance(value, bool) != (tp is bool):
-        raise ConfigError("%s must be %s, got %r" % (where, tp.__name__, value))
-    return value
-
-
-def _build(cls, d: Any, context: str):
-    """``cls(**d)`` with each value checked against its field's type; absent fields default."""
-    if not isinstance(d, dict):
-        raise ConfigError("%s must be a JSON object, got %r" % (context, d))
-    _check_keys(d, {f.name for f in fields(cls)}, context)
-    for f in fields(cls):
-        if f.name not in d and f.default is MISSING:
-            raise ConfigError("%s requires %s" % (context, f.name))
-    hints = get_type_hints(cls)
-    kwargs = {k: _typed(v, hints[k], "%s %s" % (context, k)) for k, v in d.items()}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("bad %s: %s" % (context, exc))
 
 
 _SOURCE_MODES = {"threshold": Threshold, "proportion": Proportion, "topk": TopK}
@@ -211,15 +168,15 @@ def parse_source_mode(spec: Union[str, Dict[str, Any]], context: str = "source_m
     cls = _SOURCE_MODES.get(spec.get("type")) if isinstance(spec.get("type"), str) else None
     if cls is None:
         raise ConfigError("%s type must be threshold|proportion|topk" % context)
-    ((name, tp),) = get_type_hints(cls).items()
-    value = _typed(spec.get("value", getattr(cls, name, None)), tp, context + " value")
-    return _build(cls, {name: float(value) if tp is float else value}, context)
+    ((name, (tp, _)),) = _schema(cls).items()
+    value = _typed(spec.get("value", getattr(cls, name, None)), tp, context + " value", _READERS)
+    return _build(cls, {name: float(value) if tp is float else value}, context, _READERS)
 
 
 def parse_schedule(d: Union[str, Dict[str, Any]], context: str = "schedule") -> BudgetSchedule:
     """A ``BUDGET_PRESETS`` name or a ``BudgetSchedule`` object."""
     if not isinstance(d, str):
-        return _build(BudgetSchedule, d, context)
+        return _build(BudgetSchedule, d, context, _READERS)
     if d not in BUDGET_PRESETS:
         raise ConfigError(
             "unknown schedule preset %r (known: %s)"
@@ -236,14 +193,8 @@ _KINDS = {"pipeline": PipelineConfig, "synthetic": SyntheticConfig}
 
 def load_config(path: str) -> Union[PipelineConfig, SyntheticConfig]:
     """Load a JSON config; the top-level "kind" key selects the schema."""
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("invalid JSON in %s: %s" % (path, exc))
-    if not isinstance(d, dict):
-        raise ConfigError("config %s must be a JSON object, got %r" % (path, d))
+    d = read_json(path, "config")
     kind = d.pop("kind", None)
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError('config requires "kind": "pipeline" or "synthetic"')
-    return _build(_KINDS[kind], d, "%s config" % kind)
+    return _build(_KINDS[kind], d, "%s config" % kind, _READERS)

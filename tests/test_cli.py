@@ -245,7 +245,7 @@ def test_train_disc_uses_config_hidden_dims(workspace):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda p: p.pop("leak"), "lacks key 'leak'"),
+        (lambda p: p.pop("leak"), "requires leak"),
         (
             lambda p: p["weights"].insert(0, p["weights"].pop(0)[:8]),
             "weights[0] payload is 6 bytes, expected 512",
@@ -529,24 +529,30 @@ def test_train_disc_then_sample_source_reproduces_run(workspace):
     assert ids.read_text().splitlines() == selection["ids"]
 
 
+# each message holds ``{}`` where the checkpoint's path goes
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda p: [p], "top level must be a JSON object, got list"),
-        (lambda p: dict(p, layer_dims=[16, "4", 1]), "layer_dims must hold integers, got '4'"),
-        (lambda p: dict(p, weights=5), "weights must be a list, got int"),
+        (lambda p: [p], "checkpoint {} must be a JSON object, got a list"),
+        (lambda p: dict(p, layer_dims=[16, "4", 1]),
+         "checkpoint {} layer_dims[1] must be int, got '4'"),
+        (lambda p: dict(p, weights=5), "checkpoint {} weights must be a list of str, got 5"),
         (lambda p: dict(p, biases=[[0.0] * 4, p["biases"][1]]),
-         "biases[0] must be a base64 string, got list"),
-        (lambda p: dict(p, leak="0.01"), "leak must be a number, got str"),
-        (lambda p: dict(p, rng_seed=1.5), "rng_seed must be an integer, got float"),
+         "checkpoint {} biases[0] must be str, got [0.0, 0.0, 0.0, 0.0]"),
+        (lambda p: dict(p, leak="0.01"), "checkpoint {} leak must be float, got '0.01'"),
+        (lambda p: dict(p, rng_seed=1.5), "checkpoint {} rng_seed must be int, got 1.5"),
         (lambda p: dict(p, layer_dims=[16, 0, 1], weights=["", ""], biases=["", p["biases"][1]]),
-         "layer_dims must hold widths of at least 1, got [16, 0, 1]"),
+         "checkpoint {}: layer_dims must hold widths of at least 1, got [16, 0, 1]"),
         (lambda p: dict(p, layer_dims=[16, -4, 1]),
-         "layer_dims must hold widths of at least 1, got [16, -4, 1]"),
-        (lambda p: dict(p, version=2), "version is 2, expected 1"),
+         "checkpoint {}: layer_dims must hold widths of at least 1, got [16, -4, 1]"),
+        (lambda p: dict(p, version=2), "checkpoint {}: version is 2, expected 1"),
+        (lambda p: dict(p, momentum=0.9), "unknown checkpoint {} keys: momentum"),
+        (lambda p: json.dumps(p)[:-1],
+         "invalid JSON in {}: Expecting ',' delimiter"),
     ],
     ids=["top-level-list", "layer-dims-str", "weights-int", "blob-list", "leak-str",
-         "rng-seed-float", "zero-width", "negative-width", "wrong-version"],
+         "rng-seed-float", "zero-width", "negative-width", "wrong-version", "unknown-key",
+         "invalid-json"],
 )
 def test_wrong_typed_checkpoint_exits_2(workspace, capsys, edit, message):
     from bidal import DiscriminatorModel
@@ -554,13 +560,18 @@ def test_wrong_typed_checkpoint_exits_2(workspace, capsys, edit, message):
     tmp_path, data = workspace
     model = tmp_path / "m.json"
     DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
-    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+    payload = json.loads(model.read_text())
+    edited = edit(payload)  # a JSON value, or the text to write
+    model.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     rc = main(["sample-source", "--frames", str(data / "source.ndjson"), "--model", str(model),
                "--out", str(tmp_path / "ids.txt")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "checkpoint %s: %s" % (model, message) in err, err
+    assert message.format(model) in err, err
+    # no message echoes a base64 payload
+    assert not any(blob in err for blob in payload["weights"] + payload["biases"]), err
     assert not (tmp_path / "ids.txt").exists()
+
 
 
 @pytest.mark.parametrize("command", ["train-disc", "run"])
@@ -702,3 +713,87 @@ def test_fuzzed_field_exits_2_naming_it(workspace, capsys, reader, field, fault)
     assert err.startswith("data error: " + where), err
     assert field in err.split(where, 1)[1], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample-source", "sample-target"])
+def test_sample_doubled_frame_file_exits_2(workspace, capsys, command):
+    tmp_path, data = workspace
+    pool = (data / ("source.ndjson" if command == "sample-source" else "target.ndjson"))
+    doubled = tmp_path / "doubled.ndjson"
+    doubled.write_text(pool.read_text() * 2)
+    model = tmp_path / "m.json"
+    from bidal import DiscriminatorModel
+
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    n = len(pool.read_text().splitlines())
+    first = json.loads(pool.read_text().splitlines()[0])["id"]
+    out = tmp_path / "ids.txt"
+    argv = [command, "--frames", str(doubled), "--model", str(model), "--out", str(out)]
+    if command == "sample-target":
+        argv += ["--budget", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line %d: id '%s' repeats line 1" % (n + 1, first) in err, err
+    assert not out.exists()
+
+
+def _drop_trigger_epoch(text):
+    payload = json.loads(text)
+    del payload["rounds"][1]["trigger_epoch"]
+    return json.dumps(payload)
+
+
+# each message holds ``{}`` where the report's path goes
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: json.dumps([json.loads(text)]),
+         "report {} must be a JSON object, got a list"),
+        (_drop_trigger_epoch, "report {} rounds[1] requires trigger_epoch"),
+        (lambda text: text[:-1], "invalid JSON in {}: "),
+    ],
+    ids=["json-list", "round-without-trigger-epoch", "invalid-json"],
+)
+def test_bad_report_exits_2_naming_it(workspace, capsys, edit, message):
+    tmp_path, data = workspace
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    report = tmp_path / "report.json"
+    assert main(["run", "--config", str(cfg), "--source", str(data / "source.ndjson"),
+                 "--target", str(data / "target.ndjson"), "--out", str(report)]) == 0
+    report.write_text(edit(report.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--in", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: " + message.format(report)), err
+
+
+def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["gen", "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out) in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sample-target", "--budget", "0"], "--budget"),
+        (["sample-target", "--budget", "-3"], "--budget"),
+        (["bench", "--seeds", "0"], "--seeds"),
+        (["bench", "--budgets", "0.01,abc"], "--budgets"),
+    ],
+    ids=["budget-0", "budget-negative", "seeds-0", "budgets-text"],
+)
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
+    # the named files do not exist: the flag is rejected before any is read
+    missing = str(tmp_path / "missing")
+    if argv[0] == "sample-target":
+        argv = argv + ["--frames", missing, "--model", missing]
+    else:
+        argv = argv + ["--config", missing]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument %s: " % flag in err, err
+    assert not (tmp_path / "out").exists()

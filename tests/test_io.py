@@ -115,6 +115,16 @@ class TestFrameFiles:
             load_frames(path)
         assert str(info.value).startswith(message), info.value
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "frames.ndjson"
+        save_frames(sample_frames(n=2, seed=4), str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        first = json.loads(lines[1])["id"]
+        with pytest.raises(FrameFormatError) as info:
+            load_frames(str(path))
+        assert str(info.value) == "line %d: id %r repeats line 2" % (len(lines) + 1, first)
+
     def test_nan_objectness_is_format_error(self, tmp_path):
         frames = sample_frames(n=1, seed=6)
         objectness = frames[1].objectness_map.copy()

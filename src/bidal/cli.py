@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -41,12 +42,22 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """A flag's non-negative integer seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("must be a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def _numbers(text: str) -> list:
-    """A flag's comma-separated numbers."""
+    """A flag's comma-separated finite numbers."""
     try:
-        return [float(v) for v in text.split(",") if v]
+        values = [float(v) for v in text.split(",") if v]
+        if all(math.isfinite(v) for v in values):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError("must be comma-separated numbers, got %r" % text)
+        pass
+    raise argparse.ArgumentTypeError("must be comma-separated finite numbers, got %r" % text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,14 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--config", help="synthetic config JSON")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-disc", help="train the domain discriminator")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--config", help="pipeline config JSON (discriminator section)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="model checkpoint path")
 
     p = sub.add_parser("sample-source", help="domainness-aware source selection")
@@ -82,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--eval", dest="eval_frames")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="report JSON path")
 
     p = sub.add_parser("bench", help="strategy benchmark sweep")
@@ -90,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="random,bidomain")
     p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--budgets", type=_numbers, default="0.01,0.05")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("report", help="summarize a run or benchmark report")

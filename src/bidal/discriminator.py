@@ -13,10 +13,15 @@ weight and bias is a view of one flat parameter vector and ``_grads`` writes
 into views of one flat gradient vector, so a step's update is two numpy calls
 with the same rounding as one ``w -= lr * g`` per array; the returned model
 owns its arrays. ``loss_and_grads`` gives the per-batch loss beside the same
-gradients. ``fit`` scores each pool in one batched pass
-(``scoring.scene_vectors``). ``forward`` scores one vector through the same
-layer products as ``predict``, with a scalar sigmoid and clamp, and gives the
-same bytes.
+gradients. ``fit`` computes each pool's scene vectors in one batched pass
+(``scoring.scene_vectors``).
+
+Scoring is batched: ``_domainness_values`` scores a whole pool in one pass
+over its stacked scene vectors, and ``forward`` and ``domainness`` are its
+one-row case. Each row goes through one-row layer products, so a frame's
+score does not depend on the pool it is scored with. ``predict``'s plain
+(n, d) products may round some rows differently in the last bit; training
+and its loss history use them.
 
 A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
 ``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
@@ -207,18 +212,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: DiscriminatorModel, v: np.ndarray) -> float:
-    """Domainness probability for a single scene vector, clamped away from 0/1.
+    """Domainness probability for a single scene vector, clamped away from 0/1."""
+    return float(_forward_rows(model, np.asarray(v, dtype=np.float64)[None])[0])
 
-    The same bytes as ``model.predict(v[None, :])[0]``: the same (1, d) layer
-    products, then ``_sigmoid``'s formula and the clamp on one scalar.
-    """
-    x = np.asarray(v, dtype=np.float64)
-    if x.shape != (model.layer_dims[0],):
-        raise ValueError("input shape %s != expected (%d,)" % (x.shape, model.layer_dims[0]))
-    z = model._logits(x[None, :])[0]
-    e = np.exp(-abs(z))
-    p = float((1.0 if z >= 0 else e) / (1.0 + e))
-    return min(max(p, PRED_EPS), 1.0 - PRED_EPS)
+
+def _forward_rows(model: DiscriminatorModel, X: np.ndarray) -> np.ndarray:
+    """``forward`` of every row of an (n, d) float64 array, bit for bit."""
+    _check_width(model, X.shape[1:])
+    # The stacked product (n, 1, d) @ (d, h) runs numpy's one-row kernel once
+    # per row, so row i rounds exactly as (1, d) @ (d, h) does on its own; a
+    # plain (n, d) @ (d, h) product may round some rows differently.
+    a = X[:, None, :]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = _leaky_relu(a @ w + b, model.leak)
+    z = (a @ model.weights[-1] + model.biases[-1])[:, 0, 0]
+    return np.clip(_sigmoid(z), PRED_EPS, 1.0 - PRED_EPS)
+
+
+def _domainness_values(model: DiscriminatorModel, frames: Sequence[FrameRecord]) -> np.ndarray:
+    """``domainness(model, f).value`` of every frame, in order, from one batched pass."""
+    d = model.layer_dims[0]
+    vectors = [scene_vector(f) for f in frames]
+    # one check for the pool, naming the first vector ``forward`` would reject
+    _check_width(model, next((v.shape for v in vectors if v.shape != (d,)), (d,)))
+    return _forward_rows(model, np.array(vectors).reshape(len(vectors), d))
+
+
+def _check_width(model: DiscriminatorModel, shape: Tuple[int, ...]) -> None:
+    """A scene vector's shape must be (d,), d the model's input width."""
+    if shape != (model.layer_dims[0],):
+        raise ValueError("input shape %s != expected (%d,)" % (shape, model.layer_dims[0]))
 
 
 def bce_loss(preds: Sequence[float], labels: Sequence[int]) -> float:
@@ -382,4 +405,4 @@ def fit(
 
 def domainness(model: DiscriminatorModel, frame: FrameRecord) -> Score:
     """Score one frame: sigmoid output of the MLP on its pooled enhanced map."""
-    return Score(frame_id=frame.id, value=forward(model, scene_vector(frame)))
+    return Score(frame_id=frame.id, value=float(_domainness_values(model, [frame])[0]))

@@ -13,11 +13,15 @@ frame tagged with its own pool's domain) live in ``discriminator.fit``,
 which ``run`` and ``train-disc`` share. ``run_bidomain`` adds one rule of its
 own before stage 1: every source frame carries a label.
 
-The discriminator is fixed after stage 2, so ``run_bidomain`` scores each
-target frame object once per run: one ``{FrameRecord: float}`` memo feeds
-every round's banks and the report's per-pick scores. The memo is keyed on
-the frame object, so an oracle whose ``features`` returns new frames gets
-them rescored, and it is dropped when the run returns.
+The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
+re-weights each target frame object once per run. Each round scores the
+frames it has not seen yet in one batched pass
+(``discriminator._domainness_values``); one ``{FrameRecord: float}`` memo
+feeds every round's banks and the report's per-pick scores, and a second
+memo keeps each frame's re-weighted ROI vector. Both are keyed on the frame
+object, so an oracle whose ``features`` returns new frames gets them
+rescored, and both are dropped when the run returns. Stage 3 scores the
+source pool in one batched pass too (``score_source``).
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run writes a selection manifest and halts before
@@ -33,9 +37,9 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from .core import BudgetSchedule, FrameRecord, PipelineState, canonical_json, write_ids
-from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
+from .discriminator import TrainConfig, _domainness_values, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
-from .target_sampler import BankConfig, _sample_round
+from .target_sampler import BankConfig, _sample_round, reweight
 
 
 class DetectorOracle(Protocol):
@@ -130,14 +134,21 @@ def run_bidomain(
     schedule = _clip_schedule(cfg.schedule, len(target), report)
     roi_dim = _roi_dim(source + target)
 
-    # the discriminator is fixed from here on, so each frame object is scored
-    # once per run; an oracle that returns new frames each round gets them rescored
-    score = functools.cache(lambda frame: domainness(disc, frame).value)
+    # the discriminator is fixed from here on, so each frame object is scored and
+    # re-weighted once per run; an oracle that returns new frames each round gets
+    # them rescored
+    scores: Dict[FrameRecord, float] = {}
+    rois = functools.cache(lambda frame: reweight(frame, roi_dim=roi_dim))
+
+    def values(frames):
+        new = [f for f in frames if f not in scores]
+        scores.update(zip(new, _domainness_values(disc, new).tolist()))
+        return [scores[f] for f in frames]
 
     def pick(unlabeled, budget, k, det_state):
         current = {f.id: oracle.features(det_state, f) for f in unlabeled}
-        delta = _sample_round(list(current.values()), score, budget, roi_dim, cfg.bank_config)
-        return delta, {i: score(current[i]) for i in delta}
+        delta = _sample_round(list(current.values()), rois, values, budget, cfg.bank_config)
+        return delta, {i: scores[current[i]] for i in delta}
 
     det_state, state = run_rounds(
         oracle, det_state, state, target, src_labeled, schedule, pick,

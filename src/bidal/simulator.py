@@ -11,8 +11,10 @@ head; a head weights every row 1 and has no L2 penalty.
 
 Per-frame work that cannot change within a run is done once per run: each
 ``ProxyDetector`` keeps its frames' re-weighted ROI rows (every run builds its
-own detector), and the entropy baseline's pick keeps its frames' entropies
-for ``_sample_entropy``, the sibling that ``sample_entropy`` wraps.
+own detector), the committee baseline's pick reads its rows from the run's
+detector through ``_sample_committee``, the sibling that ``sample_committee``
+wraps, and the entropy baseline's pick keeps its frames' entropies for
+``_sample_entropy``, the sibling that ``sample_entropy`` wraps.
 """
 
 from __future__ import annotations
@@ -267,6 +269,22 @@ def sample_committee(
     seed: int,
 ) -> List[str]:
     """Disagreement sampling: heads with different inits, ranked by logit distance."""
+    return _sample_committee(
+        unlabeled, lambda frames: _roi_matrix(frames, labeled_X.shape[1]),
+        labeled_X, labeled_y, n_classes, budget, seed,
+    )
+
+
+def _sample_committee(
+    unlabeled: Sequence[FrameRecord],
+    roi_rows: Callable[[Sequence[FrameRecord]], np.ndarray],
+    labeled_X: np.ndarray,
+    labeled_y: np.ndarray,
+    n_classes: int,
+    budget: int,
+    seed: int,
+) -> List[str]:
+    """``sample_committee`` with the unlabeled frames' ROI matrix given by ``roi_rows``."""
     if budget <= 0:
         return []
     roi_dim = labeled_X.shape[1]
@@ -278,7 +296,7 @@ def sample_committee(
         b = np.zeros(n_classes)
         _descend(labeled_X, Y, ones, W, b, 0.0, COMMITTEE_EPOCHS)
         heads.append((W, b))
-    X = _roi_matrix(unlabeled, roi_dim)
+    X = roi_rows(unlabeled)
     logits = [X @ W + b for W, b in heads]
     dist = np.zeros(X.shape[0])
     for i in range(len(heads)):
@@ -320,7 +338,7 @@ def run_strategy(
     else:
         # baselines label the whole source pool and never train a discriminator
         src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
-        pick = _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim)
+        pick = _baseline_pick(strategy, src_labeled, seed, n_classes, oracle._roi_rows)
         report = {"seed": seed, "stages": ["pretrain"], "rounds": []}
         run_rounds(
             oracle, oracle.pretrain(source), PipelineState(),
@@ -334,8 +352,12 @@ def run_strategy(
     }
 
 
-def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim):
-    """The round loop's pick for a baseline; baselines report no scores."""
+def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_rows):
+    """The round loop's pick for a baseline; baselines report no scores.
+
+    ``roi_rows`` is the run's detector's ``_roi_rows``, so the committee
+    re-weights each frame once per run.
+    """
     if strategy == "random":
         return lambda unlabeled, budget, k, _: (
             sample_random(unlabeled, budget, seed + 7919 * k), {}
@@ -345,10 +367,10 @@ def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_dim):
         entropy = functools.cache(frame_entropy)
         return lambda unlabeled, budget, k, _: (_sample_entropy(unlabeled, budget, entropy), {})
     if strategy == "committee":
-        X = _roi_matrix([f for f, _ in src_labeled], roi_dim)
+        X = roi_rows([f for f, _ in src_labeled])
         y = np.array([lab for _, lab in src_labeled])
         return lambda unlabeled, budget, k, _: (
-            sample_committee(unlabeled, X, y, n_classes, budget, seed + 7919 * k), {}
+            _sample_committee(unlabeled, roi_rows, X, y, n_classes, budget, seed + 7919 * k), {}
         )
     raise ValueError("unknown strategy %r" % strategy)
 

@@ -1,8 +1,9 @@
 """Domainness-aware source selection.
 
-Scores every source frame with the discriminator and keeps the most
-target-domain-like ones, either by proportion, score threshold (expressed on
-the logit scale), or a fixed top-k.
+Scores the whole source pool with the discriminator in one batched pass
+(``discriminator._domainness_values``) and keeps the most target-domain-like
+frames, either by proportion, score threshold (expressed on the logit scale),
+or a fixed top-k.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 from .core import Domain, FrameRecord, Score
-from .discriminator import DiscriminatorModel, domainness
+from .discriminator import DiscriminatorModel, _domainness_values
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ def score_source(
     for f in frames:
         if f.domain != Domain.SOURCE:
             raise ValueError("frame %r is not source-tagged" % f.id)
-    return [domainness(model, f) for f in frames]
+    values = _domainness_values(model, frames).tolist()
+    return [Score(frame_id=f.id, value=v) for f, v in zip(frames, values)]
 
 
 def _logit(value: float) -> float:

@@ -6,10 +6,11 @@ cap is reached every frame founds a bank; afterwards a frame either joins its
 nearest bank, or — when it is less similar to every prototype than the two
 closest prototypes are to each other — triggers a count-weighted merge of the
 most similar pair and founds a fresh bank. Finally the highest-domainness
-member of each bank is selected. ``sample_round`` scores each frame with
-``domainness``; its sibling ``_sample_round`` takes the score as a function,
-so a caller that keeps scores across rounds (``pipeline.run_bidomain``) runs
-the same code path.
+member of each bank is selected. ``sample_round`` re-weights each frame and
+scores the whole pool in one batched pass
+(``discriminator._domainness_values``); its sibling ``_sample_round`` takes
+both as functions, so a caller that keeps ROI vectors and scores across
+rounds (``pipeline.run_bidomain``) runs the same code path.
 
 The bank is incremental: the prototypes sit as rows of a (cap, d) matrix with
 their norms, beside a cap x cap matrix of pair cosines whose aggregates (the
@@ -31,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .core import Domain, FrameRecord
-from .discriminator import DiscriminatorModel, domainness
+from .discriminator import DiscriminatorModel, _domainness_values
 
 NORM_FLOOR = 1e-12
 
@@ -267,24 +268,27 @@ def sample_round(
 ) -> List[str]:
     """One sampling round: reweight, cluster into banks, pick one frame per bank."""
     return _sample_round(
-        unlabeled, lambda f: domainness(model, f).value, budget, roi_dim, config
+        unlabeled,
+        lambda f: reweight(f, roi_dim=roi_dim),
+        lambda frames: _domainness_values(model, frames).tolist(),
+        budget,
+        config,
     )
 
 
 def _sample_round(
     unlabeled: Sequence[FrameRecord],
-    score: Callable[[FrameRecord], float],
+    rois: Callable[[FrameRecord], ReweightedROI],
+    values: Callable[[Sequence[FrameRecord]], Sequence[float]],
     budget: int,
-    roi_dim: Optional[int],
     config: BankConfig,
 ) -> List[str]:
-    """``sample_round`` with the frame's domainness given by ``score``."""
+    """``sample_round`` with a frame's re-weighted ROIs given by ``rois`` and the
+    pool's domainness values, in order, by ``values``."""
     for f in unlabeled:
         if f.domain != Domain.TARGET:
             raise ValueError("frame %r is not target-tagged" % f.id)
     if not unlabeled:
         return []
-    rois = [reweight(f, roi_dim=roi_dim) for f in unlabeled]
-    banks = build_banks(rois, budget, config=config)
-    scores = {f.id: score(f) for f in unlabeled}
-    return select_targets(banks, scores)
+    banks = build_banks([rois(f) for f in unlabeled], budget, config=config)
+    return select_targets(banks, dict(zip([f.id for f in unlabeled], values(unlabeled))))

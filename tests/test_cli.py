@@ -6,7 +6,8 @@ import typing
 import numpy as np
 import pytest
 
-from bidal import BankConfig, BudgetSchedule, PipelineConfig, SyntheticConfig, TrainConfig
+from bidal import (BankConfig, BudgetSchedule, DiscriminatorModel, PipelineConfig,
+                   SyntheticConfig, TrainConfig)
 from bidal.cli import main
 
 GEN_CFG = {
@@ -410,6 +411,21 @@ def test_train_disc_empty_pool_exits_2(workspace, capsys, empty):
     assert "must be non-empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, pool", [
+    ("sample-source", [], "source"),
+    ("sample-target", ["--budget", "3"], "target"),
+])
+def test_sample_empty_frame_file_selects_nothing(tmp_path, capsys, command, flags, pool):
+    (tmp_path / "empty.ndjson").write_text("")
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(tmp_path / "m.json"))
+    out = tmp_path / "ids.txt"
+    argv = [command, "--frames", str(tmp_path / "empty.ndjson"), "--model",
+            str(tmp_path / "m.json"), "--out", str(out)] + flags
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "selected 0 of 0 %s frames\n" % pool
+    assert out.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "command, pool, message",
     [
@@ -783,8 +799,16 @@ def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
         (["sample-target", "--budget", "-3"], "--budget"),
         (["bench", "--seeds", "0"], "--seeds"),
         (["bench", "--budgets", "0.01,abc"], "--budgets"),
+        (["bench", "--budgets", "inf"], "--budgets"),
+        (["bench", "--budgets", "0.01,nan"], "--budgets"),
+        (["gen", "--seed", "-1"], "--seed"),
+        (["train-disc", "--seed", "-1"], "--seed"),
+        (["run", "--seed", "-1"], "--seed"),
+        (["bench", "--seed", "-1"], "--seed"),
     ],
-    ids=["budget-0", "budget-negative", "seeds-0", "budgets-text"],
+    ids=["budget-0", "budget-negative", "seeds-0", "budgets-text", "budgets-inf",
+         "budgets-nan", "gen-seed-negative", "train-disc-seed-negative",
+         "run-seed-negative", "bench-seed-negative"],
 )
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     # the named files do not exist: the flag is rejected before any is read
@@ -793,6 +817,8 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
         argv = argv + ["--frames", missing, "--model", missing]
     else:
         argv = argv + ["--config", missing]
+    if argv[0] in ("train-disc", "run"):
+        argv = argv + ["--source", missing, "--target", missing]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "error: argument %s: " % flag in err, err

@@ -19,7 +19,11 @@ from bidal import (
     loss_and_grads,
     train,
 )
-from bidal.discriminator import PRED_EPS, _grads, _leaky_relu, fit
+from bidal.discriminator import (PRED_EPS, _domainness_values, _forward_rows, _grads,
+                                 _leaky_relu, fit)
+from bidal.scoring import scene_vector
+from bidal.source_sampler import score_source
+from bidal.target_sampler import BankConfig, _sample_round, reweight, sample_round
 
 from .reference import ref_auc
 
@@ -386,3 +390,83 @@ class TestFrameScoring:
         s = domainness(model, self.make_frame("abc", 1.0))
         assert s.frame_id == "abc"
         assert 0.0 < s.value < 1.0
+
+
+class TestBatchedScorer:
+    """``_forward_rows`` and ``_domainness_values`` give ``forward``'s bytes for every row."""
+
+    @staticmethod
+    def per_row(model, X):
+        """The pre-batching ``forward``: ``predict`` on one (1, d) row at a time."""
+        return np.array([model.predict(x[None, :])[0] for x in X])
+
+    @pytest.mark.parametrize("dims", [
+        (6, 8, 1), (6, 1, 1), (1, 1, 1), (16, 64, 32, 1), (5, 1, 7, 1), (9, 12, 1, 6, 1),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    def test_bytes_equal_per_row_forward(self, dims, n):
+        model = DiscriminatorModel.initialize(dims, seed=n)
+        X = np.random.default_rng(n).normal(scale=3.0, size=(n, dims[0]))
+        got = _forward_rows(model, X)
+        assert got.shape == (n,)
+        assert got.tobytes() == np.array([forward(model, x) for x in X]).tobytes()
+        assert got.tobytes() == self.per_row(model, X).tobytes()
+
+    def test_rows_clamped_at_both_ends(self):
+        model = DiscriminatorModel.initialize((4, 8, 3, 1), seed=4)
+        model.weights[-1][:, 0] = [1e4, -1e4, 0.0]  # logits of either sign, mostly past the clamp
+        X = np.random.default_rng(5).normal(size=(200, 4))
+        logits = model.logits(X)
+        got = _forward_rows(model, X)
+        # sigmoid(z) lies within PRED_EPS of 0 or 1 once |z| > 16.2
+        assert (logits > 20).sum() > 20 and (logits < -20).sum() > 20
+        assert set(got[logits > 20]) == {1.0 - PRED_EPS}
+        assert set(got[logits < -20]) == {PRED_EPS}
+        assert got.tobytes() == self.per_row(model, X).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5,), (5, 1, 3)])
+    def test_wrong_width_raises(self, shape):
+        model = DiscriminatorModel.initialize((3, 6, 1), seed=1)
+        message = "input shape %s != expected (3,)" % (shape[1:],)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _forward_rows(model, np.zeros(shape))
+
+    @staticmethod
+    def pool():
+        source, target, _ = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=1, seed=6))
+        model, _ = fit(source, target, (8, 4), TrainConfig(epochs=5, seed=1), seed=1)
+        return source, target, model
+
+    def test_pool_scores_equal_per_frame_domainness(self):
+        source, target, model = self.pool()
+        for frames in (source, target):
+            want = [domainness(model, f).value for f in frames]
+            assert _domainness_values(model, frames).tolist() == want
+            oracle = self.per_row(model, np.array([scene_vector(f) for f in frames]))
+            assert _domainness_values(model, frames).tobytes() == oracle.tobytes()
+        scores = score_source(source, model)
+        assert [(s.frame_id, s.value) for s in scores] == [
+            (f.id, domainness(model, f).value) for f in source
+        ]
+
+    @pytest.mark.parametrize("config", [BankConfig(), BankConfig(pairwise_compare="max")])
+    def test_sample_round_picks_equal_per_frame_scoring(self, config):
+        _, target, model = self.pool()
+        per_frame = _sample_round(
+            target, lambda f: reweight(f, roi_dim=16),
+            lambda frames: [domainness(model, f).value for f in frames], 7, config,
+        )
+        assert sample_round(target, model, 7, roi_dim=16, config=config) == per_frame
+
+    def test_mixed_widths_name_the_first_rejected_vector(self):
+        _, target, model = self.pool()
+        narrow = dataclasses.replace(target[3], feature_map=target[3].feature_map[:5])
+        with pytest.raises(ValueError, match=re.escape("input shape (5,) != expected (16,)")):
+            _domainness_values(model, target[:3] + [narrow] + target[4:])
+
+    def test_empty_pool(self):
+        _, _, model = self.pool()
+        assert _domainness_values(model, []).shape == (0,)
+        assert score_source([], model) == []
+        assert sample_round([], model, 3) == []
+

@@ -176,14 +176,19 @@ THREE_ROUND_REPORT = "eadbc8a83961a5fc791243c114ad16bf6da9dada868b0962ad6570cdd5
 
 @pytest.mark.parametrize("fresh", [False, True], ids=["same-frames", "fresh-frames"])
 def test_target_frames_scored_once_per_run(monkeypatch, fresh):
-    calls = []
-    real = bidal.pipeline.domainness
+    calls, reweighted = [], []
+    real_values, real_reweight = bidal.pipeline._domainness_values, bidal.pipeline.reweight
 
-    def counting(model, frame):
-        calls.append(frame.id)
-        return real(model, frame)
+    def counting_values(model, frames):
+        calls.extend(f.id for f in frames)
+        return real_values(model, frames)
 
-    monkeypatch.setattr(bidal.pipeline, "domainness", counting)
+    def counting_reweight(frame, roi_dim=None):
+        reweighted.append(frame.id)
+        return real_reweight(frame, roi_dim=roi_dim)
+
+    monkeypatch.setattr(bidal.pipeline, "_domainness_values", counting_values)
+    monkeypatch.setattr(bidal.pipeline, "reweight", counting_reweight)
     src, tgt, ev = small_world()
     cfg = small_pipeline_config(schedule=BudgetSchedule(3, (3, 3, 3), (0, 2, 4)))
     detector = (FreshFramesDetector if fresh else ProxyDetector)(
@@ -195,5 +200,7 @@ def test_target_frames_scored_once_per_run(monkeypatch, fresh):
         assert len(calls) == len(tgt) + (len(tgt) - 3) + (len(tgt) - 6)
     else:
         assert sorted(calls) == sorted(f.id for f in tgt)
+    # the same holds for re-weighting: once per frame object per run
+    assert reweighted == calls
     digest = hashlib.sha256(serialize_report(report).encode()).hexdigest()
     assert digest == THREE_ROUND_REPORT

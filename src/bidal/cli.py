@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 from . import io as frameio
-from .core import ConfigError, read_json, write_ids
+from .core import ConfigError, _build, read_json, write_ids
 # ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
 from .discriminator import DiscriminatorModel, NumericalError, TrainConfig, fit, train
-from .pipeline import PipelineConfig, _roi_dim, run_bidomain, serialize_report
+from .pipeline import PipelineConfig, RunReport, _roi_dim, run_bidomain, serialize_report
 from .simulator import ProxyDetector, SyntheticConfig, benchmark, generate
 from .source_sampler import score_source, select_source
 from .target_sampler import sample_round
@@ -49,15 +48,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _numbers(text: str) -> list:
-    """A flag's comma-separated finite numbers."""
+def _fractions(text: str) -> list:
+    """A flag's comma-separated fractions in (0, 1]; NaN and infinities are not."""
     try:
         values = [float(v) for v in text.split(",") if v]
-        if all(math.isfinite(v) for v in values):
+        if all(0 < v <= 1 for v in values):
             return values
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError("must be comma-separated finite numbers, got %r" % text)
+    raise argparse.ArgumentTypeError("must be comma-separated fractions in (0, 1], got %r" % text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="synthetic config JSON")
     p.add_argument("--strategies", default="random,bidomain")
     p.add_argument("--seeds", type=_count, default=5)
-    p.add_argument("--budgets", type=_numbers, default="0.01,0.05")
+    p.add_argument("--budgets", type=_fractions, default="0.01,0.05")
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -183,7 +182,7 @@ def _cmd_run(args) -> int:
     )
     with open(args.out, "w") as fh:
         fh.write(serialize_report(report))
-    status = report.get("halted", "completed")
+    status = report.halted or "completed"
     print("%s; report -> %s" % (status, args.out))
     return EXIT_OK
 
@@ -211,15 +210,12 @@ def _cmd_report(args) -> int:
     if "summary" in payload:
         print(json.dumps(payload["summary"], indent=2, sort_keys=True))
         return EXIT_OK
-    print("stages: %s" % ", ".join(payload.get("stages", [])))
-    for i, r in enumerate(payload.get("rounds", [])):
-        missing = [k for k in ("round", "trigger_epoch", "selected") if k not in r]
-        if missing:
-            raise ConfigError("report %s rounds[%d] requires %s" % (args.path, i, missing[0]))
-        print("round %d @ epoch %d: %d selected"
-              % (r["round"], r["trigger_epoch"], len(r["selected"])))
-    if "final_metric" in payload:
-        print("final metric: %.4f" % payload["final_metric"])
+    report = _build(RunReport, payload, "report %s" % args.path, {})
+    print("stages: %s" % ", ".join(report.stages))
+    for r in report.rounds:
+        print("round %d @ epoch %d: %d selected" % (r.round, r.trigger_epoch, len(r.selected)))
+    if report.final_metric is not None:
+        print("final metric: %.4f" % report.final_metric)
     return EXIT_OK
 
 

@@ -8,9 +8,10 @@ simulator can play the role of the human annotator.
 Each on-disk text format has one writer here: ``canonical_json`` (reports,
 summaries, checkpoints, frame records) and ``write_ids`` (id-list files).
 
-Configs and checkpoints are read by one schema walk, ``_build``: each value
-of a JSON object is checked against its dataclass field's declared type, with
-no coercion, and a fault raises ``ConfigError`` naming the value's path.
+Configs, checkpoints and run reports are read by one schema walk, ``_build``:
+each value of a JSON object is checked against its dataclass field's declared
+type, with no coercion and no non-finite number, and a fault raises
+``ConfigError`` naming the value's path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import (Any, Callable, Dict, Mapping, Sequence, Tuple, get_args, get_origin,
+from typing import (Any, Callable, Dict, Mapping, Sequence, Tuple, Union, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
@@ -220,7 +221,7 @@ def write_ids(path: str, ids: Sequence[str]) -> None:
 
 
 class ConfigError(ValueError):
-    """A config or checkpoint that does not match its schema; the message names the path."""
+    """A config, checkpoint or run report that does not match its schema; names the path."""
 
 
 def read_json(path: str, what: str) -> Dict[str, Any]:
@@ -250,28 +251,40 @@ def _check_keys(d: Dict[str, Any], allowed, context: str) -> None:
 def _schema(cls) -> Dict[str, Tuple[Any, bool]]:
     """Each field of dataclass ``cls``: its declared type and whether it has no default."""
     hints = get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is MISSING) for f in fields(cls)}
+    return {f.name: (hints[f.name], f.default is f.default_factory is MISSING) for f in fields(cls)}
 
 
 def _typed(value: Any, tp: Any, where: str, readers: Mapping[Any, Callable]) -> Any:
-    """``value`` checked against the declared field type ``tp``, never coerced."""
+    """``value`` checked against its field type ``tp``; never coerced, ``Any`` unchecked."""
     if tp in readers:
         return readers[tp](value, where)
+    if tp is Any:
+        return value
     if is_dataclass(tp):
         return _build(tp, value, where, readers)
-    if get_origin(tp) is tuple:
-        item, *rest = get_args(tp)
-        n = None if rest == [Ellipsis] else 1 + len(rest)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _typed(value, args[0], where, readers)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError("%s must be a JSON object, got %s" % (where, _shown(value)))
+        return {k: _typed(v, args[1], "%s %s" % (where, k), readers) for k, v in value.items()}
+    if origin in (tuple, list):
+        item, *rest = args
+        n = None if origin is list or rest == [Ellipsis] else 1 + len(rest)
         if not isinstance(value, list) or n not in (None, len(value)):
             length = "" if n is None else "%d " % n
             raise ConfigError(
                 "%s must be a list of %s%s, got %s" % (where, length, item.__name__, _shown(value))
             )
-        return tuple(_typed(v, item, "%s[%d]" % (where, i), readers) for i, v in enumerate(value))
+        return origin(_typed(v, item, "%s[%d]" % (where, i), readers) for i, v in enumerate(value))
     # a float field takes ints; only a bool field takes booleans
     ok = isinstance(value, (int, float) if tp is float else tp)
     if not ok or isinstance(value, bool) != (tp is bool):
         raise ConfigError("%s must be %s, got %s" % (where, tp.__name__, _shown(value)))
+    # JSON has no NaN or Infinity, although Python's json module reads both
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError("%s must be a finite number, got %s" % (where, _shown(value)))
     return value
 
 

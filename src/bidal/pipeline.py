@@ -26,12 +26,15 @@ source pool in one batched pass too (``score_source``).
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run writes a selection manifest and halts before
 fine-tuning so the frames can be annotated offline.
+
+Every strategy records its run in one ``RunReport``, whose dataclasses alone
+name the report's keys; ``bidal report`` reads it through ``core``'s walk.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +77,56 @@ class PipelineConfig:
             raise ValueError("round_finetune_epochs must be non-negative")
 
 
+@dataclass(frozen=True)
+class RoundEntry:
+    """One target round: its budget, the ids it picked and the scores reported for them."""
+
+    round: int
+    trigger_epoch: int
+    budget: int
+    selected: List[str]
+    scores: Dict[str, float]
+
+
+@dataclass(frozen=True)
+class SourceSelection:
+    """Stage 3: the source ids kept, and every source frame's domainness score."""
+
+    ids: List[str]
+    scores: Dict[str, float]
+
+
+@dataclass(frozen=True)
+class EpochMetric:
+    epoch: int
+    accuracy: float
+
+
+@dataclass
+class RunReport:
+    """One run's decisions; ``serialize_report`` leaves out the fields still at their defaults.
+
+    So ``halted`` is written only after a halt, ``metrics`` and ``final_metric``
+    only with eval frames, ``labeled_target`` only without a halt, and a 0-epoch
+    fit writes ``"discriminator_final_loss": null``. ``config`` echoes the
+    ``PipelineConfig`` (``source_mode`` as its repr) as an opaque ``Any``: it
+    records the inputs, so the reader does not re-check it. Baselines leave
+    ``config`` and ``source_selection`` unset and are never serialized.
+    """
+
+    seed: int
+    stages: List[str]
+    warnings: List[str]
+    rounds: List[RoundEntry]
+    discriminator_final_loss: Optional[float]
+    config: Any = None
+    source_selection: Optional[SourceSelection] = None
+    halted: Optional[str] = None
+    metrics: List[EpochMetric] = field(default_factory=list)
+    final_metric: Optional[float] = None
+    labeled_target: Optional[List[str]] = None
+
+
 def update_labeled_pool(state: PipelineState, delta: Sequence[str]) -> PipelineState:
     """Add newly labeled target ids; rejects double-labeling."""
     overlap = set(delta) & set(state.labeled_target)
@@ -92,7 +145,7 @@ def run_bidomain(
     cfg: PipelineConfig,
     eval_frames: Sequence[FrameRecord] = (),
     manifest_path: Optional[str] = None,
-) -> Tuple[Any, PipelineState, Dict[str, Any]]:
+) -> Tuple[Any, PipelineState, RunReport]:
     """Run the full bi-domain pipeline; returns (model state, pool state, report)."""
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
@@ -101,37 +154,28 @@ def run_bidomain(
     if unlabeled:
         raise ValueError("source frames must carry labels; unlabeled: %r" % unlabeled[:5])
 
-    report: Dict[str, Any] = {
-        "config": _config_echo(cfg),
-        "seed": cfg.seed,
-        "stages": [],
-        "warnings": [],
-        "rounds": [],
-    }
-
     # stage 1: pretrain on the full source pool
     det_state = oracle.pretrain(source)
-    report["stages"].append("pretrain")
 
     # stage 2: discriminator on pooled enhanced features, detector frozen
     disc, history = fit(source, target, cfg.hidden_dims, cfg.discriminator, cfg.seed)
-    report["stages"].append("train-discriminator")
-    report["discriminator_final_loss"] = history[-1] if history else None
 
     # stage 3: domainness-aware source selection + fine-tune
     src_scores = score_source(source, disc)
     selected_source = select_source(src_scores, cfg.source_mode)
-    report["stages"].append("select-source")
-    report["source_selection"] = {
-        "ids": list(selected_source),
-        "scores": {s.frame_id: s.value for s in src_scores},
-    }
+    report = RunReport(
+        cfg.seed, ["pretrain", "train-discriminator", "select-source"], warnings=[], rounds=[],
+        discriminator_final_loss=history[-1] if history else None,
+        config=dict(asdict(cfg), source_mode=repr(cfg.source_mode)),
+        source_selection=SourceSelection(list(selected_source),
+                                         {s.frame_id: s.value for s in src_scores}),
+    )
     state = PipelineState(selected_source=tuple(selected_source))
     src_labeled = [(by_id[i], by_id[i].hidden_label) for i in selected_source]
     det_state = oracle.finetune(det_state, src_labeled, cfg.source_finetune_epochs)
 
     # stage 4: per-round target sampling and joint fine-tuning
-    schedule = _clip_schedule(cfg.schedule, len(target), report)
+    schedule = _clip_schedule(cfg.schedule, len(target), report.warnings)
     roi_dim = _roi_dim(source + target)
 
     # the discriminator is fixed from here on, so each frame object is scored and
@@ -166,7 +210,7 @@ def run_rounds(
     schedule: BudgetSchedule,
     pick: Callable[[List[FrameRecord], int, int, Any], Tuple[List[str], Dict[str, float]]],
     epochs: int,
-    report: Dict[str, Any],
+    report: RunReport,
     eval_frames: Sequence[FrameRecord] = (),
     manifest_path: Optional[str] = None,
 ) -> Tuple[Any, PipelineState]:
@@ -187,20 +231,12 @@ def run_rounds(
             unlabeled = [f for f in target if f.id not in state.labeled_target]
             budget = min(budget, len(unlabeled))
             delta, scores = pick(unlabeled, budget, k, det_state) if budget else ([], {})
-            report["rounds"].append(
-                {
-                    "round": k,
-                    "trigger_epoch": epoch,
-                    "budget": budget,
-                    "selected": list(delta),
-                    "scores": scores,
-                }
-            )
+            report.rounds.append(RoundEntry(k, epoch, budget, list(delta), scores))
             missing = [i for i in delta if by_id[i].hidden_label is None]
             if missing:
                 if manifest_path is not None:
                     write_ids(manifest_path, delta)
-                report["halted"] = "selected frames lack labels; manifest emitted"
+                report.halted = "selected frames lack labels; manifest emitted"
                 return det_state, state
             state = update_labeled_pool(state, delta)
         labeled = src_labeled + [
@@ -208,18 +244,19 @@ def run_rounds(
         ]
         det_state = oracle.finetune(det_state, labeled, epochs)
         if eval_frames:
-            report.setdefault("metrics", []).append(
-                {"epoch": epoch, "accuracy": oracle.evaluate(det_state, eval_frames)}
-            )
-    report["stages"].append("target-rounds")
+            report.metrics.append(EpochMetric(epoch, oracle.evaluate(det_state, eval_frames)))
+    report.stages.append("target-rounds")
     if eval_frames:
-        report["final_metric"] = oracle.evaluate(det_state, eval_frames)
-    report["labeled_target"] = list(state.labeled_target)
+        report.final_metric = oracle.evaluate(det_state, eval_frames)
+    report.labeled_target = list(state.labeled_target)
     return det_state, state
 
 
-# canonical JSON, for byte-identical reproducibility checks
-serialize_report = canonical_json
+def serialize_report(report: RunReport) -> str:
+    """Canonical JSON of ``report`` without the fields still at their defaults (byte-stable)."""
+    unset = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+             for f in fields(report)}
+    return canonical_json({k: v for k, v in asdict(report).items() if v != unset[k]})
 
 
 def _roi_dim(frames: Sequence[FrameRecord]) -> int:
@@ -230,12 +267,10 @@ def _roi_dim(frames: Sequence[FrameRecord]) -> int:
     return 1
 
 
-def _clip_schedule(
-    schedule: BudgetSchedule, n_target: int, report: Dict[str, Any]
-) -> BudgetSchedule:
+def _clip_schedule(schedule: BudgetSchedule, n_target: int, warnings: List[str]) -> BudgetSchedule:
     if schedule.total_budget <= n_target:
         return schedule
-    report["warnings"].append(
+    warnings.append(
         "budget %d exceeds target pool size %d; clipping"
         % (schedule.total_budget, n_target)
     )
@@ -250,6 +285,3 @@ def _clip_schedule(
         remaining -= take
     return BudgetSchedule(len(per_round), tuple(per_round), tuple(epochs))
 
-
-def _config_echo(cfg: PipelineConfig) -> Dict[str, Any]:
-    return dict(asdict(cfg), source_mode=repr(cfg.source_mode))

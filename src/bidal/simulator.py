@@ -29,7 +29,7 @@ import numpy as np
 from .core import (BudgetSchedule, Domain, FrameRecord, PipelineState, SyntheticConfig,
                    canonical_json)
 from .discriminator import TrainConfig
-from .pipeline import PipelineConfig, run_bidomain, run_rounds
+from .pipeline import PipelineConfig, RunReport, run_bidomain, run_rounds
 from .scoring import entropy_map
 from .target_sampler import cosine, reweight
 
@@ -339,15 +339,16 @@ def run_strategy(
         # baselines label the whole source pool and never train a discriminator
         src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
         pick = _baseline_pick(strategy, src_labeled, seed, n_classes, oracle._roi_rows)
-        report = {"seed": seed, "stages": ["pretrain"], "rounds": []}
+        report = RunReport(seed, ["pretrain"], warnings=[], rounds=[],
+                           discriminator_final_loss=None)
         run_rounds(
             oracle, oracle.pretrain(source), PipelineState(),
             sorted(target, key=lambda f: f.id), src_labeled, schedule, pick,
             ROUND_EPOCHS, report, eval_frames,
         )
     return {
-        "accuracy": report["final_metric"],
-        "selected": report["labeled_target"],
+        "accuracy": report.final_metric,
+        "selected": report.labeled_target,
         "report": report,
     }
 
@@ -439,6 +440,8 @@ def benchmark(
     """Full strategy-by-seed-by-budget sweep with paired statistics vs Random."""
     if not seeds:
         raise ValueError("need at least one seed")
+    if not all(0 < f <= 1 for f in budget_fracs):
+        raise ValueError("budget fractions must lie in (0, 1], got %r" % list(budget_fracs))
     rows: List[Dict[str, Any]] = []
     roi_dim = cfg.feature_dims[4]
     for seed in seeds:

@@ -321,6 +321,45 @@ def test_wrong_typed_config_field_exits_2(tmp_path, capsys, cls, field):
     assert " ".join(path + [field]) + " must be" in err, err
 
 
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("gen", {"domain_shift": float("nan")},
+         "synthetic config domain_shift must be a finite number, got nan"),
+        ("run", {"discriminator": {"learning_rate": float("nan")}},
+         "pipeline config discriminator learning_rate must be a finite number, got nan"),
+        ("run", {"source_mode": "threshold:NaN"},
+         "pipeline config source_mode value must be a finite number, got nan"),
+        ("sample-source", {"mode": "threshold:NaN"},
+         "source_mode value must be a finite number, got nan"),
+        ("sample-source", {"mode": "proportion:-Infinity"},
+         "source_mode value must be a finite number, got -inf"),
+    ],
+    ids=["gen-domain-shift", "run-learning-rate", "run-source-mode", "sample-source-nan",
+         "sample-source-inf"],
+)
+def test_non_finite_number_exits_2_naming_it(workspace, capsys, command, values, message):
+    """``values`` go into the command's config, or for sample-source give its ``--mode``."""
+    tmp_path, data = workspace
+    if command == "sample-source":
+        model = tmp_path / "m.json"
+        DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+        argv = [command, "--frames", str(data / "source.ndjson"), "--model", str(model),
+                "--mode", values["mode"]]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(GEN_CFG if command == "gen" else RUN_CFG, **values)))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--source", str(data / "source.ndjson"),
+                     "--target", str(data / "target.ndjson")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: " + message), err
+    assert not out.exists()
+
+
 def test_non_object_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1]")
@@ -759,6 +798,17 @@ def _drop_trigger_epoch(text):
     return json.dumps(payload)
 
 
+def _report_edit(edit):
+    """A text edit of a report that applies ``edit`` to its JSON object in place."""
+
+    def apply(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+
+    return apply
+
+
 # each message holds ``{}`` where the report's path goes
 @pytest.mark.parametrize(
     "edit, message",
@@ -767,8 +817,23 @@ def _drop_trigger_epoch(text):
          "report {} must be a JSON object, got a list"),
         (_drop_trigger_epoch, "report {} rounds[1] requires trigger_epoch"),
         (lambda text: text[:-1], "invalid JSON in {}: "),
+        (_report_edit(lambda p: p["rounds"][0].update(round="0")),
+         "report {} rounds[0] round must be int, got '0'"),
+        (_report_edit(lambda p: p["rounds"][0].update(selected=5)),
+         "report {} rounds[0] selected must be a list of str, got 5"),
+        (_report_edit(lambda p: p.update(final_metric="x")),
+         "report {} final_metric must be float, got 'x'"),
+        (_report_edit(lambda p: p.update(final_metric=float("nan"))),
+         "report {} final_metric must be a finite number, got nan"),
+        (_report_edit(lambda p: p.update(stages=[1])), "report {} stages[0] must be str, got 1"),
+        (_report_edit(lambda p: p["rounds"][0].update(picks=[])),
+         "unknown report {} rounds[0] keys: picks"),
+        (_report_edit(lambda p: p.update(resumed=True)), "unknown report {} keys: resumed"),
+        (_report_edit(dict.clear), "report {} requires seed"),
     ],
-    ids=["json-list", "round-without-trigger-epoch", "invalid-json"],
+    ids=["json-list", "round-without-trigger-epoch", "invalid-json", "round-str",
+         "selected-int", "final-metric-str", "final-metric-nan", "stage-int",
+         "unknown-round-key", "unknown-key", "empty-object"],
 )
 def test_bad_report_exits_2_naming_it(workspace, capsys, edit, message):
     tmp_path, data = workspace
@@ -801,14 +866,18 @@ def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
         (["bench", "--budgets", "0.01,abc"], "--budgets"),
         (["bench", "--budgets", "inf"], "--budgets"),
         (["bench", "--budgets", "0.01,nan"], "--budgets"),
+        (["bench", "--budgets", "-0.5"], "--budgets"),
+        (["bench", "--budgets", "0"], "--budgets"),
+        (["bench", "--budgets", "0.01,1.5"], "--budgets"),
         (["gen", "--seed", "-1"], "--seed"),
         (["train-disc", "--seed", "-1"], "--seed"),
         (["run", "--seed", "-1"], "--seed"),
         (["bench", "--seed", "-1"], "--seed"),
     ],
     ids=["budget-0", "budget-negative", "seeds-0", "budgets-text", "budgets-inf",
-         "budgets-nan", "gen-seed-negative", "train-disc-seed-negative",
-         "run-seed-negative", "bench-seed-negative"],
+         "budgets-nan", "budgets-negative", "budgets-0", "budgets-above-1",
+         "gen-seed-negative", "train-disc-seed-negative", "run-seed-negative",
+         "bench-seed-negative"],
 )
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     # the named files do not exist: the flag is rejected before any is read

@@ -175,8 +175,12 @@ class TestSourceModeParsing:
             ({"type": "proportion", "value": "0.3"}, "source_mode value must be float"),
             ("proportion", "source_mode value must be float, got None"),
             (5, "source_mode must be a string or a JSON object, got 5"),
+            ("threshold:NaN", "source_mode value must be a finite number, got nan"),
+            ({"type": "proportion", "value": float("inf")},
+             "source_mode value must be a finite number, got inf"),
         ],
-        ids=["topk-float", "topk-text-float", "proportion-string", "proportion-missing", "int"],
+        ids=["topk-float", "topk-text-float", "proportion-string", "proportion-missing", "int",
+             "threshold-text-nan", "proportion-inf"],
     )
     def test_source_mode_value_is_type_checked(self, mode, message):
         with pytest.raises(ConfigError, match=message):
@@ -273,6 +277,11 @@ class TestConfigFiles:
             ({"bank_config": {"update_prototype_on_join": "false"}}, "update_prototype_on_join"),
             ({"bank_config": {"update_prototype_on_join": 1}}, "update_prototype_on_join"),
             ({"discriminator": [1]}, "discriminator"),
+            # JSON has no NaN or Infinity, though Python's json module reads and writes both
+            ({"kind": "synthetic", "domain_shift": float("nan")},
+             "domain_shift must be a finite number, got nan"),
+            ({"discriminator": {"learning_rate": float("inf")}},
+             "learning_rate must be a finite number, got inf"),
         ],
     )
     def test_seeds_and_flags_are_not_coerced(self, tmp_path, section, key):

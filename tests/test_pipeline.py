@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -19,6 +20,8 @@ from bidal import (
     serialize_report,
     update_labeled_pool,
 )
+from bidal.core import _build
+from bidal.pipeline import RunReport
 
 
 def small_world(seed=0, n_target=40):
@@ -61,25 +64,25 @@ class TestRunBidomain:
     def test_full_run_report_shape(self):
         src, tgt, ev = small_world()
         _, state, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
-        assert report["stages"] == [
+        assert report.stages == [
             "pretrain",
             "train-discriminator",
             "select-source",
             "target-rounds",
         ]
-        assert len(report["rounds"]) == 2
+        assert len(report.rounds) == 2
         assert len(state.labeled_target) == 6
-        assert 0.0 <= report["final_metric"] <= 1.0
-        assert report["labeled_target"] == list(state.labeled_target)
+        assert 0.0 <= report.final_metric <= 1.0
+        assert report.labeled_target == list(state.labeled_target)
 
     def test_rounds_are_disjoint_and_within_pool(self):
         src, tgt, ev = small_world(seed=1)
         _, state, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
         seen = set()
         tgt_ids = {f.id for f in tgt}
-        for rnd in report["rounds"]:
-            ids = set(rnd["selected"])
-            assert len(ids) == len(rnd["selected"]) == rnd["budget"]
+        for rnd in report.rounds:
+            ids = set(rnd.selected)
+            assert len(ids) == len(rnd.selected) == rnd.budget
             assert not ids & seen
             assert ids <= tgt_ids
             seen |= ids
@@ -97,7 +100,7 @@ class TestRunBidomain:
         src, tgt, ev = small_world(seed=3, n_target=4)
         cfg = small_pipeline_config(schedule=BudgetSchedule(2, (3, 3), (0, 2)))
         _, state, report = run_bidomain(src, tgt, oracle(), cfg, ev)
-        assert any("clipping" in w for w in report["warnings"])
+        assert any("clipping" in w for w in report.warnings)
         assert len(state.labeled_target) == 4
 
     def test_unlabeled_selection_halts_with_manifest(self, tmp_path):
@@ -107,11 +110,11 @@ class TestRunBidomain:
         _, state, report = run_bidomain(
             src, tgt, oracle(), small_pipeline_config(), ev, manifest_path=manifest
         )
-        assert "halted" in report
+        assert report.halted is not None
         assert state.labeled_target == ()
         with open(manifest) as fh:
             listed = [line.strip() for line in fh if line.strip()]
-        assert listed == report["rounds"][0]["selected"]
+        assert listed == report.rounds[0].selected
 
     def test_input_order_does_not_matter(self):
         src, tgt, ev = small_world(seed=6)
@@ -155,10 +158,10 @@ class TestRunBidomain:
     def test_source_selection_recorded_with_scores(self):
         src, tgt, ev = small_world(seed=8)
         _, _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
-        sel = report["source_selection"]
-        assert len(sel["ids"]) == 10  # TopK(10)
-        assert set(sel["ids"]) <= set(sel["scores"])
-        vals = [sel["scores"][i] for i in sel["ids"]]
+        sel = report.source_selection
+        assert len(sel.ids) == 10  # TopK(10)
+        assert set(sel.ids) <= set(sel.scores)
+        vals = [sel.scores[i] for i in sel.ids]
         assert vals == sorted(vals, reverse=True)
 
 
@@ -204,3 +207,33 @@ def test_target_frames_scored_once_per_run(monkeypatch, fresh):
     assert reweighted == calls
     digest = hashlib.sha256(serialize_report(report).encode()).hexdigest()
     assert digest == THREE_ROUND_REPORT
+
+
+# each report shape run_bidomain writes -> (keys present, keys absent)
+REPORT_SHAPES = {
+    "completed": ({"metrics", "final_metric", "labeled_target"}, {"halted"}),
+    "halted-at-round-0": ({"halted"}, {"metrics", "final_metric", "labeled_target"}),
+    "no-eval-frames": ({"labeled_target"}, {"metrics", "final_metric", "halted"}),
+    "budget-clipped": ({"metrics", "final_metric", "labeled_target"}, {"halted"}),
+    "0-epoch-discriminator": ({"discriminator_final_loss", "labeled_target"}, {"halted"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REPORT_SHAPES))
+def test_report_round_trips_through_the_schema(shape):
+    """Reading a written report through the schema and writing it again gives its bytes."""
+    src, tgt, ev = small_world(seed=5, n_target=4 if shape == "budget-clipped" else 40)
+    cfg = small_pipeline_config()
+    if shape == "halted-at-round-0":
+        tgt = [dataclasses.replace(f, hidden_label=None) for f in tgt]
+    elif shape == "no-eval-frames":
+        ev = []
+    elif shape == "0-epoch-discriminator":
+        cfg = small_pipeline_config(discriminator=TrainConfig(epochs=0, seed=0))
+    text = serialize_report(run_bidomain(src, tgt, oracle(), cfg, ev)[2])
+    payload = json.loads(text)
+    present, absent = REPORT_SHAPES[shape]
+    assert present <= set(payload) and not absent & set(payload)
+    assert payload["warnings"] if shape == "budget-clipped" else not payload["warnings"]
+    assert (payload["discriminator_final_loss"] is None) == (shape == "0-epoch-discriminator")
+    assert serialize_report(_build(RunReport, payload, "report", {})) == text

@@ -215,6 +215,12 @@ class TestScheduleAndBenchmark:
         text = report.to_json()
         assert text == report.to_json()  # stable serialization
 
+    @pytest.mark.parametrize("frac", [-0.5, 0.0, 1.5, float("nan")])
+    def test_benchmark_rejects_fraction_outside_unit_interval(self, frac):
+        cfg = SyntheticConfig(n_source=10, n_target=10, n_eval=5, seed=0)
+        with pytest.raises(ValueError, match=r"budget fractions must lie in \(0, 1\]"):
+            benchmark(cfg, strategies=("random",), seeds=(0,), budget_fracs=(0.05, frac))
+
     def test_benchmark_csv_output(self, tmp_path):
         cfg = SyntheticConfig(n_source=30, n_target=40, n_eval=15, seed=0)
         report = benchmark(
@@ -265,11 +271,11 @@ def test_run_strategy_golden(strategy, budget):
         strategy, src, tgt, ev, schedule, seed=4, n_classes=3, roi_dim=16, disc_epochs=20
     )
     assert (result["selected"], result["accuracy"]) == GOLDEN_RUNS[strategy, budget]
-    rounds = result["report"]["rounds"]
-    assert [r["round"] for r in rounds] == list(range(schedule.rounds))
-    assert [r["budget"] for r in rounds] == list(schedule.per_round)
-    assert [i for r in rounds for i in r["selected"]] == result["selected"]
-    assert result["report"]["final_metric"] == result["accuracy"]
+    rounds = result["report"].rounds
+    assert [r.round for r in rounds] == list(range(schedule.rounds))
+    assert [r.budget for r in rounds] == list(schedule.per_round)
+    assert [i for r in rounds for i in r.selected] == result["selected"]
+    assert result["report"].final_metric == result["accuracy"]
 
 
 # sha256 of the report's JSON for test_benchmark_golden's sweep, recorded before

@@ -17,7 +17,7 @@ from .core import ConfigError, _build, read_json, write_ids
 # ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
 from .discriminator import DiscriminatorModel, NumericalError, TrainConfig, fit, train
 from .pipeline import PipelineConfig, RunReport, _roi_dim, run_bidomain, serialize_report
-from .simulator import ProxyDetector, SyntheticConfig, benchmark, generate
+from .simulator import BenchFile, ProxyDetector, SyntheticConfig, benchmark, generate
 from .source_sampler import score_source, select_source
 from .target_sampler import sample_round
 
@@ -48,15 +48,25 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _names(text: str) -> list:
+    """A flag's comma-separated names, at least one."""
+    names = [v for v in text.split(",") if v]
+    if not names:
+        raise argparse.ArgumentTypeError("must be one or more comma-separated names, got %r" % text)
+    return names
+
+
 def _fractions(text: str) -> list:
-    """A flag's comma-separated fractions in (0, 1]; NaN and infinities are not."""
+    """A flag's comma-separated fractions in (0, 1], at least one; NaN and infinities are not."""
     try:
         values = [float(v) for v in text.split(",") if v]
-        if all(0 < v <= 1 for v in values):
+        if values and all(0 < v <= 1 for v in values):
             return values
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError("must be comma-separated fractions in (0, 1], got %r" % text)
+    raise argparse.ArgumentTypeError(
+        "must be one or more comma-separated fractions in (0, 1], got %r" % text
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="strategy benchmark sweep")
     p.add_argument("--config", help="synthetic config JSON")
-    p.add_argument("--strategies", default="random,bidomain")
+    p.add_argument("--strategies", type=_names, default="random,bidomain")
     p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--budgets", type=_fractions, default="0.01,0.05")
     p.add_argument("--seed", type=_seed, default=None)
@@ -189,10 +199,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _config(args.config, SyntheticConfig, args.seed)
-    strategies = [s for s in args.strategies.split(",") if s]
     report = benchmark(
         cfg,
-        strategies=strategies,
+        strategies=args.strategies,
         seeds=tuple(range(args.seeds)),
         budget_fracs=args.budgets,
     )
@@ -207,10 +216,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     payload = read_json(args.path, "report")
-    if "summary" in payload:
+    context = "report %s" % args.path
+    # a bench summary has rows; anything else is read as a run report, whose
+    # schema rejects a stray summary key
+    if "rows" in payload:
+        _build(BenchFile, payload, context, {})
         print(json.dumps(payload["summary"], indent=2, sort_keys=True))
         return EXIT_OK
-    report = _build(RunReport, payload, "report %s" % args.path, {})
+    report = _build(RunReport, payload, context, {})
     print("stages: %s" % ", ".join(report.stages))
     for r in report.rounds:
         print("round %d @ epoch %d: %d selected" % (r.round, r.trigger_epoch, len(r.selected)))

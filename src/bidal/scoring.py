@@ -5,6 +5,8 @@ entropy map, combines the channel maxima of both into a spatial attention
 factor in [1, 2], boosts the feature map with it, and average-pools the
 result into a per-channel scene vector. ``enhance``, ``scene_vector`` and
 ``scene_vectors`` reject any other objectness shape, or one with no channels.
+``entropy_map`` masks ``log2`` only for a map that holds 0 or 1; a map
+strictly inside (0, 1) skips the mask and gives the same bytes.
 
 The math is written over leading axes, so ``scene_vectors`` scores a whole
 pool in one pass over its stacked maps (one pass per distinct map shape) and
@@ -39,12 +41,18 @@ def entropy_map(obj: np.ndarray) -> np.ndarray:
     """Elementwise binary entropy of a probability tensor.
 
     Uses base-2 logs, so the output lives in [0, 1]; the 0*log(0) := 0
-    convention applies at both endpoints.
+    convention applies at both endpoints. The masked ``_xlog2x`` runs only for
+    a term whose map holds its endpoint (0 for ``p``, 1 for ``1 - p``); a map
+    strictly inside (0, 1) takes the plain ``p * log2(p)``, with the same bytes.
     """
     p = np.asarray(obj, dtype=np.float64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    lo, hi = (p.min(), p.max()) if p.size else (0.0, 1.0)
+    if lo < 0.0 or hi > 1.0:
         raise ValueError("entropy_map input must lie in [0,1]")
-    return -_xlog2x(p) - _xlog2x(1.0 - p)
+    q = 1.0 - p
+    return -(p * np.log2(p) if lo > 0.0 else _xlog2x(p)) - (
+        q * np.log2(q) if hi < 1.0 else _xlog2x(q)
+    )
 
 
 def _check_chw(shape: Tuple[int, ...]) -> None:

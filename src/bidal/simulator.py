@@ -401,8 +401,38 @@ def paired_permutation_pvalue(diffs: Sequence[float], seed: int = 0) -> float:
     return float((1 + np.sum(resampled >= observed)) / (PERMUTATION_RESAMPLES + 1))
 
 
+@dataclass(frozen=True)
+class BenchRow:
+    """One strategy, seed and budget of a sweep: a row of ``BenchmarkReport.rows``."""
+
+    strategy: str
+    seed: int
+    budget: int
+    accuracy: float
+    diversity: float
+
+
+@dataclass(frozen=True)
+class BenchSummary:
+    """``BenchmarkReport.summary``: each a strategy -> budget -> value map."""
+
+    mean_accuracy: Dict[str, Dict[str, float]]
+    std_accuracy: Dict[str, Dict[str, float]]
+    pvalue_vs_random: Dict[str, Dict[str, float]]
+
+
+@dataclass(frozen=True)
+class BenchFile:
+    """What ``BenchmarkReport.to_json`` writes; ``bidal report`` reads it back through it."""
+
+    rows: List[BenchRow]
+    summary: BenchSummary
+
+
 @dataclass
 class BenchmarkReport:
+    """A sweep's rows and summary as plain dicts, in the shapes ``BenchFile`` declares."""
+
     rows: List[Dict[str, Any]]
     summary: Dict[str, Any]
 
@@ -440,6 +470,10 @@ def benchmark(
     """Full strategy-by-seed-by-budget sweep with paired statistics vs Random."""
     if not seeds:
         raise ValueError("need at least one seed")
+    if not strategies:
+        raise ValueError("need at least one strategy")
+    if not budget_fracs:
+        raise ValueError("need at least one budget fraction")
     if not all(0 < f <= 1 for f in budget_fracs):
         raise ValueError("budget fractions must lie in (0, 1], got %r" % list(budget_fracs))
     rows: List[Dict[str, Any]] = []

@@ -14,14 +14,22 @@ rounds (``pipeline.run_bidomain``) runs the same code path.
 
 The bank is incremental: the prototypes sit as rows of a (cap, d) matrix with
 their norms, beside a cap x cap matrix of pair cosines whose aggregates (the
-min, the max and the pairs tied at the max) are cached. Each frame after the
-fill phase costs one O(cap*d) row pass and an ``argmax``. A merge drops the
+min, the max and the pairs tied at the max) are cached. After the fill phase
+the stream is scored a block of frames at a time: one pass of
+``_Prototypes.cosine_rows`` gives each frame's cosine with every row, and the
+block's per-row ``argmax`` is walked in stream order. Frames join their
+nearest bank up to the first one below the pair aggregate, which triggers the
+merge; the rest of the block is scored again. The block grows while no merge
+comes and starts small again after one, so a join costs a share of an
+O(block*cap*d) pass rather than an O(cap*d) pass of its own. A merge drops the
 absorbed bank's row and column, and a merge or a join with
-``update_prototype_on_join`` rewrites one row and column in O(cap*d); either
-then refreshes the aggregates in O(cap^2). Similarities follow ``cosine``'s norm
-floor, but are elementwise products summed per row rather than BLAS products,
-so identical prototypes score the same wherever they sit and exact ties break
-as they always have.
+``update_prototype_on_join`` (whose blocks are one row) rewrites one row and
+column in O(cap*d); either then refreshes the aggregates in O(cap^2). The pair
+matrix, the stream's blocks and single rows all go through ``cosine_rows``.
+Similarities follow ``cosine``'s norm floor, but are elementwise products
+summed per row rather than BLAS products, so identical prototypes score the
+same wherever they sit, a frame scores the same in any block, and exact ties
+break as they always have.
 """
 
 from __future__ import annotations
@@ -128,58 +136,65 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=-1))
 
 
-class _Prototypes:
-    """Prototype rows in bank order, their norms and, after the fill phase,
-    the pair-cosine matrix with its cached aggregates."""
+_BLOCK_START = 4
+_BLOCK_BYTES = 2 << 20
 
-    def __init__(self, capacity: int, dim: int):
-        self.rows = np.empty((capacity, dim))
-        self.norms = np.empty(capacity)
-        self.size = 0
-        self.pairs: Optional[np.ndarray] = None
+
+def _block_rows(capacity: int, dim: int) -> int:
+    """Most stream rows scored in one pass: their (rows, capacity, dim) product
+    temporary stays within ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * capacity * max(dim, 1)))
+
+
+class _Prototypes:
+    """Prototype rows in bank order, their norms, and the pair-cosine matrix
+    with its cached aggregates; built from the founding rows once the fill
+    phase is over, after which the bank count stays at its cap."""
+
+    def __init__(self, rows: np.ndarray, norms: np.ndarray):
+        self.rows, self.norms, self.size = rows.copy(), norms.copy(), len(rows)
+        n = self.size
+        self.pairs = np.empty((n, n))
+        step = _block_rows(n, rows.shape[1])
+        for k in range(0, n, step):
+            self.pairs[k : k + step] = self.cosine_rows(rows[k : k + step], norms[k : k + step])
+        self._upper = np.triu_indices(n, 1)
+        self.refresh()
+
+    def cosine_rows(self, vecs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """Cosine of each row of ``vecs`` (norms ``norms``) with every prototype,
+        under ``cosine``'s norm floor: a (len(vecs), size) matrix."""
+        rows, own = self.rows[: self.size], self.norms[: self.size]
+        sims = np.zeros((len(vecs), self.size))
+        # not BLAS ``vecs @ rows.T``: each product row is summed on its own, so
+        # identical rows score bit-identically wherever they sit
+        np.divide(
+            (vecs[:, None, :] * rows).sum(axis=-1), norms[:, None] * own, out=sims,
+            where=~(norms < NORM_FLOOR)[:, None] & ~(own < NORM_FLOOR),
+        )
+        return sims
 
     def cosines(self, vec: np.ndarray) -> np.ndarray:
-        """Cosine of ``vec`` with every row, under ``cosine``'s norm floor."""
-        rows, norms = self.rows[: self.size], self.norms[: self.size]
-        sims = np.zeros(self.size)
-        norm = _norms(vec)
-        if not norm < NORM_FLOOR:
-            # not BLAS ``rows @ vec``: each row is summed on its own, so
-            # identical rows score bit-identically wherever they sit
-            np.divide(
-                (rows * vec).sum(axis=-1), norms * norm, out=sims,
-                where=~(norms < NORM_FLOOR),
-            )
-        return sims
+        """Cosine of ``vec`` with every row: the one-row case of ``cosine_rows``."""
+        return self.cosine_rows(vec[None], _norms(vec)[None])[0]
 
     def append(self, vec: np.ndarray) -> None:
         self.size += 1
         self.set(self.size - 1, vec)
 
     def set(self, k: int, vec: np.ndarray) -> None:
+        n = self.size
         self.rows[k] = vec
         self.norms[k] = _norms(vec)
-        if self.pairs is not None:
-            n = self.size
-            self.pairs[k, :n] = self.pairs[:n, k] = self.cosines(vec)
+        self.pairs[k, :n] = self.pairs[:n, k] = self.cosines(vec)
 
     def delete(self, j: int) -> None:
         n = self.size
         self.rows[j : n - 1] = self.rows[j + 1 : n]
         self.norms[j : n - 1] = self.norms[j + 1 : n]
-        if self.pairs is not None:
-            self.pairs[j : n - 1, :n] = self.pairs[j + 1 : n, :n]
-            self.pairs[:n, j : n - 1] = self.pairs[:n, j + 1 : n]
+        self.pairs[j : n - 1, :n] = self.pairs[j + 1 : n, :n]
+        self.pairs[:n, j : n - 1] = self.pairs[:n, j + 1 : n]
         self.size -= 1
-
-    def start_pairs(self) -> None:
-        """Fill the pair matrix; the bank count stays at its cap from here on."""
-        n = self.size
-        self.pairs = np.empty((n, n))
-        for k in range(n):
-            self.pairs[k] = self.cosines(self.rows[k])
-        self._upper = np.triu_indices(n, 1)
-        self.refresh()
 
     def refresh(self) -> None:
         """Recompute the pair aggregates after a prototype moved."""
@@ -192,6 +207,19 @@ class _Prototypes:
         self.top_pairs = list(zip(self._upper[0][tied].tolist(), self._upper[1][tied].tolist()))
 
 
+def _stacked(rois: Sequence[ReweightedROI]) -> np.ndarray:
+    """The stream's vectors as the rows of one (n, d) matrix; the first bad
+    vector in stream order raises."""
+    vecs = [np.asarray(roi.vector, dtype=np.float64) for roi in rois]
+    if not vecs:
+        return np.empty((0, 0))
+    if vecs[0].ndim != 1:
+        raise ValueError("ROI vectors must be one-dimensional")
+    if any(vec.shape != vecs[0].shape for vec in vecs):
+        raise ValueError("dimension mismatch")
+    return np.array(vecs)
+
+
 def build_banks(
     rois: Sequence[ReweightedROI],
     capacity: int,
@@ -199,50 +227,58 @@ def build_banks(
 ) -> BankSet:
     """Stream re-weighted ROI vectors into at most ``capacity`` banks.
 
-    Each frame past the fill phase costs one O(cap*d) pass over the prototype
-    rows; a merge or a prototype-moving join costs O(cap*d) to rewrite one row
-    and column of the pair matrix plus an O(cap^2) aggregate refresh.
+    Past the fill phase the stream is scored a block of frames per
+    O(block*cap*d) pass over the prototype rows. The frames before the
+    block's first merge join their banks; the rest of the block is scored
+    again against the prototypes the merge left. The block starts at
+    ``_BLOCK_START`` rows, doubles after each block without a merge up to
+    ``_block_rows``, and starts over after a merge; with
+    ``update_prototype_on_join`` every join moves a prototype, so a block is
+    one row. A merge or a prototype-moving join costs O(cap*d) to rewrite one
+    row and column of the pair matrix plus an O(cap^2) aggregate refresh.
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
-    banks: List[SimilarityBank] = []
-    protos: Optional[_Prototypes] = None
-    for roi in rois:
-        vec = np.asarray(roi.vector, dtype=np.float64)
-        if protos is None:
-            if vec.ndim != 1:
-                raise ValueError("ROI vectors must be one-dimensional")
-            protos = _Prototypes(min(capacity, len(rois)), vec.shape[0])
-        elif vec.shape != protos.rows.shape[1:]:
-            raise ValueError("dimension mismatch")
-        if len(banks) < capacity:
-            banks.append(SimilarityBank(prototype=vec.copy(), members=[roi.frame_id]))
-            protos.append(vec)
-            continue
+    vecs = _stacked(rois)
+    ids = [roi.frame_id for roi in rois]
+    fill = min(capacity, len(ids))
+    banks = [SimilarityBank(prototype=vecs[k].copy(), members=[ids[k]]) for k in range(fill)]
+    if len(ids) == fill:
+        return BankSet(banks=banks, capacity=capacity)
 
-        if protos.pairs is None:
-            protos.start_pairs()
-        sims = protos.cosines(vec)
-        idx = int(np.argmax(sims))  # ties resolve to the earliest bank
+    norms = _norms(vecs)
+    protos = _Prototypes(vecs[:fill], norms[:fill])
+    most = 1 if config.update_prototype_on_join else _block_rows(capacity, vecs.shape[1])
+    t, block = fill, min(_BLOCK_START, most)
+    while t < len(ids):
+        end = min(t + block, len(ids))
+        sims = protos.cosine_rows(vecs[t:end], norms[t:end])
         agg = protos.pair_min if config.pairwise_compare == "min" else protos.pair_max
-        if agg is not None and sims[idx] < agg:
-            # merge the most similar pair, then found a bank for the newcomer
-            i, j = min(protos.top_pairs, key=lambda ij: _pair_key(banks[ij[0]], banks[ij[1]]))
-            banks[i] = merge_banks(banks[i], banks[j])
-            del banks[j]
-            banks.append(SimilarityBank(prototype=vec.copy(), members=[roi.frame_id]))
-            protos.delete(j)
-            protos.set(i, banks[i].prototype)
-            protos.append(vec)
-            protos.refresh()
-        else:
+        below = [] if agg is None else np.flatnonzero(sims.max(axis=1) < agg)
+        joins = int(below[0]) if len(below) else end - t
+        # ties resolve to the earliest bank
+        for k, idx in enumerate(sims[:joins].argmax(axis=1).tolist(), start=t):
             nearest = banks[idx]
-            nearest.members.append(roi.frame_id)
+            nearest.members.append(ids[k])
             if config.update_prototype_on_join:
                 n = nearest.count
-                nearest.prototype = ((n - 1) * nearest.prototype + vec) / n
+                nearest.prototype = ((n - 1) * nearest.prototype + vecs[k]) / n
                 protos.set(idx, nearest.prototype)
                 protos.refresh()
+        t += joins
+        if t == end:
+            block = min(2 * block, most)
+            continue
+        # merge the most similar pair, then found a bank for the newcomer
+        i, j = min(protos.top_pairs, key=lambda ij: _pair_key(banks[ij[0]], banks[ij[1]]))
+        banks[i] = merge_banks(banks[i], banks[j])
+        del banks[j]
+        banks.append(SimilarityBank(prototype=vecs[t].copy(), members=[ids[t]]))
+        protos.delete(j)
+        protos.set(i, banks[i].prototype)
+        protos.append(vecs[t])
+        protos.refresh()
+        t, block = t + 1, min(_BLOCK_START, most)
     return BankSet(banks=banks, capacity=capacity)
 
 

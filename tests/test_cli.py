@@ -155,6 +155,17 @@ def test_bench_smoke(workspace, capsys):
     assert (out / "plot_random.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert "bidomain" in summary["summary"]["mean_accuracy"]
+    # report reads the summary back through its declared schema
+    capsys.readouterr()
+    assert main(["report", "--in", str(out / "summary.json")]) == 0
+    assert capsys.readouterr().out == json.dumps(summary["summary"], indent=2, sort_keys=True) + "\n"
+    budget = next(iter(summary["summary"]["mean_accuracy"]["random"]))
+    summary["summary"]["mean_accuracy"]["random"][budget] = "x"
+    (out / "summary.json").write_text(json.dumps(summary))
+    assert main(["report", "--in", str(out / "summary.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: report %s summary mean_accuracy random %s must be float, got 'x'"
+                          % (out / "summary.json", budget)), err
 
 
 def test_usage_error_exit_code():
@@ -830,10 +841,13 @@ def _report_edit(edit):
          "unknown report {} rounds[0] keys: picks"),
         (_report_edit(lambda p: p.update(resumed=True)), "unknown report {} keys: resumed"),
         (_report_edit(dict.clear), "report {} requires seed"),
+        (lambda text: json.dumps({"summary": 5}), "unknown report {} keys: summary"),
+        (_report_edit(lambda p: p.update(summary={})), "unknown report {} keys: summary"),
     ],
     ids=["json-list", "round-without-trigger-epoch", "invalid-json", "round-str",
          "selected-int", "final-metric-str", "final-metric-nan", "stage-int",
-         "unknown-round-key", "unknown-key", "empty-object"],
+         "unknown-round-key", "unknown-key", "empty-object", "summary-int",
+         "run-report-with-summary"],
 )
 def test_bad_report_exits_2_naming_it(workspace, capsys, edit, message):
     tmp_path, data = workspace
@@ -869,13 +883,16 @@ def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
         (["bench", "--budgets", "-0.5"], "--budgets"),
         (["bench", "--budgets", "0"], "--budgets"),
         (["bench", "--budgets", "0.01,1.5"], "--budgets"),
+        (["bench", "--budgets", ","], "--budgets"),
+        (["bench", "--strategies", ","], "--strategies"),
         (["gen", "--seed", "-1"], "--seed"),
         (["train-disc", "--seed", "-1"], "--seed"),
         (["run", "--seed", "-1"], "--seed"),
         (["bench", "--seed", "-1"], "--seed"),
     ],
     ids=["budget-0", "budget-negative", "seeds-0", "budgets-text", "budgets-inf",
-         "budgets-nan", "budgets-negative", "budgets-0", "budgets-above-1",
+         "budgets-nan", "budgets-negative", "budgets-0", "budgets-above-1", "budgets-empty",
+         "strategies-empty",
          "gen-seed-negative", "train-disc-seed-negative", "run-seed-negative",
          "bench-seed-negative"],
 )

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,8 @@ from bidal import (
     validate_frame,
 )
 import bidal.simulator
-from bidal.simulator import run_strategy
+from bidal.core import _build
+from bidal.simulator import BenchFile, run_strategy
 
 from .reference import ref_binary_entropy, ref_rank_ids
 
@@ -214,6 +216,19 @@ class TestScheduleAndBenchmark:
         assert "bidomain" in report.summary["pvalue_vs_random"]
         text = report.to_json()
         assert text == report.to_json()  # stable serialization
+        # what to_json writes matches its declaration, which ``bidal report`` reads
+        _build(BenchFile, json.loads(text), "summary", {})
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("seeds", "seed"), ("strategies", "strategy"), ("budget_fracs", "budget fraction")],
+    )
+    def test_benchmark_rejects_empty_lists(self, field, message):
+        cfg = SyntheticConfig(n_source=10, n_target=10, n_eval=5, seed=0)
+        kwargs = dict(strategies=("random",), seeds=(0,), budget_fracs=(0.05,))
+        kwargs[field] = ()
+        with pytest.raises(ValueError, match="need at least one %s" % message):
+            benchmark(cfg, **kwargs)
 
     @pytest.mark.parametrize("frac", [-0.5, 0.0, 1.5, float("nan")])
     def test_benchmark_rejects_fraction_outside_unit_interval(self, frac):

@@ -16,7 +16,13 @@ from bidal import (
     sample_round,
     select_targets,
 )
-from bidal.target_sampler import SimilarityBank, _Prototypes
+from bidal.target_sampler import (
+    _BLOCK_START,
+    SimilarityBank,
+    _block_rows,
+    _norms,
+    _Prototypes,
+)
 
 from .reference import (
     ref_build_banks,
@@ -214,10 +220,7 @@ class TestBuildBanksOracle:
             rows = rng.normal(size=(cap, 16)) * rng.uniform(1e-3, 1e3)
             at = rng.choice(cap, size=3, replace=False)
             rows[at] = rows[at[0]]
-            protos = _Prototypes(cap, 16)
-            for row in rows:
-                protos.append(row)
-            protos.start_pairs()
+            protos = _Prototypes(rows, _norms(rows))
             sims = protos.cosines(rng.normal(size=16))
             assert sims[at[0]] == sims[at[1]] == sims[at[2]]
             pairs = protos.pairs
@@ -225,6 +228,86 @@ class TestBuildBanksOracle:
             others = np.setdiff1d(np.arange(cap), at)
             assert np.array_equal(pairs[at[0], others], pairs[at[1], others])
             assert np.array_equal(pairs[at[0], others], pairs[at[2], others])
+
+    def test_block_kernel_matches_single_rows(self):
+        # every block size up to the largest gives each row the bytes of its
+        # one-row pass, with zero rows, rows below the norm floor and identical
+        # rows among both the prototypes and the stream
+        rng = np.random.default_rng(11)
+        cap, d = 40, 16
+        rows = rng.normal(size=(cap, d))
+        rows[[3, 17, 31]] = rows[8]
+        rows[5] = 0.0
+        rows[9] *= 1e-14
+        protos = _Prototypes(rows, _norms(rows))
+        for k in range(cap):
+            assert protos.pairs[k].tobytes() == protos.cosines(rows[k]).tobytes()
+        most = _block_rows(cap, d)
+        vecs = rng.normal(size=(most, d))
+        vecs[[0, 7, most - 1]] = rows[8]
+        vecs[2] = 0.0
+        vecs[4] *= 1e-14
+        single = np.stack([protos.cosines(v) for v in vecs])
+        assert not single[2].any() and not single[4].any() and not single[:, [5, 9]].any()
+        assert (single[:, 3] == single[:, 8]).all() and (single[:, 31] == single[:, 8]).all()
+        for size in range(1, most + 1):
+            for lo in {0, most - size}:
+                block = protos.cosine_rows(vecs[lo : lo + size], _norms(vecs[lo : lo + size]))
+                assert block.tobytes() == single[lo : lo + size].tobytes(), (size, lo)
+
+    @pytest.mark.parametrize("compare", ["min", "max"])
+    def test_merge_at_each_block_position(self, compare):
+        # two founders at e0 (pair cosine 1): copies of e0 join and e1 merges;
+        # then -(e0 + e1) merges again while copies of e0 and e1 join. The
+        # first merge falls on every row of the first blocks past the fill
+        # (its first and last rows, and the rows after it doubled), the second
+        # on the first row of the restarted block, or inside it
+        e0, e1 = np.eye(16)[:2]
+        for first in range(8 * _BLOCK_START):
+            for gap in (None, 1, _BLOCK_START - 1, _BLOCK_START + 1):
+                stream = [e0] * (2 + first) + [e1] + [(e0, e1)[k % 2] for k in range(30)]
+                if gap:
+                    stream[2 + first + gap] = -(e0 + e1)
+                rois = rois_from(stream)
+                got = build_banks(rois, 2, BankConfig(pairwise_compare=compare))
+                want = ref_build_banks(
+                    stream, [r.frame_id for r in rois], 2, pairwise_compare=compare
+                )
+                assert_same_banks(got, want)
+                last = 2 + first + (gap or 0)
+                assert got.banks[-1].members[0] == "f%04d" % last
+
+    @pytest.mark.parametrize("compare", ["min", "max"])
+    def test_long_stream_without_merges(self, compare):
+        # every frame lies next to a founder, so none merges and the blocks
+        # grow to their largest; each frame joins the bank its own one-row
+        # pass picks
+        rng = np.random.default_rng([12, compare == "max"])
+        cap, d = 120, 16
+        founders = rng.normal(size=(cap, d))
+        picks = rng.integers(cap, size=12 * cap)
+        stream = np.vstack([founders, founders[picks] + 1e-3 * rng.normal(size=(len(picks), d))])
+        rois = rois_from(stream)
+        got = build_banks(rois, cap, BankConfig(pairwise_compare=compare))
+        protos = _Prototypes(founders, _norms(founders))
+        want = [["f%04d" % k] for k in range(cap)]
+        for k, v in enumerate(stream[cap:], start=cap):
+            want[int(np.argmax(protos.cosines(v)))].append("f%04d" % k)
+        assert [b.members for b in got.banks] == want
+        assert all(np.array_equal(b.prototype, f) for b, f in zip(got.banks, founders))
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ([np.ones((2, 3)), np.ones(4)], "ROI vectors must be one-dimensional"),
+            ([np.ones(3), np.ones((1, 3)), np.ones(4)], "dimension mismatch"),
+            ([np.ones(3)] * 8 + [np.ones(4)], "dimension mismatch"),
+        ],
+        ids=["first-2d", "later-2d", "later-width-past-fill"],
+    )
+    def test_first_bad_vector_names_the_error(self, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            build_banks([ReweightedROI("f%d" % k, v) for k, v in enumerate(vectors)], 2)
 
     @pytest.mark.parametrize("cap", [1, 2, 5])
     def test_dimension_mismatch_rejected(self, cap):

@@ -17,7 +17,7 @@ from .core import ConfigError, _build, read_json, write_ids
 # ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
 from .discriminator import DiscriminatorModel, NumericalError, TrainConfig, fit, train
 from .pipeline import PipelineConfig, RunReport, _roi_dim, run_bidomain, serialize_report
-from .simulator import BenchFile, ProxyDetector, SyntheticConfig, benchmark, generate
+from .simulator import STRATEGIES, BenchFile, ProxyDetector, SyntheticConfig, benchmark, generate
 from .source_sampler import score_source, select_source
 from .target_sampler import sample_round
 
@@ -48,11 +48,12 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _names(text: str) -> list:
-    """A flag's comma-separated names, at least one."""
+def _strategies(text: str) -> list:
+    """A flag's comma-separated strategy names, at least one, each one ``benchmark`` runs."""
     names = [v for v in text.split(",") if v]
-    if not names:
-        raise argparse.ArgumentTypeError("must be one or more comma-separated names, got %r" % text)
+    if not names or not set(names) <= set(STRATEGIES):
+        raise argparse.ArgumentTypeError("must be one or more comma-separated strategies "
+                                         "(%s), got %r" % (", ".join(STRATEGIES), text))
     return names
 
 
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="strategy benchmark sweep")
     p.add_argument("--config", help="synthetic config JSON")
-    p.add_argument("--strategies", type=_names, default="random,bidomain")
+    p.add_argument("--strategies", type=_strategies, default="random,bidomain")
     p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--budgets", type=_fractions, default="0.01,0.05")
     p.add_argument("--seed", type=_seed, default=None)
@@ -186,10 +187,10 @@ def _cmd_run(args) -> int:
     labels = {f.hidden_label for f in source if f.hidden_label is not None}
     n_classes = max(2, len(labels))
     oracle = ProxyDetector(n_classes=n_classes, roi_dim=_roi_dim(source + target))
-    manifest = os.path.splitext(args.out)[0] + ".manifest.txt"
-    _, _, report = run_bidomain(
-        source, target, oracle, cfg, eval_frames, manifest_path=manifest
-    )
+    _, report = run_bidomain(source, target, oracle, cfg, eval_frames)
+    if report.halted:
+        # the halting round's picks are the frames to annotate
+        write_ids(os.path.splitext(args.out)[0] + ".manifest.txt", report.rounds[-1].selected)
     with open(args.out, "w") as fh:
         fh.write(serialize_report(report))
     status = report.halted or "completed"

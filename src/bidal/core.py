@@ -171,22 +171,6 @@ class SyntheticConfig:
 
 
 @dataclass(frozen=True)
-class PipelineState:
-    """Immutable labeled-pool bookkeeping; updates produce new values."""
-
-    selected_source: Tuple[str, ...] = ()
-    labeled_target: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected_source", tuple(self.selected_source))
-        object.__setattr__(self, "labeled_target", tuple(self.labeled_target))
-        if len(set(self.labeled_target)) != len(self.labeled_target):
-            raise ValueError("labeled_target contains duplicate ids")
-        if set(self.selected_source) & set(self.labeled_target):
-            raise ValueError("selected_source and labeled_target must be disjoint")
-
-
-@dataclass(frozen=True)
 class Score:
     frame_id: str
     value: float

@@ -24,11 +24,13 @@ rescored, and both are dropped when the run returns. Stage 3 scores the
 source pool in one batched pass too (``score_source``).
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
-frame carries no label the run writes a selection manifest and halts before
-fine-tuning so the frames can be annotated offline.
+frame carries no label the run sets ``report.halted`` and stops before
+fine-tuning so the frames can be annotated offline; ``bidal run`` writes the
+halting round's picks to a manifest, and this module writes no file.
 
-Every strategy records its run in one ``RunReport``, whose dataclasses alone
-name the report's keys; ``bidal report`` reads it through ``core``'s walk.
+Every strategy records its run in one ``RunReport``, its only record, whose
+dataclasses alone name the report's keys; ``bidal report`` reads it through
+``core``'s walk.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 
 import numpy as np
 
-from .core import BudgetSchedule, FrameRecord, PipelineState, canonical_json, write_ids
+from .core import BudgetSchedule, FrameRecord, canonical_json
 from .discriminator import TrainConfig, _domainness_values, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
 from .target_sampler import BankConfig, _sample_round, reweight
@@ -127,26 +129,14 @@ class RunReport:
     labeled_target: Optional[List[str]] = None
 
 
-def update_labeled_pool(state: PipelineState, delta: Sequence[str]) -> PipelineState:
-    """Add newly labeled target ids; rejects double-labeling."""
-    overlap = set(delta) & set(state.labeled_target)
-    if overlap:
-        raise ValueError("frames already labeled: %r" % sorted(overlap)[:5])
-    return PipelineState(
-        selected_source=state.selected_source,
-        labeled_target=state.labeled_target + tuple(delta),
-    )
-
-
 def run_bidomain(
     source: Sequence[FrameRecord],
     target: Sequence[FrameRecord],
     oracle: DetectorOracle,
     cfg: PipelineConfig,
     eval_frames: Sequence[FrameRecord] = (),
-    manifest_path: Optional[str] = None,
-) -> Tuple[Any, PipelineState, RunReport]:
-    """Run the full bi-domain pipeline; returns (model state, pool state, report)."""
+) -> Tuple[Any, RunReport]:
+    """Run the full bi-domain pipeline; returns (detector state, report)."""
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
     by_id = {f.id: f for f in source + target}
@@ -170,7 +160,6 @@ def run_bidomain(
         source_selection=SourceSelection(list(selected_source),
                                          {s.frame_id: s.value for s in src_scores}),
     )
-    state = PipelineState(selected_source=tuple(selected_source))
     src_labeled = [(by_id[i], by_id[i].hidden_label) for i in selected_source]
     det_state = oracle.finetune(det_state, src_labeled, cfg.source_finetune_epochs)
 
@@ -194,17 +183,16 @@ def run_bidomain(
         delta = _sample_round(list(current.values()), rois, values, budget, cfg.bank_config)
         return delta, {i: scores[current[i]] for i in delta}
 
-    det_state, state = run_rounds(
-        oracle, det_state, state, target, src_labeled, schedule, pick,
-        cfg.round_finetune_epochs, report, eval_frames, manifest_path,
+    det_state = run_rounds(
+        oracle, det_state, target, src_labeled, schedule, pick,
+        cfg.round_finetune_epochs, report, eval_frames,
     )
-    return det_state, state, report
+    return det_state, report
 
 
 def run_rounds(
     oracle: DetectorOracle,
     det_state: Any,
-    state: PipelineState,
     target: Sequence[FrameRecord],
     src_labeled: List[Tuple[FrameRecord, Any]],
     schedule: BudgetSchedule,
@@ -212,44 +200,50 @@ def run_rounds(
     epochs: int,
     report: RunReport,
     eval_frames: Sequence[FrameRecord] = (),
-    manifest_path: Optional[str] = None,
-) -> Tuple[Any, PipelineState]:
-    """Stage 4, the round loop every strategy shares; fills ``report`` in place.
+) -> Any:
+    """Stage 4, the round loop every strategy shares; fills ``report``, returns the detector state.
 
     Every epoch up to the last trigger fine-tunes on ``src_labeled`` plus the
     labeled targets. A trigger epoch first calls ``pick(unlabeled, budget,
     round, det_state)`` on the unlabeled frames of the id-sorted ``target``,
     which returns the picked ids and the scores to report for them. A pick
-    without labels writes ``manifest_path`` and halts before fine-tuning.
+    that names an id twice, an already-labeled id or an id outside ``target``
+    raises ``ValueError`` naming it. A pick without labels sets
+    ``report.halted`` and returns before fine-tuning; otherwise the labeled
+    ids end up in ``report.labeled_target``.
     """
     by_id = {f.id: f for f in target}
     triggers = {e: (k, schedule.per_round[k]) for k, e in enumerate(schedule.trigger_epochs)}
     max_epoch = max(schedule.trigger_epochs) if schedule.rounds else -1
+    labeled: List[str] = []
+    picked = set()
     for epoch in range(max_epoch + 1):
         if epoch in triggers:
             k, budget = triggers[epoch]
-            unlabeled = [f for f in target if f.id not in state.labeled_target]
+            unlabeled = [f for f in target if f.id not in picked]
             budget = min(budget, len(unlabeled))
             delta, scores = pick(unlabeled, budget, k, det_state) if budget else ([], {})
             report.rounds.append(RoundEntry(k, epoch, budget, list(delta), scores))
-            missing = [i for i in delta if by_id[i].hidden_label is None]
-            if missing:
-                if manifest_path is not None:
-                    write_ids(manifest_path, delta)
+            for i in delta:
+                if i not in by_id:
+                    raise ValueError("round %d picked %r, which is not in the target pool" % (k, i))
+                if i in picked:
+                    raise ValueError("round %d picked %r a second time" % (k, i))
+                picked.add(i)
+            if any(by_id[i].hidden_label is None for i in delta):
                 report.halted = "selected frames lack labels; manifest emitted"
-                return det_state, state
-            state = update_labeled_pool(state, delta)
-        labeled = src_labeled + [
-            (by_id[i], by_id[i].hidden_label) for i in state.labeled_target
-        ]
-        det_state = oracle.finetune(det_state, labeled, epochs)
+                return det_state
+            labeled += delta
+        det_state = oracle.finetune(
+            det_state, src_labeled + [(by_id[i], by_id[i].hidden_label) for i in labeled], epochs
+        )
         if eval_frames:
             report.metrics.append(EpochMetric(epoch, oracle.evaluate(det_state, eval_frames)))
     report.stages.append("target-rounds")
     if eval_frames:
         report.final_metric = oracle.evaluate(det_state, eval_frames)
-    report.labeled_target = list(state.labeled_target)
-    return det_state, state
+    report.labeled_target = labeled
+    return det_state
 
 
 def serialize_report(report: RunReport) -> str:

@@ -26,8 +26,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (BudgetSchedule, Domain, FrameRecord, PipelineState, SyntheticConfig,
-                   canonical_json)
+from .core import BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonical_json
 from .discriminator import TrainConfig
 from .pipeline import PipelineConfig, RunReport, run_bidomain, run_rounds
 from .scoring import entropy_map
@@ -47,6 +46,7 @@ COMMITTEE_HEADS = 2
 COMMITTEE_EPOCHS = 100
 ROUND_EPOCHS = 25  # fine-tune epochs after each round of every strategy
 PERMUTATION_RESAMPLES = 10000
+STRATEGIES = ("random", "entropy", "committee", "bidomain")  # what ``run_strategy`` runs
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -324,8 +324,8 @@ def run_strategy(
     n_classes: int,
     roi_dim: int,
     disc_epochs: int = 150,
-) -> Dict[str, Any]:
-    """One full pipeline run for one strategy; returns accuracy, selections and report."""
+) -> RunReport:
+    """One full pipeline run for one strategy; returns its report."""
     oracle = ProxyDetector(n_classes=n_classes, roi_dim=roi_dim)
     if strategy == "bidomain":
         cfg = PipelineConfig(
@@ -334,23 +334,16 @@ def run_strategy(
             seed=seed,
             round_finetune_epochs=ROUND_EPOCHS,
         )
-        _, _, report = run_bidomain(source, target, oracle, cfg, eval_frames)
-    else:
-        # baselines label the whole source pool and never train a discriminator
-        src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
-        pick = _baseline_pick(strategy, src_labeled, seed, n_classes, oracle._roi_rows)
-        report = RunReport(seed, ["pretrain"], warnings=[], rounds=[],
-                           discriminator_final_loss=None)
-        run_rounds(
-            oracle, oracle.pretrain(source), PipelineState(),
-            sorted(target, key=lambda f: f.id), src_labeled, schedule, pick,
-            ROUND_EPOCHS, report, eval_frames,
-        )
-    return {
-        "accuracy": report.final_metric,
-        "selected": report.labeled_target,
-        "report": report,
-    }
+        return run_bidomain(source, target, oracle, cfg, eval_frames)[1]
+    # baselines label the whole source pool and never train a discriminator
+    src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
+    pick = _baseline_pick(strategy, src_labeled, seed, n_classes, oracle._roi_rows)
+    report = RunReport(seed, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
+    run_rounds(
+        oracle, oracle.pretrain(source), sorted(target, key=lambda f: f.id), src_labeled,
+        schedule, pick, ROUND_EPOCHS, report, eval_frames,
+    )
+    return report
 
 
 def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_rows):
@@ -474,6 +467,9 @@ def benchmark(
         raise ValueError("need at least one strategy")
     if not budget_fracs:
         raise ValueError("need at least one budget fraction")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ValueError("unknown strategy %r" % unknown[0])
     if not all(0 < f <= 1 for f in budget_fracs):
         raise ValueError("budget fractions must lie in (0, 1], got %r" % list(budget_fracs))
     rows: List[Dict[str, Any]] = []
@@ -486,28 +482,17 @@ def benchmark(
             budget = max(1, round(frac * cfg.n_target))
             schedule = default_schedule(budget, frac)
             for strategy in strategies:
-                result = run_strategy(
-                    strategy,
-                    source,
-                    target,
-                    eval_frames,
-                    schedule,
-                    seed=int(seed),
-                    n_classes=cfg.clusters_per_domain,
-                    roi_dim=roi_dim,
-                    disc_epochs=disc_epochs,
+                report = run_strategy(
+                    strategy, source, target, eval_frames, schedule, seed=int(seed),
+                    n_classes=cfg.clusters_per_domain, roi_dim=roi_dim, disc_epochs=disc_epochs,
                 )
-                rows.append(
-                    {
-                        "strategy": strategy,
-                        "seed": int(seed),
-                        "budget": budget,
-                        "accuracy": result["accuracy"],
-                        "diversity": selection_diversity(
-                            by_id, result["selected"], roi_dim
-                        ),
-                    }
-                )
+                rows.append({
+                    "strategy": strategy,
+                    "seed": int(seed),
+                    "budget": budget,
+                    "accuracy": report.final_metric,
+                    "diversity": selection_diversity(by_id, report.labeled_target, roi_dim),
+                })
     summary = _summarize(rows, strategies, seeds)
     return BenchmarkReport(rows=rows, summary=summary)
 

@@ -366,7 +366,7 @@ def test_c11_determinism(announce):
     reports = []
     for _ in range(2):
         oracle = ProxyDetector(n_classes=3, roi_dim=16)
-        _, _, report = run_bidomain(src, tgt, oracle, pcfg, ev)
+        _, report = run_bidomain(src, tgt, oracle, pcfg, ev)
         reports.append(serialize_report(report).encode())
     announce(11, "byte-identical reports", reports[0] == reports[1])
 

@@ -114,6 +114,33 @@ def test_run_and_report(workspace, capsys):
     assert "round 0" in shown and "final metric" in shown
 
 
+def test_halted_run_writes_the_manifest(workspace, capsys):
+    tmp_path, data = workspace
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    target = tmp_path / "unlabeled.ndjson"
+    target.write_text("".join(
+        json.dumps(dict(json.loads(line), hidden_label=None)) + "\n"
+        for line in (data / "target.ndjson").read_text().splitlines()
+    ))
+    out = tmp_path / "halted.json"
+    capsys.readouterr()
+    rc = main(["run", "--config", str(cfg), "--source", str(data / "source.ndjson"),
+               "--target", str(target), "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "selected frames lack labels; manifest emitted; report -> %s\n" % out
+    )
+    report = json.loads(out.read_text())
+    assert report["halted"] == "selected frames lack labels; manifest emitted"
+    manifest = (tmp_path / "halted.manifest.txt").read_text().splitlines()
+    assert manifest == report["rounds"][0]["selected"] and len(manifest) == 3
+
+    assert main(["report", "--in", str(out)]) == 0
+    shown = capsys.readouterr().out
+    assert "round 0" in shown and "target-rounds" not in shown
+
+
 def test_run_determinism_byte_identical(workspace):
     tmp_path, data = workspace
     cfg = tmp_path / "run.json"
@@ -885,6 +912,7 @@ def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
         (["bench", "--budgets", "0.01,1.5"], "--budgets"),
         (["bench", "--budgets", ","], "--budgets"),
         (["bench", "--strategies", ","], "--strategies"),
+        (["bench", "--strategies", "random,nope"], "--strategies"),
         (["gen", "--seed", "-1"], "--seed"),
         (["train-disc", "--seed", "-1"], "--seed"),
         (["run", "--seed", "-1"], "--seed"),
@@ -892,7 +920,7 @@ def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
     ],
     ids=["budget-0", "budget-negative", "seeds-0", "budgets-text", "budgets-inf",
          "budgets-nan", "budgets-negative", "budgets-0", "budgets-above-1", "budgets-empty",
-         "strategies-empty",
+         "strategies-empty", "strategies-unknown",
          "gen-seed-negative", "train-disc-seed-negative", "run-seed-negative",
          "bench-seed-negative"],
 )

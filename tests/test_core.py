@@ -5,7 +5,6 @@ from bidal import (
     BudgetSchedule,
     Domain,
     FrameRecord,
-    PipelineState,
     validate_frame,
 )
 
@@ -128,13 +127,3 @@ class TestBudgetSchedule:
     def test_zero_rounds_schedule(self):
         s = BudgetSchedule(0, (), ())
         assert s.total_budget == 0
-
-
-class TestPipelineState:
-    def test_rejects_duplicate_target_ids(self):
-        with pytest.raises(ValueError):
-            PipelineState(labeled_target=("t1", "t1"))
-
-    def test_rejects_source_target_overlap(self):
-        with pytest.raises(ValueError):
-            PipelineState(selected_source=("x",), labeled_target=("x",))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import bidal.pipeline
 from bidal import (
     BudgetSchedule,
     PipelineConfig,
-    PipelineState,
     ProxyDetector,
     SyntheticConfig,
     TopK,
@@ -18,10 +18,9 @@ from bidal import (
     generate,
     run_bidomain,
     serialize_report,
-    update_labeled_pool,
 )
 from bidal.core import _build
-from bidal.pipeline import RunReport
+from bidal.pipeline import RunReport, run_rounds
 
 
 def small_world(seed=0, n_target=40):
@@ -48,22 +47,10 @@ def oracle():
     return ProxyDetector(n_classes=3, roi_dim=16, pretrain_epochs=30)
 
 
-class TestUpdateLabeledPool:
-    def test_appends_and_advances_round(self):
-        state = PipelineState(labeled_target=("t1",))
-        new = update_labeled_pool(state, ["t2", "t3"])
-        assert new.labeled_target == ("t1", "t2", "t3")
-
-    def test_rejects_double_labeling(self):
-        state = PipelineState(labeled_target=("t1",))
-        with pytest.raises(ValueError):
-            update_labeled_pool(state, ["t1"])
-
-
 class TestRunBidomain:
     def test_full_run_report_shape(self):
         src, tgt, ev = small_world()
-        _, state, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+        _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
         assert report.stages == [
             "pretrain",
             "train-discriminator",
@@ -71,13 +58,12 @@ class TestRunBidomain:
             "target-rounds",
         ]
         assert len(report.rounds) == 2
-        assert len(state.labeled_target) == 6
+        assert len(report.labeled_target) == 6
         assert 0.0 <= report.final_metric <= 1.0
-        assert report.labeled_target == list(state.labeled_target)
 
     def test_rounds_are_disjoint_and_within_pool(self):
         src, tgt, ev = small_world(seed=1)
-        _, state, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+        _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
         seen = set()
         tgt_ids = {f.id for f in tgt}
         for rnd in report.rounds:
@@ -91,7 +77,7 @@ class TestRunBidomain:
         src, tgt, ev = small_world(seed=2)
         cfg = small_pipeline_config()
         reports = [
-            serialize_report(run_bidomain(src, tgt, oracle(), cfg, ev)[2])
+            serialize_report(run_bidomain(src, tgt, oracle(), cfg, ev)[1])
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
@@ -99,28 +85,26 @@ class TestRunBidomain:
     def test_budget_clipping_warns(self):
         src, tgt, ev = small_world(seed=3, n_target=4)
         cfg = small_pipeline_config(schedule=BudgetSchedule(2, (3, 3), (0, 2)))
-        _, state, report = run_bidomain(src, tgt, oracle(), cfg, ev)
+        _, report = run_bidomain(src, tgt, oracle(), cfg, ev)
         assert any("clipping" in w for w in report.warnings)
-        assert len(state.labeled_target) == 4
+        assert len(report.labeled_target) == 4
 
-    def test_unlabeled_selection_halts_with_manifest(self, tmp_path):
+    def test_unlabeled_selection_halts_with_manifest(self, tmp_path, monkeypatch):
+        # the manifest is the halting round's picks; bidal run writes it, the library no file
+        monkeypatch.chdir(tmp_path)
         src, tgt, ev = small_world(seed=4)
         tgt = [dataclasses.replace(f, hidden_label=None) for f in tgt]
-        manifest = str(tmp_path / "to_label.txt")
-        _, state, report = run_bidomain(
-            src, tgt, oracle(), small_pipeline_config(), ev, manifest_path=manifest
-        )
-        assert report.halted is not None
-        assert state.labeled_target == ()
-        with open(manifest) as fh:
-            listed = [line.strip() for line in fh if line.strip()]
-        assert listed == report.rounds[0].selected
+        _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+        assert report.halted == "selected frames lack labels; manifest emitted"
+        assert report.labeled_target is None
+        assert len(report.rounds) == 1 and len(report.rounds[0].selected) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_input_order_does_not_matter(self):
         src, tgt, ev = small_world(seed=6)
         cfg = small_pipeline_config()
-        a = run_bidomain(src, tgt, oracle(), cfg, ev)[2]
-        b = run_bidomain(src[::-1], tgt[::-1], oracle(), cfg, ev)[2]
+        a = run_bidomain(src, tgt, oracle(), cfg, ev)[1]
+        b = run_bidomain(src[::-1], tgt[::-1], oracle(), cfg, ev)[1]
         assert serialize_report(a) == serialize_report(b)
 
     def test_empty_pools_rejected(self):
@@ -157,12 +141,39 @@ class TestRunBidomain:
 
     def test_source_selection_recorded_with_scores(self):
         src, tgt, ev = small_world(seed=8)
-        _, _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+        _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
         sel = report.source_selection
         assert len(sel.ids) == 10  # TopK(10)
         assert set(sel.ids) <= set(sel.scores)
         vals = [sel.scores[i] for i in sel.ids]
         assert vals == sorted(vals, reverse=True)
+
+
+# each faulty pick -> (picks per round, the message naming the faulty id)
+FAULTY_PICKS = {
+    "already-labeled": ([[0], [0]], "round 1 picked 't00000' a second time"),
+    "same-id-twice": ([[0, 0]], "round 0 picked 't00000' a second time"),
+    "outside-the-pool": ([["x"]], "round 0 picked 'x', which is not in the target pool"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTY_PICKS))
+def test_faulty_pick_raises_naming_the_id(fault):
+    """The round loop checks every pick, whichever strategy made it."""
+    src, tgt, ev = small_world()
+    tgt = sorted(tgt, key=lambda f: f.id)
+    rounds, message = FAULTY_PICKS[fault]
+
+    def pick(unlabeled, budget, k, det_state):
+        return [tgt[i].id if isinstance(i, int) else i for i in rounds[k]], {}
+
+    detector = oracle()
+    report = RunReport(0, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
+    schedule = BudgetSchedule(len(rounds), tuple(map(len, rounds)), tuple(range(len(rounds))))
+    src_labeled = [(f, f.hidden_label) for f in src]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        run_rounds(detector, detector.pretrain(src), tgt, src_labeled, schedule, pick, 1,
+                   report, ev)
 
 
 class FreshFramesDetector(ProxyDetector):
@@ -197,7 +208,7 @@ def test_target_frames_scored_once_per_run(monkeypatch, fresh):
     detector = (FreshFramesDetector if fresh else ProxyDetector)(
         n_classes=3, roi_dim=16, pretrain_epochs=30
     )
-    _, _, report = run_bidomain(src, tgt, detector, cfg, ev)
+    _, report = run_bidomain(src, tgt, detector, cfg, ev)
     if fresh:
         # every round's frames are new objects, so each round rescores its pool
         assert len(calls) == len(tgt) + (len(tgt) - 3) + (len(tgt) - 6)
@@ -230,7 +241,7 @@ def test_report_round_trips_through_the_schema(shape):
         ev = []
     elif shape == "0-epoch-discriminator":
         cfg = small_pipeline_config(discriminator=TrainConfig(epochs=0, seed=0))
-    text = serialize_report(run_bidomain(src, tgt, oracle(), cfg, ev)[2])
+    text = serialize_report(run_bidomain(src, tgt, oracle(), cfg, ev)[1])
     payload = json.loads(text)
     present, absent = REPORT_SHAPES[shape]
     assert present <= set(payload) and not absent & set(payload)

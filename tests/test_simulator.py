@@ -230,6 +230,15 @@ class TestScheduleAndBenchmark:
         with pytest.raises(ValueError, match="need at least one %s" % message):
             benchmark(cfg, **kwargs)
 
+    def test_benchmark_rejects_unknown_strategy_before_generating(self, monkeypatch):
+        def generate_nothing(cfg):
+            raise AssertionError("generate ran before the strategies were checked")
+
+        monkeypatch.setattr(bidal.simulator, "generate", generate_nothing)
+        cfg = SyntheticConfig(n_source=10, n_target=10, n_eval=5, seed=0)
+        with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+            benchmark(cfg, strategies=("random", "nope"), seeds=(0,), budget_fracs=(0.05,))
+
     @pytest.mark.parametrize("frac", [-0.5, 0.0, 1.5, float("nan")])
     def test_benchmark_rejects_fraction_outside_unit_interval(self, frac):
         cfg = SyntheticConfig(n_source=10, n_target=10, n_eval=5, seed=0)
@@ -282,15 +291,13 @@ GOLDEN_RUNS = {
 def test_run_strategy_golden(strategy, budget):
     src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
     schedule = default_schedule(budget, 0.01 if budget == 2 else 0.25)
-    result = run_strategy(
+    report = run_strategy(
         strategy, src, tgt, ev, schedule, seed=4, n_classes=3, roi_dim=16, disc_epochs=20
     )
-    assert (result["selected"], result["accuracy"]) == GOLDEN_RUNS[strategy, budget]
-    rounds = result["report"].rounds
-    assert [r.round for r in rounds] == list(range(schedule.rounds))
-    assert [r.budget for r in rounds] == list(schedule.per_round)
-    assert [i for r in rounds for i in r.selected] == result["selected"]
-    assert result["report"].final_metric == result["accuracy"]
+    assert (report.labeled_target, report.final_metric) == GOLDEN_RUNS[strategy, budget]
+    assert [r.round for r in report.rounds] == list(range(schedule.rounds))
+    assert [r.budget for r in report.rounds] == list(schedule.per_round)
+    assert [i for r in report.rounds for i in r.selected] == report.labeled_target
 
 
 # sha256 of the report's JSON for test_benchmark_golden's sweep, recorded before

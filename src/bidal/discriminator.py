@@ -16,12 +16,14 @@ owns its arrays. ``loss_and_grads`` gives the per-batch loss beside the same
 gradients. ``fit`` computes each pool's scene vectors in one batched pass
 (``scoring.scene_vectors``).
 
-Scoring is batched: ``_domainness_values`` scores a whole pool in one pass
-over its stacked scene vectors, and ``forward`` and ``domainness`` are its
-one-row case. Each row goes through one-row layer products, so a frame's
-score does not depend on the pool it is scored with. ``predict``'s plain
-(n, d) products may round some rows differently in the last bit; training
-and its loss history use them.
+One layer walk, ``_layers``, serves training, ``predict`` and per-row
+scoring; only the shape of the products differs. Scoring is batched:
+``_domainness_values`` scores a whole pool in one pass over its stacked scene
+vectors, and ``forward`` and ``domainness`` are its one-row case. Each row
+goes through one-row layer products, so a frame's score does not depend on
+the pool it is scored with. ``predict``'s plain (n, d) products may round
+some rows differently in the last bit; training and its loss history use
+them.
 
 A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
 ``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
@@ -126,16 +128,8 @@ class DiscriminatorModel:
             )
         return X
 
-    def _logits(self, X: np.ndarray) -> np.ndarray:
-        """Logits of a checked (n, d) float64 batch."""
-        a = X
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
-            a = _leaky_relu(z, self.leak)
-        return (a @ self.weights[-1] + self.biases[-1])[:, 0]
-
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return self._logits(self._check_input(X))
+        return _layers(self, self._check_input(X))[-1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         p = _sigmoid(self.logits(X))
@@ -211,6 +205,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _layers(model: DiscriminatorModel, X: np.ndarray) -> List[np.ndarray]:
+    """``[X, hidden activations..., logits]`` of a batch whose rows lie along the last axis."""
+    out = [X]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        out.append(_leaky_relu(out[-1] @ w + b, model.leak))
+    out.append((out[-1] @ model.weights[-1] + model.biases[-1])[..., 0])
+    return out
+
+
 def forward(model: DiscriminatorModel, v: np.ndarray) -> float:
     """Domainness probability for a single scene vector, clamped away from 0/1."""
     return float(_forward_rows(model, np.asarray(v, dtype=np.float64)[None])[0])
@@ -222,10 +225,7 @@ def _forward_rows(model: DiscriminatorModel, X: np.ndarray) -> np.ndarray:
     # The stacked product (n, 1, d) @ (d, h) runs numpy's one-row kernel once
     # per row, so row i rounds exactly as (1, d) @ (d, h) does on its own; a
     # plain (n, d) @ (d, h) product may round some rows differently.
-    a = X[:, None, :]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = _leaky_relu(a @ w + b, model.leak)
-    z = (a @ model.weights[-1] + model.biases[-1])[:, 0, 0]
+    z = _layers(model, X[:, None, :])[-1][:, 0]
     return np.clip(_sigmoid(z), PRED_EPS, 1.0 - PRED_EPS)
 
 
@@ -267,15 +267,7 @@ def _grads(
     step needs only the gradients, so it calls this directly.
     """
     n = X.shape[0]
-    activations = [X]
-    pre = []
-    a = X
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w + b
-        pre.append(z)
-        a = _leaky_relu(z, model.leak)
-        activations.append(a)
-    z_out = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+    *activations, z_out = _layers(model, X)
     p_raw = _sigmoid(z_out)
 
     # unclamped rows have p == p_raw; clamped rows get no gradient
@@ -289,7 +281,8 @@ def _grads(
     for i in range(len(model.weights) - 1, -1, -1):
         if i < len(model.weights) - 1:
             back = back @ model.weights[i + 1].T
-            back = back * np.where(pre[i] > 0, 1.0, model.leak)
+            # with 0 < leak < 1, leaky_relu(z) > 0 exactly where z > 0
+            back = back * np.where(activations[i + 1] > 0, 1.0, model.leak)
         # the same rounding as ``activations[i].T @ back + l2 * W``
         np.matmul(activations[i].T, back, out=grads_w[i])
         grads_w[i] += l2 * model.weights[i]

@@ -11,7 +11,7 @@ and fine-tuning on the union of both labeled pools. Stage 4 is
 The pool rules (both pools non-empty, frame ids unique across both, every
 frame tagged with its own pool's domain) live in ``discriminator.fit``,
 which ``run`` and ``train-disc`` share. ``run_bidomain`` adds one rule of its
-own before stage 1: every source frame carries a label.
+own before stage 1: every source and eval frame carries a label.
 
 The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
 re-weights each target frame object once per run. Each round scores the
@@ -140,9 +140,10 @@ def run_bidomain(
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
     by_id = {f.id: f for f in source + target}
-    unlabeled = [f.id for f in source if f.hidden_label is None]
-    if unlabeled:
-        raise ValueError("source frames must carry labels; unlabeled: %r" % unlabeled[:5])
+    for pool, frames in (("source", source), ("eval", eval_frames)):
+        unlabeled = [f.id for f in frames if f.hidden_label is None]
+        if unlabeled:
+            raise ValueError("%s frames must carry labels; unlabeled: %r" % (pool, unlabeled[:5]))
 
     # stage 1: pretrain on the full source pool
     det_state = oracle.pretrain(source)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -162,6 +162,10 @@ class ProxyDetector:
         return np.stack([self._row(f) for f in frames])
 
     def _design(self, labeled):
+        for f, lab in labeled:
+            if lab not in range(self.n_classes):
+                raise ValueError("frame %r has label %r, not a class index below the detector's "
+                                 "%d classes" % (f.id, lab, self.n_classes))
         X = self._roi_rows([f for f, _ in labeled])
         y = np.array([int(lab) for _, lab in labeled])
         w = np.array(
@@ -433,12 +437,10 @@ class BenchmarkReport:
         return canonical_json({"rows": self.rows, "summary": self.summary})
 
     def write_csv(self, path: str) -> None:
-        fields = ["strategy", "seed", "budget", "accuracy", "diversity"]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(BenchRow)])
             writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: row[k] for k in fields})
+            writer.writerows(self.rows)
 
     def write_plot_data(self, directory: str) -> None:
         """One CSV per strategy: budget vs mean accuracy, for external plotting."""
@@ -486,54 +488,36 @@ def benchmark(
                     strategy, source, target, eval_frames, schedule, seed=int(seed),
                     n_classes=cfg.clusters_per_domain, roi_dim=roi_dim, disc_epochs=disc_epochs,
                 )
-                rows.append({
-                    "strategy": strategy,
-                    "seed": int(seed),
-                    "budget": budget,
-                    "accuracy": report.final_metric,
-                    "diversity": selection_diversity(by_id, report.labeled_target, roi_dim),
-                })
+                rows.append(asdict(BenchRow(
+                    strategy, int(seed), budget, report.final_metric,
+                    selection_diversity(by_id, report.labeled_target, roi_dim),
+                )))
     summary = _summarize(rows, strategies, seeds)
     return BenchmarkReport(rows=rows, summary=summary)
 
 
 def _summarize(rows, strategies, seeds) -> Dict[str, Any]:
+    """``asdict`` of the sweep's ``BenchSummary``, each cell over its seeds in ``seeds`` order."""
     budgets = sorted({r["budget"] for r in rows})
-    mean_acc: Dict[str, Dict[str, float]] = {}
-    std_acc: Dict[str, Dict[str, float]] = {}
-    pvals: Dict[str, Dict[str, float]] = {}
+    acc = {(r["strategy"], r["budget"], r["seed"]): r["accuracy"] for r in rows}
 
     def accs(strategy, budget):
-        per_seed = {
-            r["seed"]: r["accuracy"]
-            for r in rows
-            if r["strategy"] == strategy and r["budget"] == budget
-        }
-        return [per_seed[s] for s in seeds if s in per_seed]
+        return [acc[strategy, budget, s] for s in seeds if (strategy, budget, s) in acc]
 
+    summary = BenchSummary({}, {}, {})
     for strategy in strategies:
-        mean_acc[strategy] = {}
-        std_acc[strategy] = {}
+        mean = summary.mean_accuracy[strategy] = {}
+        std = summary.std_accuracy[strategy] = {}
         for budget in budgets:
             vals = accs(strategy, budget)
             if vals:
-                mean_acc[strategy][str(budget)] = float(np.mean(vals))
-                std_acc[strategy][str(budget)] = float(np.std(vals))
-    if "random" in strategies:
-        for strategy in strategies:
-            if strategy == "random":
-                continue
-            pvals[strategy] = {}
-            for budget in budgets:
-                a = accs(strategy, budget)
-                b = accs("random", budget)
-                if a and b and len(a) == len(b):
-                    diffs = np.array(a) - np.array(b)
-                    pvals[strategy][str(budget)] = paired_permutation_pvalue(
-                        diffs, seed=budget
-                    )
-    return {
-        "mean_accuracy": mean_acc,
-        "std_accuracy": std_acc,
-        "pvalue_vs_random": pvals,
-    }
+                mean[str(budget)] = float(np.mean(vals))
+                std[str(budget)] = float(np.std(vals))
+        if strategy == "random" or "random" not in strategies:
+            continue
+        pvals = summary.pvalue_vs_random[strategy] = {}
+        for budget in budgets:
+            a, b = np.array(accs(strategy, budget)), np.array(accs("random", budget))
+            if a.size and a.size == b.size:
+                pvals[str(budget)] = paired_permutation_pvalue(a - b, seed=budget)
+    return asdict(summary)

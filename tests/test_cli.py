@@ -453,6 +453,28 @@ def test_run_rejects_mistagged_frame(workspace, capsys):
     assert "other pool's domain: [%r]" % records[3]["id"] in err, err
 
 
+@pytest.mark.parametrize("pool, label, message", [
+    ("eval", None, "eval frames must carry labels; unlabeled: [%r]"),
+    ("source", 7, "frame %r has label 7, not a class index below the detector's 4 classes"),
+], ids=["unlabeled eval frame", "label outside the classes"])
+def test_run_rejects_unusable_label(workspace, capsys, pool, label, message):
+    tmp_path, data = workspace
+    files = {name: data / ("%s.ndjson" % name) for name in ("source", "target", "eval")}
+    records = [json.loads(line) for line in files[pool].read_text().splitlines()]
+    records[1]["hidden_label"] = label
+    files[pool] = tmp_path / "edited.ndjson"
+    files[pool].write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    out = tmp_path / "r.json"
+    rc = main(["run", "--config", str(cfg), "--source", str(files["source"]),
+               "--target", str(files["target"]), "--eval", str(files["eval"]), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message % records[1]["id"] in err and "Traceback" not in err, err
+    assert not out.exists() and not (tmp_path / "r.manifest.txt").exists()
+
+
 def test_run_rejects_removed_rescore_key(workspace, capsys):
     tmp_path, data = workspace
     cfg = tmp_path / "run.json"

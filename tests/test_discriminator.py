@@ -229,19 +229,28 @@ class TestGradientStep:
         p_raw = _grads(model, X, y, l2)[0]
         assert ((p_raw < PRED_EPS) | (p_raw > 1.0 - PRED_EPS)).sum() >= 2
         assert (p_raw < 0.5).any() and (p_raw > 0.5).any()
-        want_loss, want_w, want_b = plain_loss_and_grads(model, X, y, l2)
-        _, gw, gb = _grads(model, X, y, l2)
-        loss, lw, lb = loss_and_grads(model, X, y, l2=l2)
-        assert loss == want_loss
-        for got, lg, want in zip(gw + gb, lw + lb, want_w + want_b):
-            assert got.tobytes() == lg.tobytes() == want.tobytes()
-        # a training step's preallocated, non-zero gradient arrays are overwritten
-        out = ([np.full_like(w, 7.0) for w in model.weights],
-               [np.full_like(b, 7.0) for b in model.biases])
-        _, ow, ob = _grads(model, X, y, l2, out=out)
-        assert ow is out[0] and ob is out[1]
-        for got, want in zip(ow + ob, want_w + want_b):
-            assert got.tobytes() == want.tobytes()
+        # rows whose first pre-activations are exactly zero (zero rows under the
+        # zero biases ``initialize`` gives) or subnormal, where the backprop mask
+        # read off the activations must still agree with the oracle's z > 0
+        edge = np.zeros((12, dims[0]))
+        edge[4:8] = 1e-310 * rng.normal(size=(4, dims[0]))
+        edge[8:10], edge[10:] = 5e-324, -5e-324
+        pre = edge @ model.weights[0] + model.biases[0]
+        assert (pre == 0).any() and ((pre != 0) & (np.abs(pre) < np.finfo(float).tiny)).any()
+        for xs, ys in ((X, y), (edge, rng.integers(0, 2, size=12).astype(float))):
+            want_loss, want_w, want_b = plain_loss_and_grads(model, xs, ys, l2)
+            _, gw, gb = _grads(model, xs, ys, l2)
+            loss, lw, lb = loss_and_grads(model, xs, ys, l2=l2)
+            assert loss == want_loss
+            for got, lg, want in zip(gw + gb, lw + lb, want_w + want_b):
+                assert got.tobytes() == lg.tobytes() == want.tobytes()
+            # a training step's preallocated, non-zero gradient arrays are overwritten
+            out = ([np.full_like(w, 7.0) for w in model.weights],
+                   [np.full_like(b, 7.0) for b in model.biases])
+            _, ow, ob = _grads(model, xs, ys, l2, out=out)
+            assert ow is out[0] and ob is out[1]
+            for got, want in zip(ow + ob, want_w + want_b):
+                assert got.tobytes() == want.tobytes()
 
 
 # sha256 of fit's weights, biases and loss history for the configuration in

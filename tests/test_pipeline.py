@@ -139,6 +139,24 @@ class TestRunBidomain:
         with pytest.raises(ValueError, match="source frames must carry labels.*%s" % src[3].id):
             run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
 
+    def test_unlabeled_eval_frame_rejected_before_stage_1(self):
+        src, tgt, ev = small_world(seed=10)
+        ev[4] = dataclasses.replace(ev[4], hidden_label=None)
+
+        class NoPretrain(ProxyDetector):
+            def pretrain(self, frames):
+                raise AssertionError("pretrained before the eval frames were checked")
+
+        with pytest.raises(ValueError, match="eval frames must carry labels.*%s" % ev[4].id):
+            run_bidomain(src, tgt, NoPretrain(n_classes=3, roi_dim=16), small_pipeline_config(), ev)
+
+    def test_picked_label_outside_the_classes_rejected(self):
+        src, tgt, ev = small_world(seed=10)
+        tgt = [dataclasses.replace(f, hidden_label=9) for f in tgt]
+        with pytest.raises(ValueError, match=r"frame 't\d+' has label 9, not a class index "
+                                             r"below the detector's 3 classes"):
+            run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
+
     def test_source_selection_recorded_with_scores(self):
         src, tgt, ev = small_world(seed=8)
         _, report = run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -148,6 +149,20 @@ class TestBaselineSamplers:
         assert a == b
         assert len(set(a)) == 6
         assert set(a) <= {f.id for f in tgt}
+
+
+@pytest.mark.parametrize("label", [3, 7, -1, None])
+def test_proxy_detector_rejects_a_label_outside_its_classes(label):
+    src = generate(SyntheticConfig(n_source=8, n_target=2, n_eval=2, seed=0))[0]
+    det = ProxyDetector(n_classes=3, roi_dim=16)
+    labeled = [(f, f.hidden_label) for f in src]
+    labeled[5] = (src[5], label)
+    message = "frame %r has label %r, not a class index below the detector's 3 classes"
+    with pytest.raises(ValueError, match=re.escape(message % (src[5].id, label))):
+        det.finetune(det.pretrain(src[:5]), labeled, 1)
+    src[5] = dataclasses.replace(src[5], hidden_label=label)
+    with pytest.raises(ValueError, match=re.escape(message % (src[5].id, label))):
+        det.pretrain(src)
 
 
 class TestNoLabelLeakage:

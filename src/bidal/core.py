@@ -6,17 +6,21 @@ with confidences. Samplers never look at ``hidden_label``; it exists so the
 simulator can play the role of the human annotator.
 
 Each on-disk text format has one writer here: ``canonical_json`` (reports,
-summaries, checkpoints, frame records) and ``write_ids`` (id-list files).
+summaries, checkpoints and frame records, given as dataclasses or plain
+values) and ``write_ids`` (id-list files).
 
-Configs, checkpoints and run reports are read by one schema walk, ``_build``:
-each value of a JSON object is checked against its dataclass field's declared
-type, with no coercion and no non-finite number, and a fault raises
-``ConfigError`` naming the value's path.
+Configs, checkpoints, run reports, bench summaries and frame records are read
+by one schema walk, ``_build``: each value of a JSON object is checked against
+its dataclass field's declared type, with no coercion and no non-finite
+number, and a fault raises ``ConfigError`` naming the value's path. Each
+type's walk is compiled once, into a check closure (``_compile``).
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -66,9 +70,9 @@ def validate_frame(frame: FrameRecord) -> list:
         errors.append("feature_map has an empty dimension")
     if om.ndim == 3 and 0 in om.shape:
         errors.append("objectness_map has an empty dimension")
-    if not np.all((om >= 0.0) & (om <= 1.0)):
+    if not ((om >= 0.0) & (om <= 1.0)).all():
         errors.append("objectness_map out of [0,1]")
-    if not np.all(np.isfinite(fm)):
+    if not np.isfinite(fm).all():
         errors.append("feature_map contains non-finite values")
     rois = np.asarray(frame.roi_features)
     confs = np.asarray(frame.roi_confidences)
@@ -78,9 +82,9 @@ def validate_frame(frame: FrameRecord) -> list:
     n_conf = confs.shape[0] if confs.ndim == 1 else confs.size
     if k != n_conf:
         errors.append("roi_features and roi_confidences length mismatch")
-    if not np.all(np.isfinite(rois)):
+    if not np.isfinite(rois).all():
         errors.append("roi_features contains non-finite values")
-    if not np.all((confs >= 0.0) & (confs <= 1.0)):
+    if not ((confs >= 0.0) & (confs <= 1.0)).all():
         errors.append("roi_confidences out of [0,1]")
     if not frame.id:
         errors.append("frame id is empty")
@@ -184,7 +188,7 @@ def encode_array(arr: np.ndarray, dtype: str) -> str:
 def decode_array(blob: str, shape, dtype: str, what: str) -> np.ndarray:
     """Inverse of encode_array; bad base64 or a payload of the wrong length raises ValueError."""
     try:
-        raw = base64.b64decode(blob)
+        raw = binascii.a2b_base64(blob)  # base64.b64decode without its wrapper's copy
     except ValueError as exc:  # binascii.Error included
         raise ValueError("%s is not valid base64 (%s)" % (what, exc))
     expected = np.dtype(dtype).itemsize * math.prod(shape) if shape else 0
@@ -194,8 +198,13 @@ def decode_array(blob: str, shape, dtype: str, what: str) -> np.ndarray:
 
 
 def canonical_json(obj: Any) -> str:
-    """Sorted keys, no whitespace: the same value always gives the same bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no whitespace: the same value always gives the same bytes. A dataclass
+    is the object of its fields, less those at the top level still at their defaults."""
+    if is_dataclass(obj):
+        obj = {name: getattr(obj, name) for name, _, default in _schema(type(obj))
+               if default is MISSING or getattr(obj, name) != default}
+    # ``vars`` of a nested dataclass is the object of its fields
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=vars)
 
 
 def write_ids(path: str, ids: Sequence[str]) -> None:
@@ -205,7 +214,7 @@ def write_ids(path: str, ids: Sequence[str]) -> None:
 
 
 class ConfigError(ValueError):
-    """A config, checkpoint or run report that does not match its schema; names the path."""
+    """A config, checkpoint, report or frame record not matching its schema; names the path."""
 
 
 def read_json(path: str, what: str) -> Dict[str, Any]:
@@ -226,63 +235,116 @@ def _shown(value: Any) -> str:
     return text if len(text) <= 80 else "a %s" % type(value).__name__
 
 
-def _check_keys(d: Dict[str, Any], allowed, context: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError("unknown %s keys: %s" % (context, ", ".join(unknown)))
+def _where(loc: Any, key: Any = None) -> str:
+    """The path of ``key`` (a name or list index; None for ``loc`` itself) in ``loc``, a
+    context string or the ``(loc, key)`` pair of the value that holds it."""
+    path = _where(*loc) if type(loc) is tuple else loc
+    return path if key is None else path + ("[%d]" % key if type(key) is int else " " + key)
 
 
-def _schema(cls) -> Dict[str, Tuple[Any, bool]]:
-    """Each field of dataclass ``cls``: its declared type and whether it has no default."""
+def _fail(loc: Any, key: Any, expected: str, value: Any):
+    raise ConfigError("%s must be %s, got %s" % (_where(loc, key), expected, _shown(value)))
+
+
+def _check_keys(d: Dict[str, Any], allowed, loc: Any, key: Any = None) -> None:
+    if not d.keys() <= allowed:
+        unknown = sorted(d.keys() - allowed)
+        raise ConfigError("unknown %s keys: %s" % (_where(loc, key), ", ".join(unknown)))
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls) -> Tuple[Tuple[str, Any, Any], ...]:
+    """Each field of dataclass ``cls``: name, declared type and default (``MISSING`` if none)."""
     hints = get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is f.default_factory is MISSING) for f in fields(cls)}
-
-
-def _typed(value: Any, tp: Any, where: str, readers: Mapping[Any, Callable]) -> Any:
-    """``value`` checked against its field type ``tp``; never coerced, ``Any`` unchecked."""
-    if tp in readers:
-        return readers[tp](value, where)
-    if tp is Any:
-        return value
-    if is_dataclass(tp):
-        return _build(tp, value, where, readers)
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:  # Optional[X]
-        return None if value is None else _typed(value, args[0], where, readers)
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError("%s must be a JSON object, got %s" % (where, _shown(value)))
-        return {k: _typed(v, args[1], "%s %s" % (where, k), readers) for k, v in value.items()}
-    if origin in (tuple, list):
-        item, *rest = args
-        n = None if origin is list or rest == [Ellipsis] else 1 + len(rest)
-        if not isinstance(value, list) or n not in (None, len(value)):
-            length = "" if n is None else "%d " % n
-            raise ConfigError(
-                "%s must be a list of %s%s, got %s" % (where, length, item.__name__, _shown(value))
-            )
-        return origin(_typed(v, item, "%s[%d]" % (where, i), readers) for i, v in enumerate(value))
-    # a float field takes ints; only a bool field takes booleans
-    ok = isinstance(value, (int, float) if tp is float else tp)
-    if not ok or isinstance(value, bool) != (tp is bool):
-        raise ConfigError("%s must be %s, got %s" % (where, tp.__name__, _shown(value)))
-    # JSON has no NaN or Infinity, although Python's json module reads both
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError("%s must be a finite number, got %s" % (where, _shown(value)))
-    return value
+    return tuple((f.name, hints[f.name], f.default if f.default_factory is MISSING
+                  else f.default_factory()) for f in fields(cls))
 
 
 def _build(cls, d: Any, context: str, readers: Mapping[Any, Callable]):
-    """``cls(**d)``, each value checked against its field's type (or read by ``readers[type]``)."""
-    if not isinstance(d, dict):
-        raise ConfigError("%s must be a JSON object, got %s" % (context, _shown(d)))
-    schema = _schema(cls)
-    _check_keys(d, schema, context)
-    for name, (_, required) in schema.items():
-        if required and name not in d:
-            raise ConfigError("%s requires %s" % (context, name))
-    kwargs = {k: _typed(v, schema[k][0], "%s %s" % (context, k), readers) for k, v in d.items()}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("bad %s: %s" % (context, exc))
+    """``d`` read as a ``cls``: ``readers[cls](d, context)`` if there is one, else ``cls(**d)``
+    with each value checked against its field's type (or read by ``readers[type]``)."""
+    return _compile(cls, tuple(readers.items()))(d, context, None)
+
+
+@functools.lru_cache(maxsize=None)
+def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
+    """The check of a ``tp`` value, ``check(value, loc, key)``: the value at ``key`` in ``loc``
+    (see ``_where``), never coerced (``Any`` is not checked), or a ``ConfigError`` naming it."""
+    reader = dict(readers).get(tp)
+    if reader is not None:
+        return lambda value, loc, key: reader(value, _where(loc, key))
+    if tp is Any:
+        return lambda value, loc, key: value
+    if is_dataclass(tp):
+        schema = _schema(tp)
+        checks = {name: _compile(field_tp, readers) for name, field_tp, _ in schema}
+        required = frozenset(name for name, _, default in schema if default is MISSING)
+
+        def build(d, loc, key):
+            if not isinstance(d, dict):
+                _fail(loc, key, "a JSON object", d)
+            _check_keys(d, checks.keys(), loc, key)
+            if not d.keys() >= required:
+                missing = next(name for name in checks if name in required and name not in d)
+                raise ConfigError("%s requires %s" % (_where(loc, key), missing))
+            here = (loc, key)
+            kwargs = {k: checks[k](v, here, k) for k, v in d.items()}
+            try:
+                return tp(**kwargs)
+            except ValueError as exc:
+                raise ConfigError("bad %s: %s" % (_where(loc, key), exc))
+
+        return build
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        inner = _compile(args[0], readers)
+        return lambda value, loc, key: None if value is None else inner(value, loc, key)
+    if origin is dict:
+        item = _compile(args[1], readers)
+
+        def check_dict(value, loc, key):
+            if not isinstance(value, dict):
+                _fail(loc, key, "a JSON object", value)
+            here = (loc, key)
+            return {k: item(v, here, k) for k, v in value.items()}
+
+        return check_dict
+    if origin in (tuple, list):
+        item_tp, *rest = args
+        item = _compile(item_tp, readers)
+        n = None if origin is list or rest == [Ellipsis] else 1 + len(rest)
+        expected = "a list of %s%s" % ("" if n is None else "%d " % n, item_tp.__name__)
+
+        def check_list(value, loc, key):
+            if not isinstance(value, list) or n not in (None, len(value)):
+                _fail(loc, key, expected, value)
+            here = (loc, key)
+            items = [item(v, here, i) for i, v in enumerate(value)]
+            return items if origin is list else tuple(items)
+
+        return check_list
+    if issubclass(tp, Enum):  # a member's value gives the member
+        members = {m.value: m for m in tp}
+
+        def check_enum(value, loc, key):
+            try:
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: an unhashable list or object
+                _fail(loc, key, " or ".join(map(repr, members)), value)
+
+        return check_enum
+    # a float field takes ints; only a bool field takes booleans
+    accepted = (int, float) if tp is float else tp
+    exact = None if tp is float else tp  # a JSON value of this type needs no further check
+
+    def check(value, loc, key):
+        if type(value) is exact:
+            return value
+        if not isinstance(value, accepted) or isinstance(value, bool) != (tp is bool):
+            _fail(loc, key, tp.__name__, value)
+        # JSON has no NaN or Infinity, although Python's json module reads both
+        if isinstance(value, float) and not math.isfinite(value):
+            _fail(loc, key, "a finite number", value)
+        return value
+
+    return check

@@ -33,13 +33,14 @@ matrix and bias vector per pair of adjacent layers; ``load`` raises
 ``fit`` holds the pool rules that ``run`` and ``train-disc`` share: both
 pools non-empty, frame ids unique across both pools, every frame tagged with
 its own pool's domain, and one feature-map channel count. Each rule raises
-``ValueError`` naming the offending frames.
+``ValueError`` naming the offending frames. ``fit`` sorts both pools by id
+first, so a checkpoint does not depend on the order of the frame files.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,7 +142,7 @@ class DiscriminatorModel:
                            tuple(encode_array(b, "<f8") for b in self.biases),
                            self.leak, self.rng_seed)
         with open(path, "w") as fh:
-            fh.write(canonical_json(asdict(ckpt)))
+            fh.write(canonical_json(ckpt))
 
     @classmethod
     def load(cls, path):
@@ -372,10 +373,12 @@ def fit(
     cfg: TrainConfig,
     seed: int,
 ) -> Tuple[DiscriminatorModel, List[float]]:
-    """Stage 2: a ``(C,) + hidden_dims + (1,)`` model, seeded, trained on both pools."""
+    """Stage 2: a ``(C,) + hidden_dims + (1,)`` model, seeded, trained on both id-sorted pools."""
     if not source or not target:
         raise ValueError("source and target pools must be non-empty")
-    frames = list(source) + list(target)
+    source = sorted(source, key=lambda f: f.id)
+    target = sorted(target, key=lambda f: f.id)
+    frames = source + target
     repeated = sorted(i for i, n in Counter(f.id for f in frames).items() if n > 1)
     if repeated:
         raise ValueError("frame ids must be unique across both pools; repeated: %r" % repeated[:5])

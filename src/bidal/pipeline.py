@@ -10,8 +10,9 @@ and fine-tuning on the union of both labeled pools. Stage 4 is
 
 The pool rules (both pools non-empty, frame ids unique across both, every
 frame tagged with its own pool's domain) live in ``discriminator.fit``,
-which ``run`` and ``train-disc`` share. ``run_bidomain`` adds one rule of its
-own before stage 1: every source and eval frame carries a label.
+which ``run`` and ``train-disc`` share. Every strategy adds one rule,
+``_check_labels``, before it trains: every source and eval frame carries a
+label.
 
 The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
 re-weights each target frame object once per run. Each round scores the
@@ -36,7 +37,7 @@ dataclasses alone name the report's keys; ``bidal report`` reads it through
 from __future__ import annotations
 
 import functools
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -140,10 +141,7 @@ def run_bidomain(
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
     by_id = {f.id: f for f in source + target}
-    for pool, frames in (("source", source), ("eval", eval_frames)):
-        unlabeled = [f.id for f in frames if f.hidden_label is None]
-        if unlabeled:
-            raise ValueError("%s frames must carry labels; unlabeled: %r" % (pool, unlabeled[:5]))
+    _check_labels(source, eval_frames)
 
     # stage 1: pretrain on the full source pool
     det_state = oracle.pretrain(source)
@@ -189,6 +187,14 @@ def run_bidomain(
         cfg.round_finetune_epochs, report, eval_frames,
     )
     return det_state, report
+
+
+def _check_labels(source: Sequence[FrameRecord], eval_frames: Sequence[FrameRecord]) -> None:
+    """Every source and eval frame carries a label; every strategy checks before it trains."""
+    for pool, frames in (("source", source), ("eval", eval_frames)):
+        unlabeled = [f.id for f in frames if f.hidden_label is None]
+        if unlabeled:
+            raise ValueError("%s frames must carry labels; unlabeled: %r" % (pool, unlabeled[:5]))
 
 
 def run_rounds(
@@ -249,9 +255,7 @@ def run_rounds(
 
 def serialize_report(report: RunReport) -> str:
     """Canonical JSON of ``report`` without the fields still at their defaults (byte-stable)."""
-    unset = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
-             for f in fields(report)}
-    return canonical_json({k: v for k, v in asdict(report).items() if v != unset[k]})
+    return canonical_json(report)
 
 
 def _roi_dim(frames: Sequence[FrameRecord]) -> int:

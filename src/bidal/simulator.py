@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonical_json
 from .discriminator import TrainConfig
-from .pipeline import PipelineConfig, RunReport, run_bidomain, run_rounds
+from .pipeline import PipelineConfig, RunReport, _check_labels, run_bidomain, run_rounds
 from .scoring import entropy_map
 from .target_sampler import cosine, reweight
 
@@ -289,10 +289,15 @@ def _sample_committee(
     seed: int,
 ) -> List[str]:
     """``sample_committee`` with the unlabeled frames' ROI matrix given by ``roi_rows``."""
+    labels = np.asarray(labeled_y, dtype=int)
+    outside = labels[(labels < 0) | (labels >= n_classes)]
+    if outside.size:
+        raise ValueError("committee label %d is not a class index below %d"
+                         % (outside[0], n_classes))
     if budget <= 0:
         return []
     roi_dim = labeled_X.shape[1]
-    Y = np.eye(n_classes)[np.asarray(labeled_y, dtype=int)]
+    Y = np.eye(n_classes)[labels]
     ones = np.ones(labeled_X.shape[0])
     heads = []
     for h in range(COMMITTEE_HEADS):
@@ -341,6 +346,7 @@ def run_strategy(
         return run_bidomain(source, target, oracle, cfg, eval_frames)[1]
     # baselines label the whole source pool and never train a discriminator
     src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
+    _check_labels([f for f, _ in src_labeled], eval_frames)
     pick = _baseline_pick(strategy, src_labeled, seed, n_classes, oracle._roi_rows)
     report = RunReport(seed, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
     run_rounds(

@@ -93,13 +93,14 @@ class TestFrameFiles:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda r: r.pop("shapes"), "line 1: missing key 'shapes'"),
+            (lambda r: r.pop("shapes"), "line 1: frame record requires shapes"),
             (lambda r: r["shapes"].pop("roi_features"),
-             "line 1: missing key 'shapes.roi_features'"),
-            (lambda r: r.update(foo=1), "line 1: unknown key 'foo'"),
-            (lambda r: r["shapes"].update(bar=[1]), "line 1: unknown key 'shapes.bar'"),
+             "line 1: frame record shapes requires roi_features"),
+            (lambda r: r.update(foo=1), "line 1: unknown frame record keys: foo"),
+            (lambda r: r["shapes"].update(bar=[1]),
+             "line 1: unknown frame record shapes keys: bar"),
             (lambda r: r.update(domain="lidar"),
-             'line 1: domain must be "source" or "target", got "lidar"'),
+             "line 1: frame record domain must be 'source' or 'target', got 'lidar'"),
             (lambda r: r.update(feature_map="abc"), "line 1: feature_map is not valid base64 ("),
         ],
         ids=["missing", "missing-shape", "unknown", "unknown-shape", "bad-domain", "bad-base64"],

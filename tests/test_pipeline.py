@@ -21,6 +21,7 @@ from bidal import (
 )
 from bidal.core import _build
 from bidal.pipeline import RunReport, run_rounds
+from bidal.simulator import STRATEGIES, run_strategy
 
 
 def small_world(seed=0, n_target=40):
@@ -139,16 +140,19 @@ class TestRunBidomain:
         with pytest.raises(ValueError, match="source frames must carry labels.*%s" % src[3].id):
             run_bidomain(src, tgt, oracle(), small_pipeline_config(), ev)
 
-    def test_unlabeled_eval_frame_rejected_before_stage_1(self):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unlabeled_eval_frame_rejected_before_stage_1(self, strategy, monkeypatch):
         src, tgt, ev = small_world(seed=10)
         ev[4] = dataclasses.replace(ev[4], hidden_label=None)
 
-        class NoPretrain(ProxyDetector):
-            def pretrain(self, frames):
-                raise AssertionError("pretrained before the eval frames were checked")
+        def pretrain(self, frames):
+            raise AssertionError("pretrained before the eval frames were checked")
 
-        with pytest.raises(ValueError, match="eval frames must carry labels.*%s" % ev[4].id):
-            run_bidomain(src, tgt, NoPretrain(n_classes=3, roi_dim=16), small_pipeline_config(), ev)
+        monkeypatch.setattr(ProxyDetector, "pretrain", pretrain)
+        message = "eval frames must carry labels; unlabeled: [%r]" % ev[4].id
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_strategy(strategy, src, tgt, ev, BudgetSchedule(2, (3, 3), (0, 2)), seed=0,
+                         n_classes=3, roi_dim=16, disc_epochs=20)
 
     def test_picked_label_outside_the_classes_rejected(self):
         src, tgt, ev = small_world(seed=10)

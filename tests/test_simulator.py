@@ -150,6 +150,18 @@ class TestBaselineSamplers:
         assert len(set(a)) == 6
         assert set(a) <= {f.id for f in tgt}
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_committee_rejects_a_label_outside_its_classes(self, label):
+        src, tgt, _ = generate(SyntheticConfig(n_source=8, n_target=4, n_eval=1, seed=3))
+        from bidal import reweight
+
+        X = np.stack([reweight(f, roi_dim=16).vector for f in src])
+        y = np.array([f.hidden_label for f in src])
+        y[5] = label
+        with pytest.raises(ValueError, match="committee label %d is not a class index below 3"
+                                             % label):
+            sample_committee(tgt, X, y, 3, 2, seed=0)
+
 
 @pytest.mark.parametrize("label", [3, 7, -1, None])
 def test_proxy_detector_rejects_a_label_outside_its_classes(label):

@@ -184,8 +184,17 @@ def _cmd_run(args) -> int:
     target = frameio.load_frames(args.target)
     eval_frames = frameio.load_frames(args.eval_frames) if args.eval_frames else []
 
-    labels = {f.hidden_label for f in source if f.hidden_label is not None}
-    n_classes = max(2, len(labels))
+    # one class per index up to the largest label of the three files, so a
+    # class missing from the source pool still leaves every label a class
+    # index; the detector's memory grows with the class count, so a label
+    # must also be below the number of frames
+    frames = source + target + eval_frames
+    top = max((f for f in frames if f.hidden_label is not None),
+              key=lambda f: f.hidden_label, default=None)
+    if top is not None and top.hidden_label >= len(frames):
+        raise ValueError("frame %r has label %d, not below the %d frames of the run's files"
+                         % (top.id, top.hidden_label, len(frames)))
+    n_classes = max(2, 1 + (top.hidden_label if top is not None else 0))
     oracle = ProxyDetector(n_classes=n_classes, roi_dim=_roi_dim(source + target))
     _, report = run_bidomain(source, target, oracle, cfg, eval_frames)
     if report.halted:

@@ -15,6 +15,24 @@ own detector), the committee baseline's pick reads its rows from the run's
 detector through ``_sample_committee``, the sibling that ``sample_committee``
 wraps, and the entropy baseline's pick keeps its frames' entropies for
 ``_sample_entropy``, the sibling that ``sample_entropy`` wraps.
+
+``generate`` draws each frame's values in seeded order and then runs the
+arithmetic on them (means, noise scales, clipping, ROI normalization, float32
+casts) once for a block of up to ``GENERATE_BLOCK`` frames; each frame's
+arrays are views into its block's. The scene center and ROI direction of a
+lam = 1 frame (every target and eval frame) are computed once per cluster.
+The frames keep the bytes of a frame-by-frame loop over the plain numpy calls,
+and ``tests/test_simulator.py`` pins both the frames' bytes and each numpy
+equivalence this relies on: ``rng.choice(K, p=p)`` is
+``_cdf(p).searchsorted(rng.random(), side="right")``; ``rng.uniform(lo, hi)``,
+scalar or array, is ``lo + (hi - lo) * rng.random(...)``, even with the
+scaling run later on a block; one ``rng.normal`` call draws the scene and feature noise that two
+consecutive calls would; ``np.linalg.norm`` of a vector is
+``np.sqrt(v.dot(v))`` and of each row is ``np.sqrt(np.add.reduce(x * x,
+axis=1, keepdims=True))``, the same per row in a stacked block; and
+``np.clip`` of finite values is ``np.minimum(np.maximum(x, lo), hi)``.
+Elementwise ``+``, ``*``, ``/``, ``sqrt`` and casts give each element the same
+bytes in a block as alone, and in place as not.
 """
 
 from __future__ import annotations
@@ -47,10 +65,20 @@ COMMITTEE_EPOCHS = 100
 ROUND_EPOCHS = 25  # fine-tune epochs after each round of every strategy
 PERMUTATION_RESAMPLES = 10000
 STRATEGIES = ("random", "entropy", "committee", "bidomain")  # what ``run_strategy`` runs
+# frames that ``generate`` assembles at once: its float64 scratch stays near
+# 0.6 MB at the default feature dims, whatever the pool size
+GENERATE_BLOCK = 256
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / np.sqrt(v.dot(v))
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(len(p), p=p)`` searches with one ``random()`` draw."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def generate(
@@ -81,68 +109,104 @@ def generate(
         ]
     )
     skew = cfg.cluster_skew ** np.arange(K)
-    target_probs = skew / skew.sum()
+    target_cdf = _cdf(skew / skew.sum())
+    sqrt_d = np.sqrt(d)
 
-    def make_frame(
-        fid: str, domain: Domain, cluster: int, noisy_label: bool, lam: float
-    ) -> FrameRecord:
+    def means(domain: Domain, cluster: int, lam: float) -> Tuple[np.ndarray, np.ndarray]:
         # lam interpolates a frame's position between the source manifold
         # (0) and the target manifold (1); target frames sit at 1, source
         # frames spread over [0, 1] to model intra-domain variation. Scene
         # centers of source frames reach only halfway so the two domains
         # stay separable for the discriminator.
         scene_lam = lam if domain == Domain.TARGET else 0.5 * lam
-        center = scene_lam * target_center
-        scene = center + scene_offsets[cluster] + SCENE_NOISE * rng.normal(size=C)
-        fmap = scene[:, None, None] + FEATURE_NOISE * rng.normal(size=(C, H, W))
-        density = rng.uniform(0.2, 0.8)
-        obj = np.clip(
-            density + 0.1 * rng.normal(size=(Cp, H, W)), 1e-4, 1.0 - 1e-4
-        )
-        k_roi = int(rng.integers(1, 6))
-        mix = (1.0 - lam) * roi_dirs_s[cluster] + lam * roi_dirs_t[cluster]
-        base = _unit(mix)
-        # a minority of frames are hard (blurry / occluded): their ROI
-        # features carry several times the usual noise
-        noise_scale = cfg.roi_noise * (4.0 if rng.random() < 0.10 else 1.0)
-        rois = base[None, :] + (noise_scale / np.sqrt(d)) * rng.normal(
-            size=(k_roi, d)
-        )
-        rois = rois / np.linalg.norm(rois, axis=1, keepdims=True)
-        confs = rng.uniform(0.3, 1.0, size=k_roi)
-        label = cluster
-        if noisy_label and cfg.label_noise > 0 and rng.random() < cfg.label_noise:
-            label = int((cluster + 1 + rng.integers(0, K - 1)) % K) if K > 1 else cluster
-        return FrameRecord(
-            id=fid,
-            domain=domain,
-            feature_map=fmap.astype(np.float32),
-            objectness_map=obj.astype(np.float32),
-            roi_features=rois.astype(np.float32),
-            roi_confidences=confs.astype(np.float32),
-            hidden_label=label,
-        )
+        scene = scene_lam * target_center + scene_offsets[cluster]
+        roi = _unit((1.0 - lam) * roi_dirs_s[cluster] + lam * roi_dirs_t[cluster])
+        return scene, roi
 
-    source = [
-        make_frame(
-            "s%05d" % i,
-            Domain.SOURCE,
-            int(rng.integers(0, K)),
-            True,
-            float(rng.uniform(0.0, 1.0)),
-        )
-        for i in range(cfg.n_source)
-    ]
-    target = [
-        make_frame(
-            "t%05d" % j, Domain.TARGET, int(rng.choice(K, p=target_probs)), True, 1.0
-        )
-        for j in range(cfg.n_target)
-    ]
-    eval_frames = [
-        make_frame("e%05d" % j, Domain.TARGET, j % K, False, 1.0)
-        for j in range(cfg.n_eval)
-    ]
+    # every target and eval frame sits at lam = 1
+    target_means = [means(Domain.TARGET, k, 1.0) for k in range(K)]
+
+    def frames(
+        fid: str, domain: Domain, n: int, noisy_label: bool,
+        pick: Callable[[int], Tuple[int, np.ndarray, np.ndarray]],
+    ) -> List[FrameRecord]:
+        """``n`` frames; ``pick(j)`` gives frame j's (cluster, scene mean, ROI mean).
+
+        Each frame's values are drawn in seeded order, ``pick``'s draws first;
+        the arithmetic on them is elementwise, so it runs once per block of
+        frames with the bytes it has per frame.
+        """
+        out: List[FrameRecord] = []
+        for start in range(0, n, GENERATE_BLOCK):
+            rows = range(start, min(n, start + GENERATE_BLOCK))
+            noise = np.empty((len(rows), C + C * H * W))  # scene noise, then feature noise
+            obj = np.empty((len(rows), Cp, H, W))
+            density = np.empty((len(rows), 1, 1, 1))
+            roi_scale = np.empty(len(rows))
+            scene_means, bases, rois, confs, labels = [], [], [], [], []
+            for r, j in enumerate(rows):
+                cluster, scene_mean, base = pick(j)
+                noise[r] = rng.normal(size=C + C * H * W)
+                density[r] = 0.2 + (0.8 - 0.2) * rng.random()  # = rng.uniform(0.2, 0.8)
+                obj[r] = rng.normal(size=(Cp, H, W))
+                k_roi = int(rng.integers(1, 6))
+                # a minority of frames are hard (blurry / occluded): their ROI
+                # features carry several times the usual noise
+                roi_scale[r] = cfg.roi_noise * (4.0 if rng.random() < 0.10 else 1.0)
+                rois.append(rng.normal(size=(k_roi, d)))
+                confs.append(rng.random(k_roi))
+                label = cluster
+                if noisy_label and cfg.label_noise > 0 and rng.random() < cfg.label_noise:
+                    label = int((cluster + 1 + rng.integers(0, K - 1)) % K) if K > 1 else cluster
+                scene_means.append(scene_mean)
+                bases.append(base)
+                labels.append(label)
+
+            scene = np.stack(scene_means) + SCENE_NOISE * noise[:, :C]
+            fmap = noise[:, C:].reshape(len(rows), C, H, W)
+            fmap *= FEATURE_NOISE
+            fmap += scene[:, :, None, None]
+            obj *= 0.1
+            obj += density
+            np.minimum(np.maximum(obj, 1e-4, out=obj), 1.0 - 1e-4, out=obj)
+            counts = [len(x) for x in rois]
+            owner = np.repeat(np.arange(len(rows)), counts)
+            roi = np.concatenate(rois)
+            roi *= (roi_scale / sqrt_d)[owner, None]
+            roi += np.stack(bases)[owner]
+            roi /= np.sqrt(np.add.reduce(roi * roi, axis=1, keepdims=True))
+
+            fmap, obj, roi = fmap.astype(np.float32), obj.astype(np.float32), roi.astype(np.float32)
+            # = rng.uniform(0.3, 1.0, size=k_roi) per frame
+            conf = (0.3 + (1.0 - 0.3) * np.concatenate(confs)).astype(np.float32)
+            end = 0
+            for r, j in enumerate(rows):
+                begin, end = end, end + counts[r]
+                out.append(FrameRecord(
+                    id=fid % j,
+                    domain=domain,
+                    feature_map=fmap[r],
+                    objectness_map=obj[r],
+                    roi_features=roi[begin:end],
+                    roi_confidences=conf[begin:end],
+                    hidden_label=labels[r],
+                ))
+        return out
+
+    def source_pick(i: int) -> Tuple[int, np.ndarray, np.ndarray]:
+        cluster = int(rng.integers(0, K))
+        lam = rng.random()  # = rng.uniform(0.0, 1.0)
+        return (cluster,) + means(Domain.SOURCE, cluster, lam)
+
+    def target_pick(j: int) -> Tuple[int, np.ndarray, np.ndarray]:
+        cluster = int(target_cdf.searchsorted(rng.random(), side="right"))
+        return (cluster,) + target_means[cluster]
+
+    source = frames("s%05d", Domain.SOURCE, cfg.n_source, True, source_pick)
+    target = frames("t%05d", Domain.TARGET, cfg.n_target, True, target_pick)
+    eval_frames = frames(
+        "e%05d", Domain.TARGET, cfg.n_eval, False, lambda j: (j % K,) + target_means[j % K]
+    )
     return source, target, eval_frames
 
 

@@ -458,7 +458,7 @@ def test_run_rejects_mistagged_frame(workspace, capsys):
 
 @pytest.mark.parametrize("pool, label, message", [
     ("eval", None, "eval frames must carry labels; unlabeled: [%r]"),
-    ("source", 7, "frame %r has label 7, not a class index below the detector's 4 classes"),
+    ("source", 82, "frame %r has label 82, not below the 82 frames of the run's files"),
 ], ids=["unlabeled eval frame", "label outside the classes"])
 def test_run_rejects_unusable_label(workspace, capsys, pool, label, message):
     tmp_path, data = workspace
@@ -476,6 +476,39 @@ def test_run_rejects_unusable_label(workspace, capsys, pool, label, message):
     err = capsys.readouterr().err
     assert message % records[1]["id"] in err and "Traceback" not in err, err
     assert not out.exists() and not (tmp_path / "r.manifest.txt").exists()
+
+
+def _without_label(label):
+    return lambda records: [r for r in records if r["hidden_label"] != label]
+
+
+def _relabel(label, which=slice(1, 2)):
+    def edit(records):
+        for r in records[which]:
+            r["hidden_label"] = label
+        return records
+    return edit
+
+
+@pytest.mark.parametrize("pool, edit", [
+    ("source", _without_label(1)),
+    ("source", _relabel(7)),
+    ("target", _relabel(3, which=slice(None))),
+], ids=["source without class 1", "source label 7", "target labels above the source's"])
+def test_run_sizes_the_detector_by_the_largest_label(workspace, capsys, pool, edit):
+    """`run` sizes the detector as 1 + the largest label in its three files, at least 2."""
+    tmp_path, data = workspace
+    files = {name: data / ("%s.ndjson" % name) for name in ("source", "target", "eval")}
+    records = edit([json.loads(line) for line in files[pool].read_text().splitlines()])
+    files[pool] = tmp_path / "edited.ndjson"
+    files[pool].write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    out = tmp_path / "r.json"
+    rc = main(["run", "--config", str(cfg), "--source", str(files["source"]),
+               "--target", str(files["target"]), "--eval", str(files["eval"]), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["final_metric"] is not None
 
 
 def test_run_rejects_removed_rescore_key(workspace, capsys):

@@ -102,6 +102,144 @@ class TestGenerate:
             SyntheticConfig(domain_shift=-1.0)
 
 
+# sha256 of generate's output over seeds 0-7 per config variant: each frame's
+# id, domain and hidden label, and each array's dtype, shape and bytes.
+# Recorded before generate's per-frame path was rewritten, so that passing
+# proves the rewrite byte-identical.
+GENERATE_VARIANTS = {
+    "default": {},
+    "label-noise": {"label_noise": 0.2},
+    "no-shift": {"domain_shift": 0.0},
+    "wide-shift": {"domain_shift": 5.0},
+    "skew": {"cluster_skew": 0.5},
+    "one-cluster": {"clusters_per_domain": 1, "label_noise": 0.2},
+    "small-dims": {"feature_dims": (3, 2, 5, 1, 4)},
+    "more-clusters-than-dims": {
+        "clusters_per_domain": 6, "feature_dims": (3, 2, 5, 1, 3), "label_noise": 0.3,
+        "roi_noise": 0.3,
+    },
+    "roi-noise": {"roi_noise": 2.0},
+    "pools-over-a-block": {"n_source": 300, "n_target": 520, "n_eval": 260, "label_noise": 0.1},
+}
+GENERATE_GOLDEN = {
+    "default": "d15c286eb3a6b8857dada989fb04378cac56ef495d8d3751d6acf1f67211f24f",
+    "label-noise": "ff4724a3ca7c0b02267b1aac9509da83542bf279602d90e5d414a694e296df75",
+    "more-clusters-than-dims": "2e4ebc3fd5031489ad5b888ec049681c0bde6b26c700360109772a2ac23b6d96",
+    "no-shift": "800f386f9135dfb087ae221697db83dc701c4982cc67310213587d1e64d0d519",
+    "one-cluster": "5e3cc088f114ea45a2f5a51def1e3afd9a125d45ca5d5cff3ae36c64cd27ba6c",
+    "pools-over-a-block": "d668e641ca0172e82e4c5c4bcea966db18dded90b147ee5991b9019fa035f8f4",
+    "roi-noise": "7b6c9cb388f5e173cb8e0b20c6319eacedae9469ba8f83a9456ddd8fe643d7e6",
+    "skew": "d644997259bac48bf5771fde7fc06cf08a8faec8814180aa936ff13737b9ca19",
+    "small-dims": "aa60a3286cea021bb5431c23dd62742612891e2efc5d892bfda2bef879dfb959",
+    "wide-shift": "9a2e94ffb5980d83af94d9a42118af5a7eb62a93d61ae0af1a7e517fbee79ea8",
+}
+
+
+def _generate_digest(overrides) -> str:
+    h = hashlib.sha256()
+    for seed in range(8):
+        cfg = SyntheticConfig(**{"n_source": 20, "n_target": 20, "n_eval": 9, "seed": seed,
+                                 **overrides})
+        for frames in generate(cfg):
+            for f in frames:
+                h.update(repr((f.id, f.domain.value, f.hidden_label)).encode())
+                for arr in (f.feature_map, f.objectness_map, f.roi_features,
+                            f.roi_confidences):
+                    h.update(repr((arr.dtype.str, arr.shape)).encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("variant", sorted(GENERATE_VARIANTS))
+def test_generate_golden(variant):
+    assert _generate_digest(GENERATE_VARIANTS[variant]) == GENERATE_GOLDEN[variant]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_generate_bytes_do_not_depend_on_its_block(monkeypatch, block):
+    monkeypatch.setattr(bidal.simulator, "GENERATE_BLOCK", block)
+    assert _generate_digest(GENERATE_VARIANTS["label-noise"]) == GENERATE_GOLDEN["label-noise"]
+
+
+def _skewed(skew, k):
+    p = skew ** np.arange(k)
+    return p / p.sum()
+
+
+class TestNumpyAssumptionsOfGenerate:
+    """What generate's draws and arithmetic assume of numpy: each form gives the same bytes as
+    the call it stands for, and a draw leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("p", [
+        _skewed(0.6, 3), _skewed(0.5, 5), _skewed(1.0, 4), np.array([1.0]),
+        np.array([0.1, 0.2, 0.7]),
+    ], ids=["skew-0.6", "skew-0.5", "uniform", "one-cluster", "uneven"])
+    def test_choice_with_p_is_a_cdf_search(self, p):
+        cdf = bidal.simulator._cdf(p)
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert int(cdf.searchsorted(b.random(), side="right")) == a.choice(len(p), p=p)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("low, high", [(0.2, 0.8), (0.0, 1.0)])
+    def test_scalar_uniform_is_a_scaled_random(self, low, high):
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                want = a.uniform(low, high)
+                assert repr(low + (high - low) * b.random()) == repr(want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_uniform_array_is_a_scaled_random_array_scaled_later(self):
+        """generate scales a block's ``random(k)`` draws at once, after other draws."""
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want, drawn = [], []
+            for k in (1, 5, 3):
+                want.append(a.uniform(0.3, 1.0, size=k))
+                drawn.append(b.random(k))
+            got = 0.3 + (1.0 - 0.3) * np.concatenate(drawn)
+            assert got.tobytes() == np.concatenate(want).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("head, tail", [(16, (16, 4, 4)), (3, (3, 2, 5))])
+    def test_one_normal_call_draws_two_calls_values(self, head, tail):
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = np.concatenate([a.normal(size=head), a.normal(size=tail).ravel()])
+            got = b.normal(size=head + int(np.prod(tail)))
+            assert got.tobytes() == want.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_norm_forms(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            v = rng.normal(size=int(rng.integers(1, 20)))
+            assert np.sqrt(v.dot(v)).tobytes() == np.linalg.norm(v).tobytes()
+            x = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 20))))
+            rows = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+            assert rows.tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()
+
+    def test_row_norms_of_a_block_are_each_frames_row_norms(self):
+        """generate normalizes a block's stacked ROI rows in one reduction."""
+        rng = np.random.default_rng(0)
+        for d in (1, 3, 4, 16, 17, 64):
+            frames = [rng.normal(size=(int(rng.integers(1, 6)), d)) for _ in range(300)]
+            block = np.concatenate(frames)
+            rows = np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
+            each = np.concatenate([np.linalg.norm(x, axis=1, keepdims=True) for x in frames])
+            assert rows.tobytes() == each.tobytes()
+
+    def test_clip_form(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x = rng.uniform(0.2, 0.8) + 0.4 * rng.normal(size=(2, 4, 4))
+            want = np.clip(x, 1e-4, 1.0 - 1e-4)
+            np.minimum(np.maximum(x, 1e-4, out=x), 1.0 - 1e-4, out=x)
+            assert x.tobytes() == want.tobytes()
+
+
 class TestBaselineSamplers:
     def frames(self, n=20, seed=0):
         cfg = SyntheticConfig(n_source=5, n_target=n, n_eval=3, seed=seed)

@@ -8,22 +8,28 @@ checked against finite differences.
 
 A training step computes only the gradients of the clamped BCE + L2 loss on
 its batch and applies them; the loss itself is computed once per epoch, over
-all vectors, for the history and the non-finite check. During ``train`` every
-weight and bias is a view of one flat parameter vector and ``_grads`` writes
-into views of one flat gradient vector, so a step's update is two numpy calls
-with the same rounding as one ``w -= lr * g`` per array; the returned model
-owns its arrays. ``loss_and_grads`` gives the per-batch loss beside the same
-gradients. ``fit`` computes each pool's scene vectors in one batched pass
+all vectors, for the history and the non-finite check. ``_grads`` is the one
+backprop, behind both ``train`` and ``loss_and_grads``. It works on a
+``_Flat``: a copy of the model whose weights and biases are views of one
+parameter vector, beside a gradient vector laid out alike. The forward pass
+keeps each hidden layer's leaky-ReLU slope (1.0 or leak) for the backward
+pass, the L2 term is one call over every weight, the clamp's mask is built
+only for a batch with a row past the clamp, and an update is two calls with
+the same rounding as ``w -= lr * g`` per array. Each epoch permutes the
+vectors once and steps through slices of that copy, and its loss pass
+reuses arrays the fit allocates once. Every weight, bias and loss keeps the
+bytes of the plain step-by-step loop; the returned model owns its arrays.
+``fit`` computes each pool's scene vectors in one batched pass
 (``scoring.scene_vectors``).
 
 One layer walk, ``_layers``, serves training, ``predict`` and per-row
-scoring; only the shape of the products differs. Scoring is batched:
-``_domainness_values`` scores a whole pool in one pass over its stacked scene
-vectors, and ``forward`` and ``domainness`` are its one-row case. Each row
-goes through one-row layer products, so a frame's score does not depend on
-the pool it is scored with. ``predict``'s plain (n, d) products may round
-some rows differently in the last bit; training and its loss history use
-them.
+scoring; only the shape of the products, and where they are written,
+differs. Scoring is batched: ``_domainness_values`` scores a whole pool in
+one pass over its stacked scene vectors, and ``forward`` and ``domainness``
+are its one-row case. Each row goes through one-row layer products, so a
+frame's score does not depend on the pool it is scored with. ``predict``'s
+plain (n, d) products may round some rows differently in the last bit;
+training and its loss history use them.
 
 A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
 ``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
@@ -133,8 +139,7 @@ class DiscriminatorModel:
         return _layers(self, self._check_input(X))[-1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.logits(X))
-        return np.clip(p, PRED_EPS, 1.0 - PRED_EPS)
+        return _predictions(self, self._check_input(X))
 
     def save(self, path):
         ckpt = _Checkpoint(CHECKPOINT_VERSION, self.layer_dims,
@@ -195,9 +200,23 @@ def _check_counts(layer_dims, weights, biases) -> None:
             )
 
 
-def _leaky_relu(z: np.ndarray, leak: float) -> np.ndarray:
-    """z where z > 0, else leak * z: with 0 < leak < 1 the larger of the two, bit for bit."""
-    return np.maximum(z, leak * z)
+def _leaky_relu(
+    z: np.ndarray,
+    leak: float,
+    slopes: Optional[List[np.ndarray]] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """z where z > 0, else leak * z, bit for bit, as z times its slope (1.0 or leak).
+
+    The product is written to ``out`` when it is given, and the slope is
+    appended to ``slopes`` when it is given, for backprop.
+    """
+    # np.where(z > 0, 1.0, leak): the bool mask cast inside maximum is several
+    # times faster on a whole pool than where's two scalars
+    slope = np.maximum(z > 0, leak, dtype=np.float64)
+    if slopes is not None:
+        slopes.append(slope)
+    return np.multiply(z, slope, out=out)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -206,13 +225,36 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _layers(model: DiscriminatorModel, X: np.ndarray) -> List[np.ndarray]:
-    """``[X, hidden activations..., logits]`` of a batch whose rows lie along the last axis."""
-    out = [X]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        out.append(_leaky_relu(out[-1] @ w + b, model.leak))
-    out.append((out[-1] @ model.weights[-1] + model.biases[-1])[..., 0])
-    return out
+def _layers(
+    model: DiscriminatorModel,
+    X: np.ndarray,
+    slopes: Optional[List[np.ndarray]] = None,
+    out: Optional[Sequence[np.ndarray]] = None,
+) -> List[np.ndarray]:
+    """``[X, hidden activations..., logits]`` of a batch whose rows lie along the last axis.
+
+    Each hidden layer's leaky-ReLU slope is appended to ``slopes`` when it is
+    given. ``out``, one array per layer shaped like that layer's output
+    (the logits with their trailing axis of 1), receives the layers instead
+    of new arrays.
+    """
+    acts = [X]
+    out = out or [None] * len(model.weights)
+    for w, b, buf in zip(model.weights[:-1], model.biases[:-1], out):
+        z = np.matmul(acts[-1], w, out=buf)
+        z += b
+        acts.append(_leaky_relu(z, model.leak, slopes, out=z))
+    z = np.matmul(acts[-1], model.weights[-1], out=out[-1])
+    z += model.biases[-1]
+    acts.append(z[..., 0])
+    return acts
+
+
+def _predictions(
+    model: DiscriminatorModel, X: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
+) -> np.ndarray:
+    """``predict`` of a checked batch: the sigmoid of its logits, clamped away from 0/1."""
+    return np.clip(_sigmoid(_layers(model, X, out=out)[-1]), PRED_EPS, 1.0 - PRED_EPS)
 
 
 def forward(model: DiscriminatorModel, v: np.ndarray) -> float:
@@ -226,8 +268,7 @@ def _forward_rows(model: DiscriminatorModel, X: np.ndarray) -> np.ndarray:
     # The stacked product (n, 1, d) @ (d, h) runs numpy's one-row kernel once
     # per row, so row i rounds exactly as (1, d) @ (d, h) does on its own; a
     # plain (n, d) @ (d, h) product may round some rows differently.
-    z = _layers(model, X[:, None, :])[-1][:, 0]
-    return np.clip(_sigmoid(z), PRED_EPS, 1.0 - PRED_EPS)
+    return _predictions(model, X[:, None, :])[:, 0]
 
 
 def _domainness_values(model: DiscriminatorModel, frames: Sequence[FrameRecord]) -> np.ndarray:
@@ -255,39 +296,36 @@ def bce_loss(preds: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def _grads(
-    model: DiscriminatorModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    l2: float,
-    out: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None,
+    flat: _Flat, X: np.ndarray, y: np.ndarray, l2: float
 ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
-    """Backprop of the clamped BCE + L2 loss on a checked float64 batch.
+    """Backprop of the clamped BCE + L2 loss on a checked float64 batch, into ``flat.grad``.
 
-    Returns the unclamped sigmoid outputs and the weight and bias gradients,
-    written into ``out``'s (weight, bias) arrays when it is given. A training
-    step needs only the gradients, so it calls this directly.
+    Returns the unclamped sigmoid outputs and ``flat``'s weight and bias
+    gradient views. A training step needs only the gradients, so it calls
+    this directly.
     """
-    n = X.shape[0]
-    *activations, z_out = _layers(model, X)
+    model = flat.model
+    grads_w, grads_b = flat.grads
+    slopes: List[np.ndarray] = []
+    *activations, z_out = _layers(model, X, slopes)
     p_raw = _sigmoid(z_out)
 
-    # unclamped rows have p == p_raw; clamped rows get no gradient
-    clamped = (p_raw < PRED_EPS) | (p_raw > 1.0 - PRED_EPS)
-    delta = np.where(clamped, 0.0, p_raw - y)[:, None] / n
+    # unclamped rows have p == p_raw; clamped rows get no gradient, and the
+    # mask is built only when some row is clamped
+    delta = p_raw - y
+    if p_raw.min() < PRED_EPS or p_raw.max() > 1.0 - PRED_EPS:
+        delta[(p_raw < PRED_EPS) | (p_raw > 1.0 - PRED_EPS)] = 0.0
+    delta /= X.shape[0]
 
-    if out is None:
-        out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
-    grads_w, grads_b = out
-    back = delta
+    back = delta[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
         if i < len(model.weights) - 1:
             back = back @ model.weights[i + 1].T
-            # with 0 < leak < 1, leaky_relu(z) > 0 exactly where z > 0
-            back = back * np.where(activations[i + 1] > 0, 1.0, model.leak)
-        # the same rounding as ``activations[i].T @ back + l2 * W``
+            back *= slopes[i]
         np.matmul(activations[i].T, back, out=grads_w[i])
-        grads_w[i] += l2 * model.weights[i]
-        np.sum(back, axis=0, out=grads_b[i])
+        np.add.reduce(back, axis=0, out=grads_b[i])
+    # the same rounding as ``g += l2 * W`` per weight array
+    flat.grad_w += l2 * flat.theta_w
     return p_raw, grads_w, grads_b
 
 
@@ -301,7 +339,7 @@ def loss_and_grads(
     """
     X = model._check_input(X)
     y = np.asarray(y, dtype=np.float64)
-    p_raw, grads_w, grads_b = _grads(model, X, y, l2)
+    p_raw, grads_w, grads_b = _grads(_Flat(model), X, y, l2)
     loss = bce_loss(np.clip(p_raw, PRED_EPS, 1.0 - PRED_EPS), y)
     if l2:
         loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
@@ -318,6 +356,26 @@ def _flat_views(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarr
     return flat, views
 
 
+class _Flat:
+    """A copy of a model whose weights and biases are views of one vector ``theta``,
+    weights first, and a gradient vector ``grad`` laid out alike.
+
+    ``_grads`` overwrites ``grad`` through its views ``grads`` (weight arrays,
+    bias arrays) and adds the L2 term over every weight in one call, so an SGD
+    step is ``_grads`` and two calls over the pair.
+    """
+
+    def __init__(self, model: DiscriminatorModel):
+        layers = len(model.weights)
+        self.model = model.copy()
+        self.theta, params = _flat_views(model.weights + model.biases)
+        self.model.weights, self.model.biases = params[:layers], params[layers:]
+        self.grad, grads = _flat_views(params)  # only the shapes matter: _grads overwrites it
+        self.grads = (grads[:layers], grads[layers:])
+        n_w = sum(w.size for w in model.weights)
+        self.theta_w, self.grad_w = self.theta[:n_w], self.grad[:n_w]
+
+
 def train(
     model: DiscriminatorModel,
     source_vs: Sequence[np.ndarray],
@@ -326,9 +384,9 @@ def train(
 ) -> Tuple[DiscriminatorModel, List[float]]:
     """Seeded mini-batch gradient descent; returns a new model and per-epoch loss.
 
-    Every weight and bias is a view of one parameter vector, and every
-    gradient a view of one gradient vector, so a step's update is two calls.
-    The returned model owns its arrays.
+    Each epoch permutes the vectors once and steps through slices of the
+    permuted copy. A step is ``_grads`` on a ``_Flat`` and two calls over its
+    parameter and gradient vectors. The returned model owns its arrays.
     """
     if len(source_vs) == 0 or len(target_vs) == 0:
         raise ValueError("both domains must contribute at least one vector")
@@ -336,34 +394,31 @@ def train(
     y = np.concatenate(
         [np.zeros(len(source_vs)), np.ones(len(target_vs))]
     )
-    model = model.copy()
     if cfg.epochs == 0:
-        return model, []
+        return model.copy(), []
 
     X = model._check_input(X)
-    layers = len(model.weights)
-    theta, params = _flat_views(model.weights + model.biases)
-    model.weights, model.biases = params[:layers], params[layers:]
-    G, grads = _flat_views(params)  # only the shapes matter: _grads overwrites G
-    out = (grads[:layers], grads[layers:])
+    flat = _Flat(model)
     rng = np.random.default_rng(cfg.seed)
-    n = X.shape[0]
+    n, size = X.shape[0], cfg.batch_size
+    # the loss pass computes every layer of all n rows into the same arrays each epoch
+    loss_out = [np.empty((n, width)) for width in model.layer_dims[1:]]
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _grads(model, X[idx], y[idx], cfg.l2, out=out)
+        X_epoch, y_epoch = X[order], y[order]
+        for start in range(0, n, size):
+            _grads(flat, X_epoch[start : start + size], y_epoch[start : start + size], cfg.l2)
             # the same rounding as ``p -= lr * g`` per array
-            G *= cfg.learning_rate
-            theta -= G
-        epoch_loss = bce_loss(model.predict(X), y)
+            flat.grad *= cfg.learning_rate
+            flat.theta -= flat.grad
+        epoch_loss = bce_loss(_predictions(flat.model, X, loss_out), y)
         if not np.isfinite(epoch_loss):
             raise NumericalError(
                 "non-finite loss after epoch %d (lr=%g)" % (len(history) + 1, cfg.learning_rate)
             )
         history.append(epoch_loss)
-    return model.copy(), history
+    return flat.model.copy(), history
 
 
 def fit(

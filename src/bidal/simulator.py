@@ -48,7 +48,7 @@ from .core import BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonica
 from .discriminator import TrainConfig
 from .pipeline import PipelineConfig, RunReport, _check_labels, run_bidomain, run_rounds
 from .scoring import entropy_map
-from .target_sampler import cosine, reweight
+from .target_sampler import _cosine, reweight
 
 
 CLUSTER_SCENE_SCALE = 1.0
@@ -258,7 +258,7 @@ class ProxyDetector:
         if not labeled or epochs == 0:
             return {"W": W, "b": b}
         X, y, w = self._design(labeled)
-        _descend(X, np.eye(self.n_classes)[y], w, W, b, PROXY_L2, epochs)
+        _descend(X, _one_hot(y, self.n_classes), w, W, b, PROXY_L2, epochs)
         return {"W": W, "b": b}
 
     def logits(self, state, frames: Sequence[FrameRecord]) -> np.ndarray:
@@ -282,6 +282,13 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     return E / E.sum(axis=1, keepdims=True)
+
+
+def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """``np.eye(n_classes)[labels]`` without the n_classes x n_classes identity."""
+    Y = np.zeros((len(labels), n_classes))
+    Y[np.arange(len(labels)), labels] = 1.0
+    return Y
 
 
 def _descend(X, Y, w, W, b, l2, epochs) -> None:
@@ -361,7 +368,7 @@ def _sample_committee(
     if budget <= 0:
         return []
     roi_dim = labeled_X.shape[1]
-    Y = np.eye(n_classes)[labels]
+    Y = _one_hot(labels, n_classes)
     ones = np.ones(labeled_X.shape[0])
     heads = []
     for h in range(COMMITTEE_HEADS):
@@ -449,9 +456,10 @@ def selection_diversity(
     """Mean pairwise cosine distance of the selected re-weighted ROI vectors."""
     if len(selected) < 2:
         return 0.0
-    vecs = _roi_matrix([frames_by_id[i] for i in selected], roi_dim)
+    vecs = list(_roi_matrix([frames_by_id[i] for i in selected], roi_dim))
+    norms = [np.linalg.norm(v) for v in vecs]  # each vector's once, not once per pair
     dists = [
-        1.0 - cosine(vecs[i], vecs[j])
+        1.0 - _cosine(vecs[i], vecs[j], norms[i], norms[j])
         for i in range(len(vecs))
         for j in range(i + 1, len(vecs))
     ]

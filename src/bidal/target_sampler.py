@@ -112,8 +112,11 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    return _cosine(u, v, np.linalg.norm(u), np.linalg.norm(v))
+
+
+def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """``cosine`` of two float64 vectors of one shape whose norms are ``nu`` and ``nv``."""
     if nu < NORM_FLOOR or nv < NORM_FLOOR:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))

@@ -19,7 +19,7 @@ from bidal import (
     loss_and_grads,
     train,
 )
-from bidal.discriminator import (PRED_EPS, _domainness_values, _forward_rows, _grads,
+from bidal.discriminator import (PRED_EPS, _domainness_values, _Flat, _forward_rows, _grads,
                                  _leaky_relu, fit)
 from bidal.scoring import scene_vector
 from bidal.source_sampler import score_source
@@ -217,7 +217,12 @@ class TestGradientStep:
     @pytest.mark.parametrize("leak", [0.01, 0.5, 1.0 - 2.0**-52])
     def test_leaky_relu_bytes_equal_where(self, leak):
         z = np.array([-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e300, np.inf, np.nan])
-        assert _leaky_relu(z, leak).tobytes() == np.where(z > 0, z, leak * z).tobytes()
+        want = np.where(z > 0, z, leak * z).tobytes()
+        assert _leaky_relu(z, leak).tobytes() == want
+        # the slope kept for backprop, and the product written over z
+        slopes = []
+        assert _leaky_relu(z, leak, slopes, out=z) is z and z.tobytes() == want
+        assert slopes[0].tobytes() == np.where(np.frombuffer(want) > 0, 1.0, leak).tobytes()
 
     @pytest.mark.parametrize("dims, l2", [((5, 7, 1), 0.0), ((5, 8, 4, 1), 1e-3)])
     def test_gradients_bytes_equal_oracle(self, dims, l2):
@@ -226,7 +231,7 @@ class TestGradientStep:
         X = rng.normal(scale=2.0, size=(40, dims[0]))
         X[:6] *= 1e4  # drives these rows' sigmoid into the clamp at either end
         y = rng.integers(0, 2, size=40).astype(float)
-        p_raw = _grads(model, X, y, l2)[0]
+        p_raw = _grads(_Flat(model), X, y, l2)[0]
         assert ((p_raw < PRED_EPS) | (p_raw > 1.0 - PRED_EPS)).sum() >= 2
         assert (p_raw < 0.5).any() and (p_raw > 0.5).any()
         # rows whose first pre-activations are exactly zero (zero rows under the
@@ -239,18 +244,93 @@ class TestGradientStep:
         assert (pre == 0).any() and ((pre != 0) & (np.abs(pre) < np.finfo(float).tiny)).any()
         for xs, ys in ((X, y), (edge, rng.integers(0, 2, size=12).astype(float))):
             want_loss, want_w, want_b = plain_loss_and_grads(model, xs, ys, l2)
-            _, gw, gb = _grads(model, xs, ys, l2)
+            _, gw, gb = _grads(_Flat(model), xs, ys, l2)
             loss, lw, lb = loss_and_grads(model, xs, ys, l2=l2)
             assert loss == want_loss
             for got, lg, want in zip(gw + gb, lw + lb, want_w + want_b):
                 assert got.tobytes() == lg.tobytes() == want.tobytes()
             # a training step's preallocated, non-zero gradient arrays are overwritten
-            out = ([np.full_like(w, 7.0) for w in model.weights],
-                   [np.full_like(b, 7.0) for b in model.biases])
-            _, ow, ob = _grads(model, xs, ys, l2, out=out)
+            flat = _Flat(model)
+            flat.grad[:] = 7.0
+            out = flat.grads
+            _, ow, ob = _grads(flat, xs, ys, l2)
             assert ow is out[0] and ob is out[1]
             for got, want in zip(ow + ob, want_w + want_b):
                 assert got.tobytes() == want.tobytes()
+
+
+def oracle_train(model, source, target, cfg):
+    """``train`` step by step: ``plain_loss_and_grads`` on each batch, ``p -= lr * g``
+    per array, and the loss of every vector once per epoch.
+
+    Returns the model, the loss history and how many batch rows had a logit
+    past the prediction clamp when their gradient was taken.
+    """
+    X = np.vstack([source, target])
+    y = np.concatenate([np.zeros(len(source)), np.ones(len(target))])
+    model = model.copy()
+    rng = np.random.default_rng(cfg.seed)
+    history, clamped = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            clamped += int((np.abs(model.logits(X[idx])) > 17.0).sum())
+            _, gw, gb = plain_loss_and_grads(model, X[idx], y[idx], cfg.l2)
+            for p, g in zip(model.weights + model.biases, gw + gb):
+                p -= cfg.learning_rate * g
+        history.append(bce_loss(model.predict(X), y))
+    return model, history, clamped
+
+
+def assert_same_fit(got, want):
+    (model, history), (oracle, oracle_history) = got, want[:2]
+    assert history == oracle_history
+    for a, b in zip(model.weights + model.biases, oracle.weights + oracle.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestTrainingOracle:
+    """``train`` gives the bytes of a plain step-by-step loop."""
+
+    @pytest.mark.parametrize("dims, n_source, n_target, batch_size, l2", [
+        ((5, 8, 4, 1), 23, 18, 8, 1e-3),  # 41 vectors: a last batch of 1
+        ((5, 6, 1), 12, 8, 32, 0.0),  # one batch holds every vector
+        ((5, 7, 3, 1), 30, 30, 32, 1e-4),  # the default batch, a last batch of 28
+    ])
+    def test_bytes_equal_step_by_step_loop(self, dims, n_source, n_target, batch_size, l2):
+        rng = np.random.default_rng(n_source)
+        src, tgt = rng.normal(size=(n_source, 5)), rng.normal(size=(n_target, 5)) + 1.0
+        model = DiscriminatorModel.initialize(dims, seed=3)
+        cfg = TrainConfig(learning_rate=0.05, epochs=4, batch_size=batch_size, l2=l2, seed=6)
+        assert_same_fit(train(model, src, tgt, cfg), oracle_train(model, src, tgt, cfg))
+
+    def test_bytes_equal_with_rows_past_the_clamp(self):
+        rng = np.random.default_rng(12)
+        src, tgt = two_blob_vectors(rng, n=25, gap=1.0)
+        src[:5] *= 400.0  # logits far past the clamp at either end
+        tgt[:3] *= -400.0
+        model = DiscriminatorModel.initialize((5, 8, 4, 1), seed=12)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=7, l2=1e-3, seed=2)
+        want = oracle_train(model, src, tgt, cfg)
+        assert want[2] >= 5
+        assert_same_fit(train(model, src, tgt, cfg), want)
+
+    def test_fits_of_other_shapes_in_between_keep_their_bytes(self):
+        """No array a fit keeps or reuses carries over into the next fit."""
+        rng = np.random.default_rng(13)
+        src, tgt = two_blob_vectors(rng, n=20, gap=1.5)
+        runs = [
+            (DiscriminatorModel.initialize((5, 8, 4, 1), seed=1),
+             TrainConfig(epochs=3, batch_size=6, l2=1e-3, seed=1)),
+            (DiscriminatorModel.initialize((5, 16, 1), seed=2),
+             TrainConfig(epochs=2, batch_size=16, seed=2)),
+        ]
+        want = [oracle_train(model, src, tgt, cfg) for model, cfg in runs]
+        for _ in range(2):
+            for (model, cfg), oracle in zip(runs, want):
+                assert_same_fit(train(model, src, tgt, cfg), oracle)
+
 
 
 # sha256 of fit's weights, biases and loss history for the configuration in

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from bidal import (
     BudgetSchedule,
     DiscriminatorModel,
     Domain,
+    FrameRecord,
     ProxyDetector,
     SyntheticConfig,
     TrainConfig,
@@ -19,6 +21,7 @@ from bidal import (
     frame_entropy,
     generate,
     paired_permutation_pvalue,
+    reweight,
     sample_committee,
     sample_entropy,
     sample_random,
@@ -29,7 +32,8 @@ from bidal import (
 )
 import bidal.simulator
 from bidal.core import _build
-from bidal.simulator import BenchFile, run_strategy
+from bidal.simulator import BenchFile, _one_hot, run_strategy, selection_diversity
+from bidal.target_sampler import cosine
 
 from .reference import ref_binary_entropy, ref_rank_ids
 
@@ -313,6 +317,55 @@ def test_proxy_detector_rejects_a_label_outside_its_classes(label):
     src[5] = dataclasses.replace(src[5], hidden_label=label)
     with pytest.raises(ValueError, match=re.escape(message % (src[5].id, label))):
         det.pretrain(src)
+
+
+
+@pytest.mark.parametrize("labels, n_classes", [
+    ([0, 2, 1, 2, 0], 3), ([4], 5), ([], 3), ([1999, 0, 7, 7], 2000),
+])
+def test_one_hot_bytes_equal_identity_rows(labels, n_classes):
+    labels = np.array(labels, dtype=int)
+    got = _one_hot(labels, n_classes)
+    assert got.shape == (len(labels), n_classes)
+    assert got.tobytes() == np.eye(n_classes)[labels].tobytes()
+
+
+def test_wide_detector_allocates_no_identity_matrix():
+    """A 2000-class finetune on three used labels: np.eye(2000) alone would take 32 MB."""
+    src = generate(SyntheticConfig(n_source=30, n_target=2, n_eval=2, seed=0))[0]
+    det = ProxyDetector(n_classes=2000, roi_dim=16, pretrain_epochs=2)
+    labeled = [(f, [0, 1, 1999][i % 3]) for i, f in enumerate(src)]
+    tracemalloc.start()
+    try:
+        state = det.finetune(det.pretrain(src[:3]), labeled, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state["W"].shape == (16, 2000)
+    assert peak < 4e6
+
+
+def _diversity_frame(fid, vec):
+    return FrameRecord(
+        id=fid, domain=Domain.TARGET, feature_map=np.zeros((2, 2, 2)),
+        objectness_map=np.full((1, 2, 2), 0.5), roi_features=np.array([vec], dtype=np.float64),
+        roi_confidences=np.array([1.0]),
+    )
+
+
+def test_selection_diversity_equals_mean_of_cosine_distances():
+    """Near-zero vectors (under the norm floor) and exact duplicates included."""
+    rng = np.random.default_rng(8)
+    vecs = list(rng.normal(size=(30, 6)) * rng.uniform(0.01, 100.0, size=(30, 1)))
+    vecs += [vecs[3], vecs[3], vecs[17], np.full(6, 1e-14), np.zeros(6), np.full(6, 2e-12)]
+    frames = {"f%02d" % i: _diversity_frame("f%02d" % i, v) for i, v in enumerate(vecs)}
+    ids = sorted(frames)
+    rows = [reweight(frames[i], roi_dim=6).vector for i in ids]
+    assert sum(np.linalg.norm(r) < 1e-12 for r in rows) == 2
+    want = float(np.mean([1.0 - cosine(rows[i], rows[j])
+                          for i in range(len(rows)) for j in range(i + 1, len(rows))]))
+    assert selection_diversity(frames, ids, 6) == want
+    assert selection_diversity(frames, ids[:1], 6) == 0.0
 
 
 class TestNoLabelLeakage:

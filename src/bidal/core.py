@@ -91,6 +91,15 @@ def validate_frame(frame: FrameRecord) -> list:
     return errors
 
 
+def _check_finite(rows: np.ndarray, id_of: Callable[[int], str], what: str) -> None:
+    """Raise ``ValueError`` naming ``id_of(i)`` for the first row i of ``rows`` that
+    holds a NaN or an infinity; a pool's scores and banks rest on finite rows."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        first = int(np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0])
+        raise ValueError("frame %s has a non-finite %s" % (id_of(first), what))
+
+
 def _int_tuple(values: Sequence[Any], what: str) -> Tuple[int, ...]:
     """``values`` as a tuple of ints; Python and numpy integers only, never bools."""
     for v in values:

@@ -29,7 +29,9 @@ one pass over its stacked scene vectors, and ``forward`` and ``domainness``
 are its one-row case. Each row goes through one-row layer products, so a
 frame's score does not depend on the pool it is scored with. ``predict``'s
 plain (n, d) products may round some rows differently in the last bit;
-training and its loss history use them.
+training and its loss history use them. Before scoring, the stacked vectors
+are checked once for width and once for finiteness; either check raises
+``ValueError`` naming the first frame it rejects, so no NaN gets a score.
 
 A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
 ``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
@@ -38,7 +40,8 @@ matrix and bias vector per pair of adjacent layers; ``load`` raises
 
 ``fit`` holds the pool rules that ``run`` and ``train-disc`` share: both
 pools non-empty, frame ids unique across both pools, every frame tagged with
-its own pool's domain, and one feature-map channel count. Each rule raises
+its own pool's domain, one feature-map channel count, and finite scene
+vectors, checked once per pool before training. Each rule raises
 ``ValueError`` naming the offending frames. ``fit`` sorts both pools by id
 first, so a checkpoint does not depend on the order of the frame files.
 """
@@ -51,8 +54,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Domain, FrameRecord, Score, _build, canonical_json, decode_array,
-                   encode_array, read_json)
+from .core import (Domain, FrameRecord, Score, _build, _check_finite, canonical_json,
+                   decode_array, encode_array, read_json)
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
@@ -275,15 +278,24 @@ def _domainness_values(model: DiscriminatorModel, frames: Sequence[FrameRecord])
     """``domainness(model, f).value`` of every frame, in order, from one batched pass."""
     d = model.layer_dims[0]
     vectors = [scene_vector(f) for f in frames]
-    # one check for the pool, naming the first vector ``forward`` would reject
-    _check_width(model, next((v.shape for v in vectors if v.shape != (d,)), (d,)))
-    return _forward_rows(model, np.array(vectors).reshape(len(vectors), d))
+    # one check for the pool, naming the first frame whose vector ``forward`` would reject
+    bad = next((i for i, v in enumerate(vectors) if v.shape != (d,)), None)
+    if bad is not None:
+        _check_width(model, vectors[bad].shape, frames[bad].id)
+    X = np.array(vectors).reshape(len(vectors), d)
+    _check_finite(X, lambda i: frames[i].id, "scene vector")
+    return _forward_rows(model, X)
 
 
-def _check_width(model: DiscriminatorModel, shape: Tuple[int, ...]) -> None:
+def _check_width(
+    model: DiscriminatorModel, shape: Tuple[int, ...], frame_id: Optional[str] = None
+) -> None:
     """A scene vector's shape must be (d,), d the model's input width."""
     if shape != (model.layer_dims[0],):
-        raise ValueError("input shape %s != expected (%d,)" % (shape, model.layer_dims[0]))
+        raise ValueError(
+            "input shape %s != expected (%d,)%s"
+            % (shape, model.layer_dims[0], "" if frame_id is None else " in frame %s" % frame_id)
+        )
 
 
 def bce_loss(preds: Sequence[float], labels: Sequence[int]) -> float:
@@ -448,8 +460,10 @@ def fit(
                 "frame %s feature_map has %d channels, expected %d"
                 % (f.id, np.shape(f.feature_map)[0], channels)
             )
-    src_vecs = scene_vectors(source)
-    tgt_vecs = scene_vectors(target)
+    src_vecs = np.array(scene_vectors(source))
+    tgt_vecs = np.array(scene_vectors(target))
+    _check_finite(src_vecs, lambda i: source[i].id, "scene vector")
+    _check_finite(tgt_vecs, lambda i: target[i].id, "scene vector")
     dims = (len(src_vecs[0]),) + tuple(hidden_dims) + (1,)
     return train(DiscriminatorModel.initialize(dims, seed=seed), src_vecs, tgt_vecs, cfg)
 

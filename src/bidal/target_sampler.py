@@ -29,7 +29,9 @@ matrix, the stream's blocks and single rows all go through ``cosine_rows``.
 Similarities follow ``cosine``'s norm floor, but are elementwise products
 summed per row rather than BLAS products, so identical prototypes score the
 same wherever they sit, a frame scores the same in any block, and exact ties
-break as they always have.
+break as they always have. The stream's vectors are stacked and checked for
+finiteness once; a NaN would otherwise win every ``argmax`` and lose every
+merge comparison, so ``build_banks`` raises ``ValueError`` naming its frame.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import Domain, FrameRecord
+from .core import Domain, FrameRecord, _check_finite
 from .discriminator import DiscriminatorModel, _domainness_values
 
 NORM_FLOOR = 1e-12
@@ -211,8 +213,8 @@ class _Prototypes:
 
 
 def _stacked(rois: Sequence[ReweightedROI]) -> np.ndarray:
-    """The stream's vectors as the rows of one (n, d) matrix; the first bad
-    vector in stream order raises."""
+    """The stream's vectors as the rows of one (n, d) finite matrix; the first
+    bad vector in stream order raises."""
     vecs = [np.asarray(roi.vector, dtype=np.float64) for roi in rois]
     if not vecs:
         return np.empty((0, 0))
@@ -220,7 +222,9 @@ def _stacked(rois: Sequence[ReweightedROI]) -> np.ndarray:
         raise ValueError("ROI vectors must be one-dimensional")
     if any(vec.shape != vecs[0].shape for vec in vecs):
         raise ValueError("dimension mismatch")
-    return np.array(vecs)
+    stacked = np.array(vecs)
+    _check_finite(stacked, lambda i: rois[i].frame_id, "ROI vector")
+    return stacked
 
 
 def build_banks(

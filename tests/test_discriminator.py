@@ -559,3 +559,58 @@ class TestBatchedScorer:
         assert score_source([], model) == []
         assert sample_round([], model, 3) == []
 
+
+    def test_width_error_names_the_first_rejected_frame(self):
+        _, target, model = self.pool()
+        frames = list(target)
+        for k in (5, 9):
+            frames[k] = dataclasses.replace(frames[k], feature_map=frames[k].feature_map[:5])
+        message = "input shape (5,) != expected (16,) in frame %s" % frames[5].id
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _domainness_values(model, frames)
+
+
+def spoiled(frame, field, index, value=np.nan):
+    """``frame`` with one value of one of its arrays replaced, the original untouched."""
+    arr = np.array(getattr(frame, field))
+    arr[index] = value
+    return dataclasses.replace(frame, **{field: arr})
+
+
+class TestNonFinitePools:
+    """No NaN or infinity reaches scoring: each stacked pool is checked once, and the
+    first offending frame in pool order is named."""
+
+    @staticmethod
+    def pools():
+        source, target, _ = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=10, seed=0))
+        model, _ = fit(source, target, (8, 4), TrainConfig(epochs=5, seed=0), seed=0)
+        return source, target, model
+
+    def test_roi_feature_in_sample_round(self):
+        _, target, model = self.pools()
+        target[0] = spoiled(target[0], "roi_features", (0, 0))
+        with pytest.raises(ValueError, match="frame t00000 has a non-finite ROI vector"):
+            sample_round(target, model, 5, roi_dim=16)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_feature_map_in_sample_round(self, value):
+        _, target, model = self.pools()
+        for k in (3, 7):
+            target[k] = spoiled(target[k], "feature_map", (0, 1, 1), value)
+        with pytest.raises(ValueError, match="frame t00003 has a non-finite scene vector"):
+            sample_round(target, model, 5, roi_dim=16)
+
+    def test_objectness_in_score_source(self):
+        source, _, model = self.pools()
+        source[4] = spoiled(source[4], "objectness_map", (1, 0, 2))
+        with pytest.raises(ValueError, match="frame %s has a non-finite scene vector" % source[4].id):
+            score_source(source, model)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_fit_names_the_frame_before_training(self, side):
+        source, target, _ = self.pools()
+        pool = source if side == "source" else target
+        pool[6] = spoiled(pool[6], "feature_map", (2, 0, 0))
+        with pytest.raises(ValueError, match="frame %s has a non-finite scene vector" % pool[6].id):
+            fit(source, target, (8, 4), TrainConfig(epochs=5, seed=0), seed=0)

@@ -382,6 +382,13 @@ class TestContracts:
             )
             assert got == want
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_build_banks_names_the_first_non_finite_vector(self, value):
+        vecs = np.random.default_rng(9).normal(size=(8, 3))
+        vecs[5, 1] = vecs[6, 0] = value
+        with pytest.raises(ValueError, match="frame f0005 has a non-finite ROI vector"):
+            build_banks(rois_from(vecs), 3)
+
     def test_select_targets_missing_score(self):
         banks = build_banks(rois_from([(1.0, 0.0)]), 1)
         with pytest.raises(KeyError):

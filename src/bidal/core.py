@@ -13,7 +13,9 @@ Configs, checkpoints, run reports, bench summaries and frame records are read
 by one schema walk, ``_build``: each value of a JSON object is checked against
 its dataclass field's declared type, with no coercion and no non-finite
 number, and a fault raises ``ConfigError`` naming the value's path. Each
-type's walk is compiled once, into a check closure (``_compile``).
+type's walk is compiled once, into a check closure (``_compile``). A Python
+caller's ``SyntheticConfig`` and ``TrainConfig`` reject a NaN or infinite
+float field in the walk's words (``_require_finite``).
 """
 
 from __future__ import annotations
@@ -153,6 +155,15 @@ class BudgetSchedule:
         return BudgetSchedule(rounds, per_round, tuple(trigger_epochs))
 
 
+def _require_finite(cfg: Any, *names: str) -> None:
+    """Raise ``ValueError`` for the first float field of ``cfg`` in ``names`` that is NaN
+    or infinite, in the words of the file walk."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ValueError("%s must be a finite number, got %s" % (name, _shown(value)))
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     n_source: int = 400
@@ -167,6 +178,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, "domain_shift", "roi_noise")
         if min(self.n_source, self.n_target, self.n_eval) < 1:
             raise ValueError("dataset sizes must be positive")
         if self.clusters_per_domain < 1:

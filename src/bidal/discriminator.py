@@ -54,8 +54,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Domain, FrameRecord, Score, _build, _check_finite, canonical_json,
-                   decode_array, encode_array, read_json)
+from .core import (Domain, FrameRecord, Score, _build, _check_finite, _require_finite,
+                   canonical_json, decode_array, encode_array, read_json)
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
@@ -76,6 +76,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, "learning_rate", "l2")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:

@@ -9,12 +9,21 @@ at desk scale.
 One softmax trainer, ``_descend``, fits the proxy detector and each committee
 head; a head weights every row 1 and has no L2 penalty.
 
+``_descend`` turns each epoch's logits into the weighted softmax error in
+place, with the bytes of the plain expressions: its row max, ``np.maximum.reduce``
+over a transposed copy, has the value of ``Z.max(axis=1)`` (max is exact, and
+``exp`` erases the sign of a zero max). ``tests/test_simulator.py`` checks both.
+
 Per-frame work that cannot change within a run is done once per run: each
-``ProxyDetector`` keeps its frames' re-weighted ROI rows (every run builds its
-own detector), the committee baseline's pick reads its rows from the run's
-detector through ``_sample_committee``, the sibling that ``sample_committee``
-wraps, and the entropy baseline's pick keeps its frames' entropies for
-``_sample_entropy``, the sibling that ``sample_entropy`` wraps.
+``ProxyDetector`` keeps its frames' re-weighted ROI rows, the committee
+baseline's pick reads its rows from the run's detector through
+``_sample_committee``, the sibling that ``sample_committee`` wraps, and the
+entropy baseline's pick keeps its frames' entropies for ``_sample_entropy``,
+the sibling that ``sample_entropy`` wraps. A detector also pretrains each
+frame sequence once. ``benchmark`` builds one detector per seed and hands it
+to each of that seed's runs, so a seed's runs pretrain once and re-weight
+each frame once between them; ``run_strategy`` called without one builds its
+own.
 
 ``generate`` draws each frame's values in seeded order and then runs the
 arithmetic on them (means, noise scales, clipping, ROI normalization, float32
@@ -40,7 +49,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,6 +229,8 @@ class ProxyDetector:
         # each frame object's re-weighted ROI vector, computed once per detector
         roi_dim = self.roi_dim
         self._row = functools.cache(lambda f: reweight(f, roi_dim=roi_dim).vector)
+        # each pretrained frame sequence's state, keyed on its frame objects in order
+        self._pretrained: Dict[Tuple[FrameRecord, ...], Dict[str, np.ndarray]] = {}
 
     def _roi_rows(self, frames: Sequence[FrameRecord]) -> np.ndarray:
         """``_roi_matrix(frames, self.roi_dim)``, each frame's row computed once."""
@@ -245,12 +256,21 @@ class ProxyDetector:
         return X, y, w / w.mean()
 
     def pretrain(self, frames: Sequence[FrameRecord]):
-        state = {
-            "W": np.zeros((self.roi_dim, self.n_classes)),
-            "b": np.zeros(self.n_classes),
-        }
-        labeled = [(f, f.hidden_label) for f in frames]
-        return self.finetune(state, labeled, self.pretrain_epochs)
+        """Fit zero weights to ``frames``' own labels; each frame sequence is fitted once.
+
+        Frames compare by identity, so another order or a ``replace``d frame
+        is another sequence. Each call returns its own copy of the state, and
+        a fit that raises is not kept.
+        """
+        key = tuple(frames)
+        if key not in self._pretrained:
+            state = {
+                "W": np.zeros((self.roi_dim, self.n_classes)),
+                "b": np.zeros(self.n_classes),
+            }
+            labeled = [(f, f.hidden_label) for f in key]
+            self._pretrained[key] = self.finetune(state, labeled, self.pretrain_epochs)
+        return {name: a.copy() for name, a in self._pretrained[key].items()}
 
     def finetune(self, state, labeled, epochs: int):
         W = state["W"].copy()
@@ -278,12 +298,6 @@ def _roi_matrix(frames: Sequence[FrameRecord], roi_dim: int) -> np.ndarray:
     return np.stack([reweight(f, roi_dim=roi_dim).vector for f in frames])
 
 
-def _softmax(Z: np.ndarray) -> np.ndarray:
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
-
-
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """``np.eye(n_classes)[labels]`` without the n_classes x n_classes identity."""
     Y = np.zeros((len(labels), n_classes))
@@ -292,12 +306,29 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _descend(X, Y, w, W, b, l2, epochs) -> None:
-    """Full-batch descent on row-weighted, L2-penalized softmax cross-entropy, in place."""
+    """Full-batch descent on row-weighted, L2-penalized softmax cross-entropy, in place.
+
+    Each epoch's bytes are those of ``err = w[:, None] * (softmax(X @ W + b) - Y) / n``,
+    ``W -= SOFTMAX_LR * (X.T @ err + l2 * W)`` and ``b -= SOFTMAX_LR * err.sum(axis=0)``.
+    """
     n = X.shape[0]
+    w = w[:, None]
     for _ in range(epochs):
-        err = w[:, None] * (_softmax(X @ W + b) - Y) / n
-        W -= SOFTMAX_LR * (X.T @ err + l2 * W)
-        b -= SOFTMAX_LR * err.sum(axis=0)
+        err = X @ W
+        err += b
+        err -= np.maximum.reduce(err.T.copy(), axis=0)[:, None]
+        np.exp(err, out=err)
+        err /= np.add.reduce(err, axis=1, keepdims=True)
+        err -= Y
+        err *= w
+        err /= n
+        dW = X.T @ err
+        dW += l2 * W
+        dW *= SOFTMAX_LR
+        W -= dW
+        db = err.sum(axis=0)
+        db *= SOFTMAX_LR
+        b -= db
 
 
 def sample_random(
@@ -404,9 +435,19 @@ def run_strategy(
     n_classes: int,
     roi_dim: int,
     disc_epochs: int = 150,
+    oracle: Optional[ProxyDetector] = None,
 ) -> RunReport:
-    """One full pipeline run for one strategy; returns its report."""
-    oracle = ProxyDetector(n_classes=n_classes, roi_dim=roi_dim)
+    """One full pipeline run for one strategy; returns its report.
+
+    ``oracle`` is the run's detector, built with ``n_classes`` and ``roi_dim``;
+    runs on the same frames can share one, which pretrains them once. None
+    builds a fresh one.
+    """
+    if oracle is None:
+        oracle = ProxyDetector(n_classes=n_classes, roi_dim=roi_dim)
+    elif (oracle.n_classes, oracle.roi_dim) != (n_classes, roi_dim):
+        raise ValueError("the detector has %d classes and ROI dim %d; the run asks for %d and %d"
+                         % (oracle.n_classes, oracle.roi_dim, n_classes, roi_dim))
     if strategy == "bidomain":
         cfg = PipelineConfig(
             schedule=schedule,
@@ -558,6 +599,8 @@ def benchmark(
         data_cfg = replace(cfg, seed=cfg.seed + int(seed))
         source, target, eval_frames = generate(data_cfg)
         by_id = {f.id: f for f in target}
+        # one detector per seed: its runs share the pretrain and the ROI rows
+        oracle = ProxyDetector(n_classes=cfg.clusters_per_domain, roi_dim=roi_dim)
         for frac in budget_fracs:
             budget = max(1, round(frac * cfg.n_target))
             schedule = default_schedule(budget, frac)
@@ -565,6 +608,7 @@ def benchmark(
                 report = run_strategy(
                     strategy, source, target, eval_frames, schedule, seed=int(seed),
                     n_classes=cfg.clusters_per_domain, roi_dim=roi_dim, disc_epochs=disc_epochs,
+                    oracle=oracle,
                 )
                 rows.append(asdict(BenchRow(
                     strategy, int(seed), budget, report.final_metric,

@@ -614,3 +614,11 @@ class TestNonFinitePools:
         pool[6] = spoiled(pool[6], "feature_map", (2, 0, 0))
         with pytest.raises(ValueError, match="frame %s has a non-finite scene vector" % pool[6].id):
             fit(source, target, (8, 4), TrainConfig(epochs=5, seed=0), seed=0)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "l2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_a_non_finite_float(field, value):
+    message = "%s must be a finite number, got %r" % (field, value)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        TrainConfig(**{field: value})

@@ -32,7 +32,8 @@ from bidal import (
 )
 import bidal.simulator
 from bidal.core import _build
-from bidal.simulator import BenchFile, _one_hot, run_strategy, selection_diversity
+from bidal.simulator import (STRATEGIES, BenchFile, BenchmarkReport, BenchRow, _descend,
+                             _one_hot, _summarize, run_strategy, selection_diversity)
 from bidal.target_sampler import cosine
 
 from .reference import ref_binary_entropy, ref_rank_ids
@@ -104,6 +105,13 @@ class TestGenerate:
             SyntheticConfig(cluster_skew=0.0)
         with pytest.raises(ValueError):
             SyntheticConfig(domain_shift=-1.0)
+
+    @pytest.mark.parametrize("field", ["domain_shift", "roi_noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_config_rejects_a_non_finite_float(self, field, value):
+        message = "%s must be a finite number, got %r" % (field, value)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            SyntheticConfig(**{field: value})
 
 
 # sha256 of generate's output over seeds 0-7 per config variant: each frame's
@@ -345,6 +353,85 @@ def test_wide_detector_allocates_no_identity_matrix():
     assert peak < 4e6
 
 
+def _plain_softmax(Z):
+    Z = Z - Z.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    return E / E.sum(axis=1, keepdims=True)
+
+
+def _plain_descend(X, Y, w, W, b, l2, epochs):
+    """``_descend`` as the plain expressions, each allocating its result."""
+    n = X.shape[0]
+    for _ in range(epochs):
+        err = w[:, None] * (_plain_softmax(X @ W + b) - Y) / n
+        W -= bidal.simulator.SOFTMAX_LR * (X.T @ err + l2 * W)
+        b -= bidal.simulator.SOFTMAX_LR * err.sum(axis=0)
+
+
+def _descend_inputs(K, n, seed, d=16):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    Y = _one_hot(rng.integers(0, K, size=n), K)
+    w = rng.uniform(0.2, 3.0, size=n)
+    W = 0.1 * rng.normal(size=(d, K))
+    return X, Y, w / w.mean(), W, 0.1 * rng.normal(size=K)
+
+
+def _descend_both(X, Y, w, W, b, l2, epochs):
+    """(plain, in place): each run's final W and b as bytes."""
+    out = []
+    for run in (_plain_descend, _descend):
+        W_run, b_run = W.copy(), b.copy()
+        run(X, Y, w, W_run, b_run, l2, epochs)
+        out.append((W_run.tobytes(), b_run.tobytes()))
+    return out
+
+
+class TestDescend:
+    """``_descend`` works in place and keeps the bytes of the plain expressions."""
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [1, 31, 150, 600])
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 10, 40])
+    def test_bytes_equal_the_plain_expressions(self, K, n, l2):
+        plain, in_place = _descend_both(*_descend_inputs(K, n, seed=K * 1000 + n), l2, 6)
+        assert in_place == plain
+
+    def test_tied_and_zero_logits(self):
+        """Rows whose logits tie, and rows whose max logit is a zero of either sign.
+
+        The tiny rows' products underflow to zeros, negative ones for rows 8-11
+        under a fused multiply-add gemm kernel; with ``b``'s signed zeros the top
+        two logits of such a row are zeros of one sign or of both.
+        """
+        X, Y, w, W, _ = _descend_inputs(3, 40, seed=2)
+        X[:8] = 0.0  # logits = b: a tie of the two top classes
+        X[8:12] = 1e-200
+        X[12:16] = -1e-200
+        W[:, :2] = -1e-200
+        X[16:20] = X[20:24]  # duplicate rows
+        for b in ([-0.0, -0.0, -2.0], [-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [0.5, 0.5, 0.5]):
+            b = np.array(b)
+            logits = X @ W + b
+            assert (logits[:16].max(axis=1) == b.max()).all()
+            plain, in_place = _descend_both(X, Y, w, W, b, 1e-3, 4)
+            assert in_place == plain
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 10, 40])
+    def test_max_of_a_transposed_copy_is_the_row_max(self, K):
+        Z = np.random.default_rng(K).normal(size=(97, K))
+        Z[:10] = 0.25  # ties
+        Z[10:20, :] = -0.0
+        Z[20:30, 0] = 0.0
+        rows = np.maximum.reduce(Z.T.copy(), axis=0)
+        assert np.array_equal(rows, Z.max(axis=1))
+        assert rows[30:].tobytes() == Z[30:].max(axis=1).tobytes()
+
+    def test_exp_erases_the_sign_of_a_zero_shift(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, -3.5, -745.2, -750.0, 2.0, -np.inf])
+        assert np.exp(x - 0.0).tobytes() == np.exp(x - (-0.0)).tobytes()
+
+
 def _diversity_frame(fid, vec):
     return FrameRecord(
         id=fid, domain=Domain.TARGET, feature_map=np.zeros((2, 2, 2)),
@@ -555,3 +642,90 @@ def test_per_frame_work_done_once_per_run(monkeypatch, strategy, counted):
     run_strategy(strategy, src, tgt, ev, schedule, seed=4, n_classes=3, roi_dim=16)
     assert calls and max(calls.values()) == 1
     assert strategy != "entropy" or set(calls) == {f.id for f in tgt}
+
+
+def _pretrain_fits(monkeypatch):
+    """A list that gets one entry per pretrain fit (a finetune of pretrain's epoch count)."""
+    fits = []
+    real = ProxyDetector.finetune
+
+    def counting(self, state, labeled, epochs):
+        if epochs == self.pretrain_epochs:
+            fits.append([f.id for f, _ in labeled])
+        return real(self, state, labeled, epochs)
+
+    monkeypatch.setattr(ProxyDetector, "finetune", counting)
+    return fits
+
+
+def test_benchmark_bytes_equal_a_fresh_detector_per_run(monkeypatch):
+    """A seed's runs share one detector, with the bytes of one detector per run."""
+    cfg = SyntheticConfig(n_source=40, n_target=60, n_eval=20, seed=5)
+    seeds, fracs = (0, 1), (0.02, 0.05)
+    rows = []
+    for seed in seeds:
+        src, tgt, ev = generate(dataclasses.replace(cfg, seed=cfg.seed + seed))
+        for frac in fracs:
+            budget = max(1, round(frac * cfg.n_target))
+            for strategy in STRATEGIES:
+                report = run_strategy(strategy, src, tgt, ev, default_schedule(budget, frac),
+                                      seed=seed, n_classes=3, roi_dim=16, disc_epochs=10)
+                rows.append(dataclasses.asdict(BenchRow(
+                    strategy, seed, budget, report.final_metric,
+                    selection_diversity({f.id: f for f in tgt}, report.labeled_target, 16),
+                )))
+    expected = BenchmarkReport(rows, _summarize(rows, STRATEGIES, seeds)).to_json()
+    fits = _pretrain_fits(monkeypatch)
+    got = benchmark(cfg, strategies=STRATEGIES, seeds=seeds, budget_fracs=fracs, disc_epochs=10)
+    assert got.to_json() == expected
+    assert len(fits) == len(seeds)  # one pretrain per seed, not one per run
+
+
+class TestPretrainMemo:
+    def world(self):
+        return generate(SyntheticConfig(n_source=30, n_target=2, n_eval=2, seed=7))[0]
+
+    def test_a_second_pretrain_returns_equal_bytes_in_new_arrays(self, monkeypatch):
+        src = self.world()
+        det = ProxyDetector(n_classes=3, roi_dim=16, pretrain_epochs=20)
+        fits = _pretrain_fits(monkeypatch)
+        first = det.pretrain(src)
+        kept = {name: a.tobytes() for name, a in first.items()}
+        first["W"][:] = 7.0
+        first["b"] += 1.0
+        second = det.pretrain(list(src))  # another list of the same frames
+        assert len(fits) == 1
+        assert {name: a.tobytes() for name, a in second.items()} == kept
+        assert all(second[name] is not first[name] for name in second)
+        fresh = ProxyDetector(n_classes=3, roi_dim=16, pretrain_epochs=20).pretrain(src)
+        assert {name: a.tobytes() for name, a in fresh.items()} == kept
+
+    def test_another_order_or_frame_is_another_fit(self, monkeypatch):
+        src = self.world()
+        det = ProxyDetector(n_classes=3, roi_dim=16, pretrain_epochs=20)
+        det.pretrain(src)
+        fits = _pretrain_fits(monkeypatch)
+        for frames in (src[::-1], src[:-1] + [dataclasses.replace(src[-1])]):
+            got = det.pretrain(frames)
+            fresh = ProxyDetector(n_classes=3, roi_dim=16, pretrain_epochs=20).pretrain(frames)
+            assert {k: a.tobytes() for k, a in got.items()} == {
+                k: a.tobytes() for k, a in fresh.items()}
+        assert len(fits) == 4
+
+    def test_a_bad_label_raises_on_every_call(self):
+        src = self.world()
+        src[4] = dataclasses.replace(src[4], hidden_label=5)
+        det = ProxyDetector(n_classes=3, roi_dim=16, pretrain_epochs=20)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="frame %r has label 5" % src[4].id):
+                det.pretrain(src)
+        assert det.pretrain(src[:4])["W"].shape == (16, 3)
+
+
+def test_run_strategy_rejects_a_detector_of_other_sizes():
+    src, tgt, ev = generate(SyntheticConfig(n_source=10, n_target=10, n_eval=3, seed=0))
+    det = ProxyDetector(n_classes=4, roi_dim=16)
+    message = "the detector has 4 classes and ROI dim 16; the run asks for 3 and 16"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_strategy("random", src, tgt, ev, BudgetSchedule(1, (2,), (0,)), seed=0,
+                     n_classes=3, roi_dim=16, oracle=det)

@@ -12,7 +12,6 @@ from .discriminator import (
     DiscriminatorModel,
     NumericalError,
     TrainConfig,
-    bce_loss,
     domainness,
     forward,
     loss_and_grads,
@@ -34,18 +33,7 @@ from .pipeline import (
     serialize_report,
 )
 from .scoring import enhance, entropy_map, pool, scene_vector
-from .simulator import (
-    ProxyDetector,
-    benchmark,
-    default_schedule,
-    frame_entropy,
-    generate,
-    paired_permutation_pvalue,
-    run_strategy,
-    sample_committee,
-    sample_entropy,
-    sample_random,
-)
+from .simulator import ProxyDetector, benchmark, generate, run_strategy
 from .source_sampler import Proportion, Threshold, TopK, score_source, select_source
 from .target_sampler import (
     BankConfig,
@@ -53,7 +41,6 @@ from .target_sampler import (
     SimilarityBank,
     build_banks,
     cosine,
-    merge_banks,
     reweight,
     sample_round,
     select_targets,
@@ -81,31 +68,23 @@ __all__ = [
     "Threshold",
     "TopK",
     "TrainConfig",
-    "bce_loss",
     "benchmark",
     "build_banks",
     "cosine",
-    "default_schedule",
     "domainness",
     "enhance",
     "entropy_map",
     "forward",
-    "frame_entropy",
     "generate",
     "load_config",
     "load_frames",
     "loss_and_grads",
-    "merge_banks",
-    "paired_permutation_pvalue",
     "parse_schedule",
     "parse_source_mode",
     "pool",
     "reweight",
     "run_bidomain",
     "run_strategy",
-    "sample_committee",
-    "sample_entropy",
-    "sample_random",
     "sample_round",
     "save_frames",
     "scene_vector",

@@ -49,10 +49,10 @@ def _seed(text: str) -> int:
 
 
 def _strategies(text: str) -> list:
-    """A flag's comma-separated strategy names, at least one, each one ``benchmark`` runs."""
+    """A flag's comma-separated strategy names: one or more that ``benchmark`` runs, none twice."""
     names = [v for v in text.split(",") if v]
-    if not names or not set(names) <= set(STRATEGIES):
-        raise argparse.ArgumentTypeError("must be one or more comma-separated strategies "
+    if not names or not set(names) <= set(STRATEGIES) or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError("must be one or more distinct comma-separated strategies "
                                          "(%s), got %r" % (", ".join(STRATEGIES), text))
     return names
 

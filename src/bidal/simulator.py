@@ -15,15 +15,13 @@ over a transposed copy, has the value of ``Z.max(axis=1)`` (max is exact, and
 ``exp`` erases the sign of a zero max). ``tests/test_simulator.py`` checks both.
 
 Per-frame work that cannot change within a run is done once per run: each
-``ProxyDetector`` keeps its frames' re-weighted ROI rows, the committee
-baseline's pick reads its rows from the run's detector through
-``_sample_committee``, the sibling that ``sample_committee`` wraps, and the
-entropy baseline's pick keeps its frames' entropies for ``_sample_entropy``,
-the sibling that ``sample_entropy`` wraps. A detector also pretrains each
-frame sequence once. ``benchmark`` builds one detector per seed and hands it
-to each of that seed's runs, so a seed's runs pretrain once and re-weight
-each frame once between them; ``run_strategy`` called without one builds its
-own.
+``ProxyDetector`` keeps its frames' re-weighted ROI rows, ``sample_committee``
+reads the unlabeled frames' rows through the run's detector, and the entropy
+baseline hands ``sample_entropy`` a per-run cache of its frames' entropies. A
+detector also pretrains each frame sequence once. ``benchmark`` builds one
+detector per seed and hands it to each of that seed's runs, so a seed's runs
+pretrain once and re-weight each frame once between them, and the diversity
+column reads the selected frames' rows from that detector.
 
 ``generate`` draws each frame's values in seeded order and then runs the
 arithmetic on them (means, noise scales, clipping, ROI normalization, float32
@@ -49,7 +47,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -233,7 +231,7 @@ class ProxyDetector:
         self._pretrained: Dict[Tuple[FrameRecord, ...], Dict[str, np.ndarray]] = {}
 
     def _roi_rows(self, frames: Sequence[FrameRecord]) -> np.ndarray:
-        """``_roi_matrix(frames, self.roi_dim)``, each frame's row computed once."""
+        """The re-weighted ROI vectors of ``frames``, one row each, each computed once."""
         return np.stack([self._row(f) for f in frames])
 
     def _design(self, labeled):
@@ -293,11 +291,6 @@ class ProxyDetector:
         return frame
 
 
-def _roi_matrix(frames: Sequence[FrameRecord], roi_dim: int) -> np.ndarray:
-    """The re-weighted ROI vectors of ``frames``, one row each."""
-    return np.stack([reweight(f, roi_dim=roi_dim).vector for f in frames])
-
-
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """``np.eye(n_classes)[labels]`` without the n_classes x n_classes identity."""
     Y = np.zeros((len(labels), n_classes))
@@ -353,35 +346,18 @@ def frame_entropy(frame: FrameRecord) -> float:
     return float(np.mean(entropy_map(confs)))
 
 
-def sample_entropy(unlabeled: Sequence[FrameRecord], budget: int) -> List[str]:
-    """Top-budget frames by mean confidence entropy, descending, id tie-break."""
-    return _sample_entropy(unlabeled, budget, frame_entropy)
-
-
-def _sample_entropy(
+def sample_entropy(
     unlabeled: Sequence[FrameRecord], budget: int, entropy: Callable[[FrameRecord], float]
 ) -> List[str]:
-    """``sample_entropy`` with each frame's entropy given by ``entropy``."""
+    """Top-budget frames by ``entropy``, descending, id tie-break.
+
+    ``entropy`` is ``frame_entropy`` or a cache of it.
+    """
     ranked = sorted(unlabeled, key=lambda f: (-entropy(f), f.id))
     return [f.id for f in ranked[: max(budget, 0)]]
 
 
 def sample_committee(
-    unlabeled: Sequence[FrameRecord],
-    labeled_X: np.ndarray,
-    labeled_y: np.ndarray,
-    n_classes: int,
-    budget: int,
-    seed: int,
-) -> List[str]:
-    """Disagreement sampling: heads with different inits, ranked by logit distance."""
-    return _sample_committee(
-        unlabeled, lambda frames: _roi_matrix(frames, labeled_X.shape[1]),
-        labeled_X, labeled_y, n_classes, budget, seed,
-    )
-
-
-def _sample_committee(
     unlabeled: Sequence[FrameRecord],
     roi_rows: Callable[[Sequence[FrameRecord]], np.ndarray],
     labeled_X: np.ndarray,
@@ -390,7 +366,10 @@ def _sample_committee(
     budget: int,
     seed: int,
 ) -> List[str]:
-    """``sample_committee`` with the unlabeled frames' ROI matrix given by ``roi_rows``."""
+    """Disagreement sampling: heads with different inits, ranked by logit distance.
+
+    ``roi_rows`` gives the unlabeled frames' ROI matrix, one row per frame.
+    """
     labels = np.asarray(labeled_y, dtype=int)
     outside = labels[(labels < 0) | (labels >= n_classes)]
     if outside.size:
@@ -432,22 +411,14 @@ def run_strategy(
     eval_frames: Sequence[FrameRecord],
     schedule: BudgetSchedule,
     seed: int,
-    n_classes: int,
-    roi_dim: int,
+    oracle: ProxyDetector,
     disc_epochs: int = 150,
-    oracle: Optional[ProxyDetector] = None,
 ) -> RunReport:
     """One full pipeline run for one strategy; returns its report.
 
-    ``oracle`` is the run's detector, built with ``n_classes`` and ``roi_dim``;
-    runs on the same frames can share one, which pretrains them once. None
-    builds a fresh one.
+    ``oracle`` is the run's detector; runs on the same frames can share one,
+    which pretrains them once.
     """
-    if oracle is None:
-        oracle = ProxyDetector(n_classes=n_classes, roi_dim=roi_dim)
-    elif (oracle.n_classes, oracle.roi_dim) != (n_classes, roi_dim):
-        raise ValueError("the detector has %d classes and ROI dim %d; the run asks for %d and %d"
-                         % (oracle.n_classes, oracle.roi_dim, n_classes, roi_dim))
     if strategy == "bidomain":
         cfg = PipelineConfig(
             schedule=schedule,
@@ -459,7 +430,7 @@ def run_strategy(
     # baselines label the whole source pool and never train a discriminator
     src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
     _check_labels([f for f, _ in src_labeled], eval_frames)
-    pick = _baseline_pick(strategy, src_labeled, seed, n_classes, oracle._roi_rows)
+    pick = _baseline_pick(strategy, src_labeled, seed, oracle)
     report = RunReport(seed, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
     run_rounds(
         oracle, oracle.pretrain(source), sorted(target, key=lambda f: f.id), src_labeled,
@@ -468,11 +439,11 @@ def run_strategy(
     return report
 
 
-def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_rows):
+def _baseline_pick(strategy, src_labeled, seed, oracle):
     """The round loop's pick for a baseline; baselines report no scores.
 
-    ``roi_rows`` is the run's detector's ``_roi_rows``, so the committee
-    re-weights each frame once per run.
+    The committee reads its ROI rows from ``oracle``, the run's detector, so
+    it re-weights each frame once per run.
     """
     if strategy == "random":
         return lambda unlabeled, budget, k, _: (
@@ -481,23 +452,20 @@ def _baseline_pick(strategy, src_labeled, seed, n_classes, roi_rows):
     if strategy == "entropy":
         # a frame's entropy never changes, so each is computed once per run
         entropy = functools.cache(frame_entropy)
-        return lambda unlabeled, budget, k, _: (_sample_entropy(unlabeled, budget, entropy), {})
+        return lambda unlabeled, budget, k, _: (sample_entropy(unlabeled, budget, entropy), {})
     if strategy == "committee":
-        X = roi_rows([f for f, _ in src_labeled])
+        X = oracle._roi_rows([f for f, _ in src_labeled])
         y = np.array([lab for _, lab in src_labeled])
-        return lambda unlabeled, budget, k, _: (
-            _sample_committee(unlabeled, roi_rows, X, y, n_classes, budget, seed + 7919 * k), {}
-        )
+        return lambda unlabeled, budget, k, _: (sample_committee(
+            unlabeled, oracle._roi_rows, X, y, oracle.n_classes, budget, seed + 7919 * k,
+        ), {})
     raise ValueError("unknown strategy %r" % strategy)
 
 
-def selection_diversity(
-    frames_by_id: Dict[str, FrameRecord], selected: Sequence[str], roi_dim: int
-) -> float:
-    """Mean pairwise cosine distance of the selected re-weighted ROI vectors."""
-    if len(selected) < 2:
+def selection_diversity(vecs: Sequence[np.ndarray]) -> float:
+    """Mean pairwise cosine distance of the selected frames' re-weighted ROI vectors."""
+    if len(vecs) < 2:
         return 0.0
-    vecs = list(_roi_matrix([frames_by_id[i] for i in selected], roi_dim))
     norms = [np.linalg.norm(v) for v in vecs]  # each vector's once, not once per pair
     dists = [
         1.0 - _cosine(vecs[i], vecs[j], norms[i], norms[j])
@@ -593,26 +561,36 @@ def benchmark(
         raise ValueError("unknown strategy %r" % unknown[0])
     if not all(0 < f <= 1 for f in budget_fracs):
         raise ValueError("budget fractions must lie in (0, 1], got %r" % list(budget_fracs))
+    # a repeated cell would be written twice and counted twice in its summary
+    for name, values in (("seed", [int(s) for s in seeds]), ("strategy", list(strategies))):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError("%s %r is repeated" % (name, repeated[0]))
+    budgets = [max(1, round(frac * cfg.n_target)) for frac in budget_fracs]
+    for i, budget in enumerate(budgets):
+        if budget in budgets[:i]:
+            raise ValueError("budget fractions %r and %r both give budget %d of %d target frames"
+                             % (budget_fracs[budgets.index(budget)], budget_fracs[i], budget,
+                                cfg.n_target))
     rows: List[Dict[str, Any]] = []
-    roi_dim = cfg.feature_dims[4]
     for seed in seeds:
         data_cfg = replace(cfg, seed=cfg.seed + int(seed))
         source, target, eval_frames = generate(data_cfg)
         by_id = {f.id: f for f in target}
         # one detector per seed: its runs share the pretrain and the ROI rows
-        oracle = ProxyDetector(n_classes=cfg.clusters_per_domain, roi_dim=roi_dim)
-        for frac in budget_fracs:
-            budget = max(1, round(frac * cfg.n_target))
+        oracle = ProxyDetector(n_classes=cfg.clusters_per_domain, roi_dim=cfg.feature_dims[4])
+        for frac, budget in zip(budget_fracs, budgets):
             schedule = default_schedule(budget, frac)
             for strategy in strategies:
                 report = run_strategy(
                     strategy, source, target, eval_frames, schedule, seed=int(seed),
-                    n_classes=cfg.clusters_per_domain, roi_dim=roi_dim, disc_epochs=disc_epochs,
-                    oracle=oracle,
+                    oracle=oracle, disc_epochs=disc_epochs,
                 )
+                # the detector re-weighted each selected frame in its fine-tunes
                 rows.append(asdict(BenchRow(
                     strategy, int(seed), budget, report.final_metric,
-                    selection_diversity(by_id, report.labeled_target, roi_dim),
+                    selection_diversity(oracle._roi_rows(
+                        [by_id[i] for i in report.labeled_target])),
                 )))
     summary = _summarize(rows, strategies, seeds)
     return BenchmarkReport(rows=rows, summary=summary)

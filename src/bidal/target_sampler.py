@@ -70,7 +70,6 @@ class SimilarityBank:
 @dataclass(eq=False)
 class BankSet:
     banks: List[SimilarityBank]
-    capacity: int
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def build_banks(
     fill = min(capacity, len(ids))
     banks = [SimilarityBank(prototype=vecs[k].copy(), members=[ids[k]]) for k in range(fill)]
     if len(ids) == fill:
-        return BankSet(banks=banks, capacity=capacity)
+        return BankSet(banks=banks)
 
     norms = _norms(vecs)
     protos = _Prototypes(vecs[:fill], norms[:fill])
@@ -286,7 +285,7 @@ def build_banks(
         protos.append(vecs[t])
         protos.refresh()
         t, block = t + 1, min(_BLOCK_START, most)
-    return BankSet(banks=banks, capacity=capacity)
+    return BankSet(banks=banks)
 
 
 def select_targets(banks: BankSet, scores: Dict[str, float]) -> List[str]:

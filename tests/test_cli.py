@@ -196,6 +196,22 @@ def test_bench_smoke(workspace, capsys):
                           % (out / "summary.json", budget)), err
 
 
+@pytest.mark.parametrize("budgets", ["0.01,0.02", "0.05,0.05"])
+def test_bench_fractions_of_one_budget_exit_2_writing_nothing(tmp_path, capsys, budgets):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps(GEN_CFG))
+    out = tmp_path / "bench"
+    rc = main(["bench", "--config", str(cfg), "--seeds", "1", "--budgets", budgets,
+               "--out", str(out)])
+    assert rc == 2
+    first, second = budgets.split(",")
+    budget = max(1, round(float(first) * GEN_CFG["n_target"]))
+    assert capsys.readouterr().err == (
+        "data error: budget fractions %s and %s both give budget %d of 40 target frames\n"
+        % (first, second, budget))
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
     assert main(["gen"]) == 1  # missing --out
@@ -1012,6 +1028,7 @@ def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
         (["bench", "--budgets", ","], "--budgets"),
         (["bench", "--strategies", ","], "--strategies"),
         (["bench", "--strategies", "random,nope"], "--strategies"),
+        (["bench", "--strategies", "random,bidomain,random"], "--strategies"),
         (["gen", "--seed", "-1"], "--seed"),
         (["train-disc", "--seed", "-1"], "--seed"),
         (["run", "--seed", "-1"], "--seed"),
@@ -1019,7 +1036,7 @@ def test_gen_out_naming_a_file_exits_2(tmp_path, capsys):
     ],
     ids=["budget-0", "budget-negative", "seeds-0", "budgets-text", "budgets-inf",
          "budgets-nan", "budgets-negative", "budgets-0", "budgets-above-1", "budgets-empty",
-         "strategies-empty", "strategies-unknown",
+         "strategies-empty", "strategies-unknown", "strategies-repeated",
          "gen-seed-negative", "train-disc-seed-negative", "run-seed-negative",
          "bench-seed-negative"],
 )

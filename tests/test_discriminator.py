@@ -12,7 +12,6 @@ from bidal import (
     NumericalError,
     SyntheticConfig,
     TrainConfig,
-    bce_loss,
     domainness,
     forward,
     generate,
@@ -20,7 +19,7 @@ from bidal import (
     train,
 )
 from bidal.discriminator import (PRED_EPS, _domainness_values, _Flat, _forward_rows, _grads,
-                                 _leaky_relu, fit)
+                                 _leaky_relu, bce_loss, fit)
 from bidal.scoring import scene_vector
 from bidal.source_sampler import score_source
 from bidal.target_sampler import BankConfig, _sample_round, reweight, sample_round

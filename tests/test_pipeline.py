@@ -152,7 +152,7 @@ class TestRunBidomain:
         message = "eval frames must carry labels; unlabeled: [%r]" % ev[4].id
         with pytest.raises(ValueError, match=re.escape(message)):
             run_strategy(strategy, src, tgt, ev, BudgetSchedule(2, (3, 3), (0, 2)), seed=0,
-                         n_classes=3, roi_dim=16, disc_epochs=20)
+                         oracle=ProxyDetector(n_classes=3, roi_dim=16), disc_epochs=20)
 
     def test_picked_label_outside_the_classes_rejected(self):
         src, tgt, ev = small_world(seed=10)

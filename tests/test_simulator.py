@@ -17,14 +17,8 @@ from bidal import (
     SyntheticConfig,
     TrainConfig,
     benchmark,
-    default_schedule,
-    frame_entropy,
     generate,
-    paired_permutation_pvalue,
     reweight,
-    sample_committee,
-    sample_entropy,
-    sample_random,
     sample_round,
     scene_vector,
     train,
@@ -33,7 +27,9 @@ from bidal import (
 import bidal.simulator
 from bidal.core import _build
 from bidal.simulator import (STRATEGIES, BenchFile, BenchmarkReport, BenchRow, _descend,
-                             _one_hot, _summarize, run_strategy, selection_diversity)
+                             _one_hot, _summarize, default_schedule, frame_entropy,
+                             paired_permutation_pvalue, run_strategy, sample_committee,
+                             sample_entropy, sample_random, selection_diversity)
 from bidal.target_sampler import cosine
 
 from .reference import ref_binary_entropy, ref_rank_ids
@@ -274,7 +270,7 @@ class TestBaselineSamplers:
 
     def test_entropy_matches_brute_force(self):
         frames = self.frames(seed=1)
-        got = sample_entropy(frames, 7)
+        got = sample_entropy(frames, 7, frame_entropy)
         want = ref_rank_ids([(f.id, frame_entropy(f)) for f in frames])[:7]
         assert got == want
 
@@ -290,12 +286,10 @@ class TestBaselineSamplers:
         cfg = SyntheticConfig(n_source=40, n_target=30, n_eval=3, seed=3)
         src, tgt, _ = generate(cfg)
         det = ProxyDetector(n_classes=3, roi_dim=16)
-        from bidal import reweight
-
-        X = np.stack([reweight(f, roi_dim=16).vector for f in src])
+        X = det._roi_rows(src)
         y = np.array([f.hidden_label for f in src])
-        a = sample_committee(tgt, X, y, 3, 6, seed=0)
-        b = sample_committee(tgt, X, y, 3, 6, seed=0)
+        a = sample_committee(tgt, det._roi_rows, X, y, 3, 6, seed=0)
+        b = sample_committee(tgt, det._roi_rows, X, y, 3, 6, seed=0)
         assert a == b
         assert len(set(a)) == 6
         assert set(a) <= {f.id for f in tgt}
@@ -303,14 +297,13 @@ class TestBaselineSamplers:
     @pytest.mark.parametrize("label", [-1, 3])
     def test_committee_rejects_a_label_outside_its_classes(self, label):
         src, tgt, _ = generate(SyntheticConfig(n_source=8, n_target=4, n_eval=1, seed=3))
-        from bidal import reweight
-
-        X = np.stack([reweight(f, roi_dim=16).vector for f in src])
+        det = ProxyDetector(n_classes=3, roi_dim=16)
+        X = det._roi_rows(src)
         y = np.array([f.hidden_label for f in src])
         y[5] = label
         with pytest.raises(ValueError, match="committee label %d is not a class index below 3"
                                              % label):
-            sample_committee(tgt, X, y, 3, 2, seed=0)
+            sample_committee(tgt, det._roi_rows, X, y, 3, 2, seed=0)
 
 
 @pytest.mark.parametrize("label", [3, 7, -1, None])
@@ -451,8 +444,8 @@ def test_selection_diversity_equals_mean_of_cosine_distances():
     assert sum(np.linalg.norm(r) < 1e-12 for r in rows) == 2
     want = float(np.mean([1.0 - cosine(rows[i], rows[j])
                           for i in range(len(rows)) for j in range(i + 1, len(rows))]))
-    assert selection_diversity(frames, ids, 6) == want
-    assert selection_diversity(frames, ids[:1], 6) == 0.0
+    assert selection_diversity(np.stack(rows)) == want
+    assert selection_diversity(np.stack(rows[:1])) == 0.0
 
 
 class TestNoLabelLeakage:
@@ -470,7 +463,9 @@ class TestNoLabelLeakage:
             assert sample_random(tgt, budget, seed) == sample_random(
                 stripped, budget, seed
             )
-            assert sample_entropy(tgt, budget) == sample_entropy(stripped, budget)
+            assert sample_entropy(tgt, budget, frame_entropy) == sample_entropy(
+                stripped, budget, frame_entropy
+            )
             model = DiscriminatorModel.initialize((16, 8, 1), seed=seed)
             assert sample_round(tgt, model, budget, roi_dim=16) == sample_round(
                 stripped, model, budget, roi_dim=16
@@ -504,7 +499,7 @@ class TestScheduleAndBenchmark:
         with pytest.raises(ValueError):
             run_strategy(
                 "magic", src, tgt, ev, BudgetSchedule(1, (2,), (0,)),
-                seed=0, n_classes=3, roi_dim=16,
+                seed=0, oracle=ProxyDetector(n_classes=3, roi_dim=16),
             )
 
     def test_benchmark_smoke(self):
@@ -543,6 +538,26 @@ class TestScheduleAndBenchmark:
         cfg = SyntheticConfig(n_source=10, n_target=10, n_eval=5, seed=0)
         with pytest.raises(ValueError, match="unknown strategy 'nope'"):
             benchmark(cfg, strategies=("random", "nope"), seeds=(0,), budget_fracs=(0.05,))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(seeds=(0, 1, 0)), "seed 0 is repeated"),
+        (dict(strategies=("random", "bidomain", "random")), "strategy 'random' is repeated"),
+        (dict(budget_fracs=(0.01, 0.02)),
+         "budget fractions 0.01 and 0.02 both give budget 1 of 40 target frames"),
+        (dict(budget_fracs=(0.05, 0.25, 0.05)),
+         "budget fractions 0.05 and 0.05 both give budget 2 of 40 target frames"),
+    ], ids=["seed", "strategy", "budget", "fraction"])
+    def test_benchmark_rejects_a_repeated_cell_before_generating(self, monkeypatch, kwargs,
+                                                                 message):
+        def generate_nothing(cfg):
+            raise AssertionError("generate ran before the cells were checked")
+
+        monkeypatch.setattr(bidal.simulator, "generate", generate_nothing)
+        cfg = SyntheticConfig(n_source=10, n_target=40, n_eval=5, seed=0)
+        args = dict(strategies=("random",), seeds=(0,), budget_fracs=(0.05,))
+        args.update(kwargs)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            benchmark(cfg, **args)
 
     @pytest.mark.parametrize("frac", [-0.5, 0.0, 1.5, float("nan")])
     def test_benchmark_rejects_fraction_outside_unit_interval(self, frac):
@@ -597,7 +612,8 @@ def test_run_strategy_golden(strategy, budget):
     src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
     schedule = default_schedule(budget, 0.01 if budget == 2 else 0.25)
     report = run_strategy(
-        strategy, src, tgt, ev, schedule, seed=4, n_classes=3, roi_dim=16, disc_epochs=20
+        strategy, src, tgt, ev, schedule, seed=4, oracle=ProxyDetector(n_classes=3, roi_dim=16),
+        disc_epochs=20,
     )
     assert (report.labeled_target, report.final_metric) == GOLDEN_RUNS[strategy, budget]
     assert [r.round for r in report.rounds] == list(range(schedule.rounds))
@@ -639,9 +655,30 @@ def test_per_frame_work_done_once_per_run(monkeypatch, strategy, counted):
     src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
     schedule = default_schedule(10, 0.25)
     assert schedule.rounds == 5
-    run_strategy(strategy, src, tgt, ev, schedule, seed=4, n_classes=3, roi_dim=16)
+    run_strategy(strategy, src, tgt, ev, schedule, seed=4,
+                 oracle=ProxyDetector(n_classes=3, roi_dim=16))
     assert calls and max(calls.values()) == 1
     assert strategy != "entropy" or set(calls) == {f.id for f in tgt}
+
+
+@pytest.mark.parametrize("strategy", ["committee", "entropy"])
+def test_baselines_pick_through_the_public_samplers(monkeypatch, strategy):
+    """Each round calls ``sample_<strategy>`` by its module name, so a wrapper sees it."""
+    name = "sample_" + strategy
+    calls = []
+    real = getattr(bidal.simulator, name)
+
+    def counting(unlabeled, *args):
+        calls.append(len(unlabeled))
+        return real(unlabeled, *args)
+
+    monkeypatch.setattr(bidal.simulator, name, counting)
+    src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
+    schedule = default_schedule(2, 0.01)
+    report = run_strategy(strategy, src, tgt, ev, schedule, seed=4,
+                          oracle=ProxyDetector(n_classes=3, roi_dim=16))
+    assert calls == [40, 39]
+    assert (report.labeled_target, report.final_metric) == GOLDEN_RUNS[strategy, 2]
 
 
 def _pretrain_fits(monkeypatch):
@@ -668,11 +705,13 @@ def test_benchmark_bytes_equal_a_fresh_detector_per_run(monkeypatch):
         for frac in fracs:
             budget = max(1, round(frac * cfg.n_target))
             for strategy in STRATEGIES:
+                det = ProxyDetector(n_classes=3, roi_dim=16)
                 report = run_strategy(strategy, src, tgt, ev, default_schedule(budget, frac),
-                                      seed=seed, n_classes=3, roi_dim=16, disc_epochs=10)
+                                      seed=seed, oracle=det, disc_epochs=10)
+                by_id = {f.id: f for f in tgt}
                 rows.append(dataclasses.asdict(BenchRow(
                     strategy, seed, budget, report.final_metric,
-                    selection_diversity({f.id: f for f in tgt}, report.labeled_target, 16),
+                    selection_diversity(det._roi_rows([by_id[i] for i in report.labeled_target])),
                 )))
     expected = BenchmarkReport(rows, _summarize(rows, STRATEGIES, seeds)).to_json()
     fits = _pretrain_fits(monkeypatch)
@@ -721,11 +760,3 @@ class TestPretrainMemo:
                 det.pretrain(src)
         assert det.pretrain(src[:4])["W"].shape == (16, 3)
 
-
-def test_run_strategy_rejects_a_detector_of_other_sizes():
-    src, tgt, ev = generate(SyntheticConfig(n_source=10, n_target=10, n_eval=3, seed=0))
-    det = ProxyDetector(n_classes=4, roi_dim=16)
-    message = "the detector has 4 classes and ROI dim 16; the run asks for 3 and 16"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        run_strategy("random", src, tgt, ev, BudgetSchedule(1, (2,), (0,)), seed=0,
-                     n_classes=3, roi_dim=16, oracle=det)

@@ -11,7 +11,6 @@ from bidal import (
     ReweightedROI,
     build_banks,
     cosine,
-    merge_banks,
     reweight,
     sample_round,
     select_targets,
@@ -22,6 +21,7 @@ from bidal.target_sampler import (
     _block_rows,
     _norms,
     _Prototypes,
+    merge_banks,
 )
 
 from .reference import (

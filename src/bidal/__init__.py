@@ -13,7 +13,6 @@ from .discriminator import (
     NumericalError,
     TrainConfig,
     domainness,
-    forward,
     loss_and_grads,
     train,
 )
@@ -40,7 +39,6 @@ from .target_sampler import (
     ReweightedROI,
     SimilarityBank,
     build_banks,
-    cosine,
     reweight,
     sample_round,
     select_targets,
@@ -70,11 +68,9 @@ __all__ = [
     "TrainConfig",
     "benchmark",
     "build_banks",
-    "cosine",
     "domainness",
     "enhance",
     "entropy_map",
-    "forward",
     "generate",
     "load_config",
     "load_frames",

@@ -216,10 +216,8 @@ def _cmd_bench(args) -> int:
         budget_fracs=args.budgets,
     )
     os.makedirs(args.out, exist_ok=True)
-    report.write_csv(os.path.join(args.out, "benchmark.csv"))
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         fh.write(report.to_json())
-    report.write_plot_data(args.out)
     print(json.dumps(report.summary["mean_accuracy"], indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -24,14 +24,15 @@ bytes of the plain step-by-step loop; the returned model owns its arrays.
 
 One layer walk, ``_layers``, serves training, ``predict`` and per-row
 scoring; only the shape of the products, and where they are written,
-differs. Scoring is batched: ``_domainness_values`` scores a whole pool in
-one pass over its stacked scene vectors, and ``forward`` and ``domainness``
-are its one-row case. Each row goes through one-row layer products, so a
-frame's score does not depend on the pool it is scored with. ``predict``'s
-plain (n, d) products may round some rows differently in the last bit;
-training and its loss history use them. Before scoring, the stacked vectors
-are checked once for width and once for finiteness; either check raises
-``ValueError`` naming the first frame it rejects, so no NaN gets a score.
+differs. ``domainness`` is the one scoring function: it scores a pool of
+frames in one pass over their stacked scene vectors, and every stage calls
+it. Its kernel ``_forward_rows`` sends each row through one-row layer
+products, so a frame's score does not depend on the pool it is scored with.
+``predict``'s plain (n, d) products may round some rows differently in the
+last bit; training and its loss history use them. Before scoring, the
+stacked vectors are checked once for width and once for finiteness; either
+check raises ``ValueError`` naming the first frame it rejects, so no NaN
+gets a score.
 
 A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
 ``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
@@ -54,7 +55,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Domain, FrameRecord, Score, _build, _check_finite, _require_finite,
+from .core import (Domain, FrameRecord, _build, _check_finite, _require_finite,
                    canonical_json, decode_array, encode_array, read_json)
 from .scoring import scene_vector, scene_vectors
 
@@ -138,9 +139,6 @@ class DiscriminatorModel:
                 "input dimension %d != expected %d" % (X.shape[1], self.layer_dims[0])
             )
         return X
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return _layers(self, self._check_input(X))[-1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _predictions(self, self._check_input(X))
@@ -261,41 +259,20 @@ def _predictions(
     return np.clip(_sigmoid(_layers(model, X, out=out)[-1]), PRED_EPS, 1.0 - PRED_EPS)
 
 
-def forward(model: DiscriminatorModel, v: np.ndarray) -> float:
-    """Domainness probability for a single scene vector, clamped away from 0/1."""
-    return float(_forward_rows(model, np.asarray(v, dtype=np.float64)[None])[0])
-
-
 def _forward_rows(model: DiscriminatorModel, X: np.ndarray) -> np.ndarray:
-    """``forward`` of every row of an (n, d) float64 array, bit for bit."""
-    _check_width(model, X.shape[1:])
+    """The score of every row of an (n, d) float64 array; each row's bytes are
+    ``predict``'s on that row alone."""
     # The stacked product (n, 1, d) @ (d, h) runs numpy's one-row kernel once
     # per row, so row i rounds exactly as (1, d) @ (d, h) does on its own; a
     # plain (n, d) @ (d, h) product may round some rows differently.
     return _predictions(model, X[:, None, :])[:, 0]
 
 
-def _domainness_values(model: DiscriminatorModel, frames: Sequence[FrameRecord]) -> np.ndarray:
-    """``domainness(model, f).value`` of every frame, in order, from one batched pass."""
-    d = model.layer_dims[0]
-    vectors = [scene_vector(f) for f in frames]
-    # one check for the pool, naming the first frame whose vector ``forward`` would reject
-    bad = next((i for i, v in enumerate(vectors) if v.shape != (d,)), None)
-    if bad is not None:
-        _check_width(model, vectors[bad].shape, frames[bad].id)
-    X = np.array(vectors).reshape(len(vectors), d)
-    _check_finite(X, lambda i: frames[i].id, "scene vector")
-    return _forward_rows(model, X)
-
-
-def _check_width(
-    model: DiscriminatorModel, shape: Tuple[int, ...], frame_id: Optional[str] = None
-) -> None:
+def _check_width(model: DiscriminatorModel, shape: Tuple[int, ...], frame_id: str) -> None:
     """A scene vector's shape must be (d,), d the model's input width."""
     if shape != (model.layer_dims[0],):
         raise ValueError(
-            "input shape %s != expected (%d,)%s"
-            % (shape, model.layer_dims[0], "" if frame_id is None else " in frame %s" % frame_id)
+            "input shape %s != expected (%d,) in frame %s" % (shape, model.layer_dims[0], frame_id)
         )
 
 
@@ -469,6 +446,15 @@ def fit(
     return train(DiscriminatorModel.initialize(dims, seed=seed), src_vecs, tgt_vecs, cfg)
 
 
-def domainness(model: DiscriminatorModel, frame: FrameRecord) -> Score:
-    """Score one frame: sigmoid output of the MLP on its pooled enhanced map."""
-    return Score(frame_id=frame.id, value=float(_domainness_values(model, [frame])[0]))
+def domainness(model: DiscriminatorModel, frames: Sequence[FrameRecord]) -> np.ndarray:
+    """Each frame's domainness score, in order, from one batched pass: the sigmoid
+    of the MLP on its scene vector, clamped away from 0/1."""
+    d = model.layer_dims[0]
+    vectors = [scene_vector(f) for f in frames]
+    # one check for the pool, naming the first frame whose vector has the wrong width
+    bad = next((i for i, v in enumerate(vectors) if v.shape != (d,)), None)
+    if bad is not None:
+        _check_width(model, vectors[bad].shape, frames[bad].id)
+    X = np.array(vectors).reshape(len(vectors), d)
+    _check_finite(X, lambda i: frames[i].id, "scene vector")
+    return _forward_rows(model, X)

@@ -16,13 +16,13 @@ label.
 
 The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
 re-weights each target frame object once per run. Each round scores the
-frames it has not seen yet in one batched pass
-(``discriminator._domainness_values``); one ``{FrameRecord: float}`` memo
+frames it has not seen yet with one call of ``discriminator.domainness``,
+the scoring function of every stage; one ``{FrameRecord: float}`` memo
 feeds every round's banks and the report's per-pick scores, and a second
 memo keeps each frame's re-weighted ROI vector. Both are keyed on the frame
 object, so an oracle whose ``features`` returns new frames gets them
 rescored, and both are dropped when the run returns. Stage 3 scores the
-source pool in one batched pass too (``score_source``).
+source pool with one call too (``score_source``).
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run sets ``report.halted`` and stops before
@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from .core import BudgetSchedule, FrameRecord, canonical_json
-from .discriminator import TrainConfig, _domainness_values, fit, train  # noqa: F401, see cli.py
+from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
 from .target_sampler import BankConfig, _sample_round, reweight
 
@@ -174,7 +174,7 @@ def run_bidomain(
 
     def values(frames):
         new = [f for f in frames if f not in scores]
-        scores.update(zip(new, _domainness_values(disc, new).tolist()))
+        scores.update(zip(new, domainness(disc, new).tolist()))
         return [scores[f] for f in frames]
 
     def pick(unlabeled, budget, k, det_state):

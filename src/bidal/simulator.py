@@ -44,9 +44,8 @@ bytes in a block as alone, and in place as not.
 
 from __future__ import annotations
 
-import csv
 import functools
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -417,7 +416,8 @@ def run_strategy(
     """One full pipeline run for one strategy; returns its report.
 
     ``oracle`` is the run's detector; runs on the same frames can share one,
-    which pretrains them once.
+    which pretrains them once. Every strategy sorts both pools by id first,
+    so the detector pretrains on one sequence whatever the input order.
     """
     if strategy == "bidomain":
         cfg = PipelineConfig(
@@ -427,9 +427,10 @@ def run_strategy(
             round_finetune_epochs=ROUND_EPOCHS,
         )
         return run_bidomain(source, target, oracle, cfg, eval_frames)[1]
-    # baselines label the whole source pool and never train a discriminator
-    src_labeled = [(f, f.hidden_label) for f in sorted(source, key=lambda f: f.id)]
-    _check_labels([f for f, _ in src_labeled], eval_frames)
+    # baselines label the whole id-sorted source pool and never train a discriminator
+    source = sorted(source, key=lambda f: f.id)
+    src_labeled = [(f, f.hidden_label) for f in source]
+    _check_labels(source, eval_frames)
     pick = _baseline_pick(strategy, src_labeled, seed, oracle)
     report = RunReport(seed, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
     run_rounds(
@@ -522,24 +523,6 @@ class BenchmarkReport:
 
     def to_json(self) -> str:
         return canonical_json({"rows": self.rows, "summary": self.summary})
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(BenchRow)])
-            writer.writeheader()
-            writer.writerows(self.rows)
-
-    def write_plot_data(self, directory: str) -> None:
-        """One CSV per strategy: budget vs mean accuracy, for external plotting."""
-        import os
-
-        for strategy, per_budget in self.summary["mean_accuracy"].items():
-            path = os.path.join(directory, "plot_%s.csv" % strategy)
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["budget", "mean_accuracy"])
-                for budget in sorted(per_budget, key=int):
-                    writer.writerow([budget, per_budget[budget]])
 
 
 def benchmark(

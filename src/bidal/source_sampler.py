@@ -1,7 +1,7 @@
 """Domainness-aware source selection.
 
 Scores the whole source pool with the discriminator in one batched pass
-(``discriminator._domainness_values``) and keeps the most target-domain-like
+(``discriminator.domainness``) and keeps the most target-domain-like
 frames, either by proportion, score threshold (expressed on the logit scale),
 or a fixed top-k.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 from .core import Domain, FrameRecord, Score
-from .discriminator import DiscriminatorModel, _domainness_values
+from .discriminator import DiscriminatorModel, domainness
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def score_source(
     for f in frames:
         if f.domain != Domain.SOURCE:
             raise ValueError("frame %r is not source-tagged" % f.id)
-    values = _domainness_values(model, frames).tolist()
+    values = domainness(model, frames).tolist()
     return [Score(frame_id=f.id, value=v) for f, v in zip(frames, values)]
 
 

@@ -8,7 +8,7 @@ closest prototypes are to each other — triggers a count-weighted merge of the
 most similar pair and founds a fresh bank. Finally the highest-domainness
 member of each bank is selected. ``sample_round`` re-weights each frame and
 scores the whole pool in one batched pass
-(``discriminator._domainness_values``); its sibling ``_sample_round`` takes
+(``discriminator.domainness``); its sibling ``_sample_round`` takes
 both as functions, so a caller that keeps ROI vectors and scores across
 rounds (``pipeline.run_bidomain``) runs the same code path.
 
@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .core import Domain, FrameRecord, _check_finite
-from .discriminator import DiscriminatorModel, _domainness_values
+from .discriminator import DiscriminatorModel, domainness
 
 NORM_FLOOR = 1e-12
 
@@ -312,7 +312,7 @@ def sample_round(
     return _sample_round(
         unlabeled,
         lambda f: reweight(f, roi_dim=roi_dim),
-        lambda frames: _domainness_values(model, frames).tolist(),
+        lambda frames: domainness(model, frames).tolist(),
         budget,
         config,
     )

@@ -310,8 +310,8 @@ def test_c09_diversity_benefit(announce):
         sel = sample_round(tgt, disc, 3, roi_dim=16)
         if len({by_id[i].hidden_label for i in sel}) == 3:
             diverse_hits += 1
-        scores = [domainness(disc, f) for f in tgt]
-        top3 = [s.frame_id for s in sorted(scores, key=lambda x: (-x.value, x.frame_id))[:3]]
+        scores = zip(domainness(disc, tgt).tolist(), (f.id for f in tgt))
+        top3 = [fid for _, fid in sorted(scores, key=lambda x: (-x[0], x[1]))[:3]]
         if len({by_id[i].hidden_label for i in top3}) == 3:
             greedy_hits += 1
     ok = diverse_hits >= 0.8 * n_seeds and greedy_hits <= 0.4 * n_seeds

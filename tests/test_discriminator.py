@@ -13,13 +13,12 @@ from bidal import (
     SyntheticConfig,
     TrainConfig,
     domainness,
-    forward,
     generate,
     loss_and_grads,
     train,
 )
-from bidal.discriminator import (PRED_EPS, _domainness_values, _Flat, _forward_rows, _grads,
-                                 _leaky_relu, bce_loss, fit)
+from bidal.discriminator import (PRED_EPS, _Flat, _forward_rows, _grads, _layers, _leaky_relu,
+                                 bce_loss, fit)
 from bidal.scoring import scene_vector
 from bidal.source_sampler import score_source
 from bidal.target_sampler import BankConfig, _sample_round, reweight, sample_round
@@ -94,29 +93,19 @@ class TestModel:
         p = model.predict(np.zeros((1, 2)))
         assert 0.0 < p[0] < 1.0
 
-    def test_forward_matches_predict(self):
-        model = DiscriminatorModel.initialize((3, 6, 1), seed=1)
-        v = np.array([0.2, -1.0, 3.0])
-        assert forward(model, v) == model.predict(v[None, :])[0]
-
     @pytest.mark.parametrize("bias", [0.0, 30.0, -30.0, 1e4, -1e4])
     def test_forward_bytes_equal_predict(self, bias):
         """Both sigmoid branches (positive and negative logits) and both clamp ends."""
         model = DiscriminatorModel.initialize((6, 8, 4, 1), seed=2)
         model.biases[-1][:] = bias
         V = np.random.default_rng(3).normal(scale=4.0, size=(400, 6))
-        logits = model.logits(V)
+        logits = _layers(model, V)[-1]
         if bias == 0.0:
             assert (logits > 0).any() and (logits < 0).any()
-        got = np.array([forward(model, v) for v in V])
+        got = _forward_rows(model, V)
         assert got.tobytes() == np.array([model.predict(v[None, :])[0] for v in V]).tobytes()
         if abs(bias) > 1e3:
             assert set(got) == {PRED_EPS if bias < 0 else 1.0 - PRED_EPS}
-
-    def test_forward_checks_input_dim(self):
-        model = DiscriminatorModel.initialize((3, 6, 1), seed=1)
-        with pytest.raises(ValueError):
-            forward(model, np.zeros(4))
 
     def test_input_dim_checked(self):
         model = DiscriminatorModel.initialize((3, 6, 1), seed=1)
@@ -129,7 +118,7 @@ class TestModel:
         model.save(path)
         back = DiscriminatorModel.load(path)
         X = np.random.default_rng(0).normal(size=(10, 4))
-        assert np.array_equal(model.logits(X), back.logits(X))
+        assert np.array_equal(_layers(model, X)[-1], _layers(back, X)[-1])
 
     @pytest.mark.parametrize("drop", ["weights", "biases"])
     def test_rejects_missing_layer(self, drop):
@@ -274,7 +263,7 @@ def oracle_train(model, source, target, cfg):
         order = rng.permutation(len(X))
         for start in range(0, len(X), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            clamped += int((np.abs(model.logits(X[idx])) > 17.0).sum())
+            clamped += int((np.abs(_layers(model, X[idx])[-1]) > 17.0).sum())
             _, gw, gb = plain_loss_and_grads(model, X[idx], y[idx], cfg.l2)
             for p, g in zip(model.weights + model.biases, gw + gb):
                 p -= cfg.learning_rate * g
@@ -474,18 +463,23 @@ class TestFrameScoring:
         )
 
     def test_domainness_carries_frame_id(self):
+        """Each frame's score sits at that frame's position in the pool."""
         model = DiscriminatorModel.initialize((3, 4, 1), seed=0)
-        s = domainness(model, self.make_frame("abc", 1.0))
-        assert s.frame_id == "abc"
-        assert 0.0 < s.value < 1.0
+        frames = [self.make_frame("abc", 1.0), self.make_frame("xyz", -2.0)]
+        values = domainness(model, frames)
+        assert values.shape == (2,)
+        assert values[0] != values[1]
+        assert values.tolist() == [domainness(model, [f])[0] for f in frames]
+        assert values[::-1].tolist() == domainness(model, frames[::-1]).tolist()
+        assert all(0.0 < v < 1.0 for v in values)
 
 
 class TestBatchedScorer:
-    """``_forward_rows`` and ``_domainness_values`` give ``forward``'s bytes for every row."""
+    """``_forward_rows`` and ``domainness`` give every row the bytes it has when scored alone."""
 
     @staticmethod
     def per_row(model, X):
-        """The pre-batching ``forward``: ``predict`` on one (1, d) row at a time."""
+        """The pre-batching scorer: ``predict`` on one (1, d) row at a time."""
         return np.array([model.predict(x[None, :])[0] for x in X])
 
     @pytest.mark.parametrize("dims", [
@@ -497,27 +491,20 @@ class TestBatchedScorer:
         X = np.random.default_rng(n).normal(scale=3.0, size=(n, dims[0]))
         got = _forward_rows(model, X)
         assert got.shape == (n,)
-        assert got.tobytes() == np.array([forward(model, x) for x in X]).tobytes()
+        assert got.tobytes() == np.array([_forward_rows(model, x[None])[0] for x in X]).tobytes()
         assert got.tobytes() == self.per_row(model, X).tobytes()
 
     def test_rows_clamped_at_both_ends(self):
         model = DiscriminatorModel.initialize((4, 8, 3, 1), seed=4)
         model.weights[-1][:, 0] = [1e4, -1e4, 0.0]  # logits of either sign, mostly past the clamp
         X = np.random.default_rng(5).normal(size=(200, 4))
-        logits = model.logits(X)
+        logits = _layers(model, X)[-1]
         got = _forward_rows(model, X)
         # sigmoid(z) lies within PRED_EPS of 0 or 1 once |z| > 16.2
         assert (logits > 20).sum() > 20 and (logits < -20).sum() > 20
         assert set(got[logits > 20]) == {1.0 - PRED_EPS}
         assert set(got[logits < -20]) == {PRED_EPS}
         assert got.tobytes() == self.per_row(model, X).tobytes()
-
-    @pytest.mark.parametrize("shape", [(5, 4), (5,), (5, 1, 3)])
-    def test_wrong_width_raises(self, shape):
-        model = DiscriminatorModel.initialize((3, 6, 1), seed=1)
-        message = "input shape %s != expected (3,)" % (shape[1:],)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            _forward_rows(model, np.zeros(shape))
 
     @staticmethod
     def pool():
@@ -528,13 +515,13 @@ class TestBatchedScorer:
     def test_pool_scores_equal_per_frame_domainness(self):
         source, target, model = self.pool()
         for frames in (source, target):
-            want = [domainness(model, f).value for f in frames]
-            assert _domainness_values(model, frames).tolist() == want
+            want = [domainness(model, [f])[0] for f in frames]
+            assert domainness(model, frames).tolist() == want
             oracle = self.per_row(model, np.array([scene_vector(f) for f in frames]))
-            assert _domainness_values(model, frames).tobytes() == oracle.tobytes()
+            assert domainness(model, frames).tobytes() == oracle.tobytes()
         scores = score_source(source, model)
         assert [(s.frame_id, s.value) for s in scores] == [
-            (f.id, domainness(model, f).value) for f in source
+            (f.id, domainness(model, [f])[0]) for f in source
         ]
 
     @pytest.mark.parametrize("config", [BankConfig(), BankConfig(pairwise_compare="max")])
@@ -542,7 +529,7 @@ class TestBatchedScorer:
         _, target, model = self.pool()
         per_frame = _sample_round(
             target, lambda f: reweight(f, roi_dim=16),
-            lambda frames: [domainness(model, f).value for f in frames], 7, config,
+            lambda frames: [domainness(model, [f])[0] for f in frames], 7, config,
         )
         assert sample_round(target, model, 7, roi_dim=16, config=config) == per_frame
 
@@ -550,11 +537,11 @@ class TestBatchedScorer:
         _, target, model = self.pool()
         narrow = dataclasses.replace(target[3], feature_map=target[3].feature_map[:5])
         with pytest.raises(ValueError, match=re.escape("input shape (5,) != expected (16,)")):
-            _domainness_values(model, target[:3] + [narrow] + target[4:])
+            domainness(model, target[:3] + [narrow] + target[4:])
 
     def test_empty_pool(self):
         _, _, model = self.pool()
-        assert _domainness_values(model, []).shape == (0,)
+        assert domainness(model, []).shape == (0,)
         assert score_source([], model) == []
         assert sample_round([], model, 3) == []
 
@@ -566,7 +553,7 @@ class TestBatchedScorer:
             frames[k] = dataclasses.replace(frames[k], feature_map=frames[k].feature_map[:5])
         message = "input shape (5,) != expected (16,) in frame %s" % frames[5].id
         with pytest.raises(ValueError, match=re.escape(message)):
-            _domainness_values(model, frames)
+            domainness(model, frames)
 
 
 def spoiled(frame, field, index, value=np.nan):

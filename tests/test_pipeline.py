@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import bidal.pipeline
+import bidal.source_sampler
+import bidal.target_sampler
 from bidal import (
     BudgetSchedule,
     PipelineConfig,
@@ -20,6 +22,7 @@ from bidal import (
     serialize_report,
 )
 from bidal.core import _build
+from bidal.discriminator import fit
 from bidal.pipeline import RunReport, run_rounds
 from bidal.simulator import STRATEGIES, run_strategy
 
@@ -213,7 +216,7 @@ THREE_ROUND_REPORT = "eadbc8a83961a5fc791243c114ad16bf6da9dada868b0962ad6570cdd5
 @pytest.mark.parametrize("fresh", [False, True], ids=["same-frames", "fresh-frames"])
 def test_target_frames_scored_once_per_run(monkeypatch, fresh):
     calls, reweighted = [], []
-    real_values, real_reweight = bidal.pipeline._domainness_values, bidal.pipeline.reweight
+    real_values, real_reweight = bidal.pipeline.domainness, bidal.pipeline.reweight
 
     def counting_values(model, frames):
         calls.extend(f.id for f in frames)
@@ -223,7 +226,7 @@ def test_target_frames_scored_once_per_run(monkeypatch, fresh):
         reweighted.append(frame.id)
         return real_reweight(frame, roi_dim=roi_dim)
 
-    monkeypatch.setattr(bidal.pipeline, "_domainness_values", counting_values)
+    monkeypatch.setattr(bidal.pipeline, "domainness", counting_values)
     monkeypatch.setattr(bidal.pipeline, "reweight", counting_reweight)
     src, tgt, ev = small_world()
     cfg = small_pipeline_config(schedule=BudgetSchedule(3, (3, 3, 3), (0, 2, 4)))
@@ -240,6 +243,38 @@ def test_target_frames_scored_once_per_run(monkeypatch, fresh):
     assert reweighted == calls
     digest = hashlib.sha256(serialize_report(report).encode()).hexdigest()
     assert digest == THREE_ROUND_REPORT
+
+
+def test_every_stage_scores_through_domainness(monkeypatch):
+    """Source selection, each round of a run and ``sample_round`` score their
+    frames with one call of ``domainness`` per new pool, by that name."""
+    calls = []
+    real = bidal.pipeline.domainness
+
+    def counting(where):
+        def scored(model, frames):
+            calls.append((where, [f.id for f in frames]))
+            return real(model, frames)
+        return scored
+
+    for module in (bidal.pipeline, bidal.source_sampler, bidal.target_sampler):
+        monkeypatch.setattr(module, "domainness", counting(module.__name__))
+    src, tgt, ev = small_world()
+    cfg = small_pipeline_config(schedule=BudgetSchedule(3, (3, 3, 3), (0, 2, 4)))
+    _, report = run_bidomain(src, tgt, oracle(), cfg, ev)
+    source_ids, target_ids = sorted(f.id for f in src), sorted(f.id for f in tgt)
+    # stage 3 scores the source pool once; round 0 scores the target pool, and
+    # the later rounds find no frame they have not scored
+    assert calls == [("bidal.source_sampler", source_ids), ("bidal.pipeline", target_ids),
+                     ("bidal.pipeline", []), ("bidal.pipeline", [])]
+    assert len(report.labeled_target) == 9
+
+    calls.clear()
+    model, _ = fit(src, tgt, (8,), TrainConfig(epochs=5, seed=0), seed=0)
+    bidal.source_sampler.score_source(src, model)
+    bidal.target_sampler.sample_round(tgt, model, 3, roi_dim=16)
+    assert calls == [("bidal.source_sampler", [f.id for f in src]),
+                     ("bidal.target_sampler", [f.id for f in tgt])]
 
 
 # each report shape run_bidomain writes -> (keys present, keys absent)

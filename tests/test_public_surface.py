@@ -1,6 +1,12 @@
-"""The public API holds only what the demos, the CLI or the README use; tests alone do not count."""
+"""The public API holds only what the demos, the CLI or the README use; tests alone do not count.
 
+A use is code, not prose: a NAME token of a demo or of ``cli.py``, or a word
+inside README backticks or a fenced block.
+"""
+
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import bidal
@@ -8,10 +14,24 @@ import bidal
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _user_text():
-    files = sorted((ROOT / "demos").glob("*.py"))
-    files += [ROOT / "src" / "bidal" / "cli.py", ROOT / "README.md"]
-    return "\n".join(p.read_text() for p in files)
+def _code_names(path):
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return {t.string for t in tokens if t.type == tokenize.NAME}
+
+
+def _readme_code():
+    """README text inside fenced blocks or inline backticks."""
+    readme = (ROOT / "README.md").read_text()
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    rest = re.sub(r"^```[^\n]*\n.*?^```", "", readme, flags=re.S | re.M)
+    return "\n".join(fenced + re.findall(r"`([^`\n]+)`", rest))
+
+
+def _used_names():
+    names = set()
+    for path in sorted((ROOT / "demos").glob("*.py")) + [ROOT / "src" / "bidal" / "cli.py"]:
+        names |= _code_names(path)
+    return names | set(re.findall(r"\w+", _readme_code()))
 
 
 def test_all_is_sorted_and_resolves():
@@ -20,9 +40,14 @@ def test_all_is_sorted_and_resolves():
 
 
 def test_every_export_is_used_outside_the_package():
-    text = _user_text()
-    unused = [n for n in bidal.__all__ if not re.search(r"\b%s\b" % re.escape(n), text)]
-    assert unused == []
+    used = _used_names()
+    assert [n for n in bidal.__all__ if n not in used] == []
+
+
+def test_strings_and_comments_are_not_a_use(tmp_path):
+    demo = tmp_path / "demo.py"
+    demo.write_text('print("pair cosine")  # forward\nscore = domainness\n')
+    assert _code_names(demo) == {"print", "score", "domainness"}
 
 
 def test_readme_quick_start_runs():

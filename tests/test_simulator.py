@@ -565,17 +565,6 @@ class TestScheduleAndBenchmark:
         with pytest.raises(ValueError, match=r"budget fractions must lie in \(0, 1\]"):
             benchmark(cfg, strategies=("random",), seeds=(0,), budget_fracs=(0.05, frac))
 
-    def test_benchmark_csv_output(self, tmp_path):
-        cfg = SyntheticConfig(n_source=30, n_target=40, n_eval=15, seed=0)
-        report = benchmark(
-            cfg, strategies=("random",), seeds=(0,), budget_fracs=(0.05,),
-        )
-        path = str(tmp_path / "rows.csv")
-        report.write_csv(path)
-        lines = open(path).read().strip().splitlines()
-        assert lines[0] == "strategy,seed,budget,accuracy,diversity"
-        assert len(lines) == 2
-
 
 # Picks and eval accuracies recorded before the baselines moved onto the
 # pipeline's round loop (SyntheticConfig(30, 40, 20, seed=3), seed 4).
@@ -718,6 +707,22 @@ def test_benchmark_bytes_equal_a_fresh_detector_per_run(monkeypatch):
     got = benchmark(cfg, strategies=STRATEGIES, seeds=seeds, budget_fracs=fracs, disc_epochs=10)
     assert got.to_json() == expected
     assert len(fits) == len(seeds)  # one pretrain per seed, not one per run
+
+
+@pytest.mark.parametrize("strategy", ["random", "entropy", "committee"])
+def test_baselines_pretrain_the_id_sorted_source_pool(monkeypatch, strategy):
+    """A baseline pretrains the sequence ``bidomain`` does, whatever the input order,
+    so a shared detector fits it once and the picks do not depend on that order."""
+    src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
+    shuffled = [src[i] for i in np.random.default_rng(0).permutation(len(src))]
+    assert shuffled != sorted(src, key=lambda f: f.id)
+    det = ProxyDetector(n_classes=3, roi_dim=16)
+    fits = _pretrain_fits(monkeypatch)
+    schedule = default_schedule(2, 0.01)
+    run_strategy("bidomain", shuffled, tgt, ev, schedule, seed=4, oracle=det, disc_epochs=5)
+    report = run_strategy(strategy, shuffled, tgt, ev, schedule, seed=4, oracle=det)
+    assert fits == [sorted(f.id for f in src)]
+    assert (report.labeled_target, report.final_metric) == GOLDEN_RUNS[strategy, 2]
 
 
 class TestPretrainMemo:

@@ -10,7 +10,6 @@ from bidal import (
     FrameRecord,
     ReweightedROI,
     build_banks,
-    cosine,
     reweight,
     sample_round,
     select_targets,
@@ -21,6 +20,7 @@ from bidal.target_sampler import (
     _block_rows,
     _norms,
     _Prototypes,
+    cosine,
     merge_banks,
 )
 

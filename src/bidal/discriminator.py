@@ -11,16 +11,23 @@ its batch and applies them; the loss itself is computed once per epoch, over
 all vectors, for the history and the non-finite check. ``_grads`` is the one
 backprop, behind both ``train`` and ``loss_and_grads``. It works on a
 ``_Flat``: a copy of the model whose weights and biases are views of one
-parameter vector, beside a gradient vector laid out alike. The forward pass
-keeps each hidden layer's leaky-ReLU slope (1.0 or leak) for the backward
-pass, the L2 term is one call over every weight, the clamp's mask is built
-only for a batch with a row past the clamp, and an update is two calls with
-the same rounding as ``w -= lr * g`` per array. Each epoch permutes the
-vectors once and steps through slices of that copy, and its loss pass
-reuses arrays the fit allocates once. Every weight, bias and loss keeps the
-bytes of the plain step-by-step loop; the returned model owns its arrays.
-``fit`` computes each pool's scene vectors in one batched pass
-(``scoring.scene_vectors``).
+parameter vector, beside a gradient vector laid out alike, and one ``_Work``
+of arrays per batch row count, made on first use. A fit sees at most three
+counts: the batch size, the last batch's and the pool's. Every layer, slope,
+backprop product, sigmoid step and the L2 product is written into those
+arrays. The forward pass keeps each hidden layer's leaky-ReLU slope,
+max(sign(z), leak), for the backward pass, and the L2 term is one call over
+every weight. The clamp's mask is built only when one reduction over -|z|
+finds a logit past ``Z_SAFE`` = 15; the clamp acts only past |z| of about
+16.12, so the guard fires whenever some row is clamped. An update is two
+calls with the same rounding as ``w -= lr * g`` per array. Each epoch
+permutes the vectors once and steps through slices of that copy. Its loss
+pass, like ``predict`` and scoring, takes each hidden layer as
+max(z, leak * z), and it sums log(1 - p) over the source rows and log(p)
+over the target rows: ``bce_loss``'s terms for labels 0 and 1, summed in the
+same order. Every weight, bias and loss keeps the bytes of the plain
+step-by-step loop; the returned model owns its arrays. ``fit`` computes each
+pool's scene vectors in one batched pass (``scoring.scene_vectors``).
 
 One layer walk, ``_layers``, serves training, ``predict`` and per-row
 scoring; only the shape of the products, and where they are written,
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +67,8 @@ from .core import (Domain, FrameRecord, _build, _check_finite, _require_finite,
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
+# |z| past which a training step checks for clamped rows; only |z| > 16.1 clamps
+Z_SAFE = 15.0
 CHECKPOINT_VERSION = 1
 LEAK = 0.01
 
@@ -205,58 +214,87 @@ def _check_counts(layer_dims, weights, biases) -> None:
 def _leaky_relu(
     z: np.ndarray,
     leak: float,
-    slopes: Optional[List[np.ndarray]] = None,
-    out: Optional[np.ndarray] = None,
+    slope: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """z where z > 0, else leak * z, bit for bit, as z times its slope (1.0 or leak).
+    """z where z > 0, else leak * z, bit for bit, written over z.
 
-    The product is written to ``out`` when it is given, and the slope is
-    appended to ``slopes`` when it is given, for backprop.
+    With ``slope``, that array receives z's slope (1.0 or leak) for backprop
+    and z is multiplied by it. Without, z becomes max(z, leak * z), with
+    leak * z written to ``scratch`` when it is given; for 0 < leak < 1 the two
+    forms agree bit for bit on every z, NaN included.
     """
-    # np.where(z > 0, 1.0, leak): the bool mask cast inside maximum is several
-    # times faster on a whole pool than where's two scalars
-    slope = np.maximum(z > 0, leak, dtype=np.float64)
-    if slopes is not None:
-        slopes.append(slope)
-    return np.multiply(z, slope, out=out)
+    if slope is None:
+        return np.maximum(z, np.multiply(z, leak, out=scratch), out=z)
+    # sign(z) is 1 above 0 and -1, 0 or NaN elsewhere, so its maximum with leak
+    # is where(z > 0, 1.0, leak) for every non-NaN z, without a bool cast
+    np.sign(z, out=slope)
+    np.maximum(slope, leak, out=slope)
+    return np.multiply(z, slope, out=z)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+class _Work:
+    """The arrays one shape of batch is computed in, overwritten by every pass.
+
+    ``layers`` holds each layer's output, the logits with their trailing axis
+    of 1, and backprop writes its running product over them once read.
+    ``hidden`` holds each hidden layer's slope in a training step, or its
+    leak * z in a forward pass. ``neg_abs``, ``e`` and ``p`` hold -|z|,
+    exp(-|z|) and the sigmoid of the logits.
+    """
+
+    def __init__(self, layer_dims: Sequence[int], rows: Tuple[int, ...]):
+        self.layers = [np.empty(rows + (w,)) for w in layer_dims[1:]]
+        self.hidden = [np.empty(a.shape) for a in self.layers[:-1]]
+        self.neg_abs, self.e, self.p = (np.empty(rows) for _ in range(3))
+
+
+def _sigmoid(z: np.ndarray, work: Optional[_Work] = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp never
+    overflows; written to ``work.p``, with -|z| kept in ``work.neg_abs``, when
+    ``work`` is given."""
+    neg_abs, e, p = (work.neg_abs, work.e, work.p) if work else (None, None, None)
+    e = np.exp(np.copysign(z, -1.0, out=neg_abs), out=e)
+    # the numerator where(z >= 0, 1.0, e) without a mask: below 0, sign(z) = -1 < e;
+    # at +-0, sign(z) = 0 < e = 1; above 0, e <= 1 = sign(z)
+    p = np.sign(z, out=p)
+    np.maximum(p, e, out=p)
+    e += 1.0
+    return np.divide(p, e, out=p)
 
 
 def _layers(
     model: DiscriminatorModel,
     X: np.ndarray,
-    slopes: Optional[List[np.ndarray]] = None,
-    out: Optional[Sequence[np.ndarray]] = None,
+    work: Optional[_Work] = None,
+    slopes: bool = False,
 ) -> List[np.ndarray]:
     """``[X, hidden activations..., logits]`` of a batch whose rows lie along the last axis.
 
-    Each hidden layer's leaky-ReLU slope is appended to ``slopes`` when it is
-    given. ``out``, one array per layer shaped like that layer's output
-    (the logits with their trailing axis of 1), receives the layers instead
-    of new arrays.
+    The layers are written into ``work``'s arrays when it is given, and into
+    new arrays otherwise. With ``slopes``, each hidden layer's leaky-ReLU
+    slope is kept in ``work.hidden`` for backprop.
     """
+    n = len(model.weights)
+    outs, hidden = (work.layers, work.hidden) if work else ([None] * n, [None] * (n - 1))
     acts = [X]
-    out = out or [None] * len(model.weights)
-    for w, b, buf in zip(model.weights[:-1], model.biases[:-1], out):
-        z = np.matmul(acts[-1], w, out=buf)
+    for w, b, out, tmp in zip(model.weights[:-1], model.biases[:-1], outs, hidden):
+        z = np.matmul(acts[-1], w, out=out)
         z += b
-        acts.append(_leaky_relu(z, model.leak, slopes, out=z))
-    z = np.matmul(acts[-1], model.weights[-1], out=out[-1])
+        acts.append(_leaky_relu(z, model.leak, slope=tmp) if slopes
+                    else _leaky_relu(z, model.leak, scratch=tmp))
+    z = np.matmul(acts[-1], model.weights[-1], out=outs[-1])
     z += model.biases[-1]
     acts.append(z[..., 0])
     return acts
 
 
 def _predictions(
-    model: DiscriminatorModel, X: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
+    model: DiscriminatorModel, X: np.ndarray, work: Optional[_Work] = None
 ) -> np.ndarray:
     """``predict`` of a checked batch: the sigmoid of its logits, clamped away from 0/1."""
-    return np.clip(_sigmoid(_layers(model, X, out=out)[-1]), PRED_EPS, 1.0 - PRED_EPS)
+    p = _sigmoid(_layers(model, X, work)[-1], work)
+    return np.clip(p, PRED_EPS, 1.0 - PRED_EPS, out=p)
 
 
 def _forward_rows(model: DiscriminatorModel, X: np.ndarray) -> np.ndarray:
@@ -292,30 +330,32 @@ def _grads(
 
     Returns the unclamped sigmoid outputs and ``flat``'s weight and bias
     gradient views. A training step needs only the gradients, so it calls
-    this directly.
+    this directly. Every array is ``flat``'s, kept for the batch's row count.
     """
     model = flat.model
+    work = flat.work(X.shape[0])
     grads_w, grads_b = flat.grads
-    slopes: List[np.ndarray] = []
-    *activations, z_out = _layers(model, X, slopes)
-    p_raw = _sigmoid(z_out)
+    *activations, z_out = _layers(model, X, work, slopes=True)
+    p_raw = _sigmoid(z_out, work)
 
-    # unclamped rows have p == p_raw; clamped rows get no gradient, and the
-    # mask is built only when some row is clamped
-    delta = p_raw - y
-    if p_raw.min() < PRED_EPS or p_raw.max() > 1.0 - PRED_EPS:
+    # the logits are read for the last time, so delta takes their array.
+    # Unclamped rows have p == p_raw; clamped rows get no gradient. Only a row
+    # with |z| > 16.1 is clamped, so the mask is built only past Z_SAFE.
+    delta = np.subtract(p_raw, y, out=z_out)
+    if np.minimum.reduce(work.neg_abs) < -Z_SAFE:
         delta[(p_raw < PRED_EPS) | (p_raw > 1.0 - PRED_EPS)] = 0.0
     delta /= X.shape[0]
 
-    back = delta[:, None]
+    back = work.layers[-1]
     for i in range(len(model.weights) - 1, -1, -1):
         if i < len(model.weights) - 1:
-            back = back @ model.weights[i + 1].T
-            back *= slopes[i]
+            # layer i's output was last read by layer i + 1's weight gradient
+            back = np.matmul(back, model.weights[i + 1].T, out=work.layers[i])
+            back *= work.hidden[i]
         np.matmul(activations[i].T, back, out=grads_w[i])
         np.add.reduce(back, axis=0, out=grads_b[i])
     # the same rounding as ``g += l2 * W`` per weight array
-    flat.grad_w += l2 * flat.theta_w
+    flat.grad_w += np.multiply(flat.theta_w, l2, out=flat.l2_w)
     return p_raw, grads_w, grads_b
 
 
@@ -352,7 +392,8 @@ class _Flat:
 
     ``_grads`` overwrites ``grad`` through its views ``grads`` (weight arrays,
     bias arrays) and adds the L2 term over every weight in one call, so an SGD
-    step is ``_grads`` and two calls over the pair.
+    step is ``_grads`` and two calls over the pair. ``work(n)`` gives the
+    arrays a batch of n rows is computed in, made on first use.
     """
 
     def __init__(self, model: DiscriminatorModel):
@@ -364,6 +405,13 @@ class _Flat:
         self.grads = (grads[:layers], grads[layers:])
         n_w = sum(w.size for w in model.weights)
         self.theta_w, self.grad_w = self.theta[:n_w], self.grad[:n_w]
+        self.l2_w = np.empty(n_w)
+        self._work: Dict[int, _Work] = {}
+
+    def work(self, n: int) -> _Work:
+        if n not in self._work:
+            self._work[n] = _Work(self.model.layer_dims, (n,))
+        return self._work[n]
 
 
 def train(
@@ -376,7 +424,8 @@ def train(
 
     Each epoch permutes the vectors once and steps through slices of the
     permuted copy. A step is ``_grads`` on a ``_Flat`` and two calls over its
-    parameter and gradient vectors. The returned model owns its arrays.
+    parameter and gradient vectors. The epoch's loss equals ``bce_loss`` of
+    ``predict`` on every vector. The returned model owns its arrays.
     """
     if len(source_vs) == 0 or len(target_vs) == 0:
         raise ValueError("both domains must contribute at least one vector")
@@ -390,9 +439,7 @@ def train(
     X = model._check_input(X)
     flat = _Flat(model)
     rng = np.random.default_rng(cfg.seed)
-    n, size = X.shape[0], cfg.batch_size
-    # the loss pass computes every layer of all n rows into the same arrays each epoch
-    loss_out = [np.empty((n, width)) for width in model.layer_dims[1:]]
+    n, size, n_source = X.shape[0], cfg.batch_size, len(source_vs)
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -402,7 +449,11 @@ def train(
             # the same rounding as ``p -= lr * g`` per array
             flat.grad *= cfg.learning_rate
             flat.theta -= flat.grad
-        epoch_loss = bce_loss(_predictions(flat.model, X, loss_out), y)
+        # bce_loss's terms for y in {0, 1}: -log(1 - p) on source rows and
+        # -log(p) on target rows, summed in the same order
+        q = _predictions(flat.model, X, flat.work(n))
+        np.subtract(1.0, q[:n_source], out=q[:n_source])
+        epoch_loss = float(-(np.add.reduce(np.log(q, out=q)) / n))
         if not np.isfinite(epoch_loss):
             raise NumericalError(
                 "non-finite loss after epoch %d (lr=%g)" % (len(history) + 1, cfg.learning_rate)

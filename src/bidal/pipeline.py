@@ -174,7 +174,8 @@ def run_bidomain(
 
     def values(frames):
         new = [f for f in frames if f not in scores]
-        scores.update(zip(new, domainness(disc, new).tolist()))
+        if new:
+            scores.update(zip(new, domainness(disc, new).tolist()))
         return [scores[f] for f in frames]
 
     def pick(unlabeled, budget, k, det_state):

@@ -50,7 +50,8 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonical_json
+from .core import (BudgetSchedule, Domain, FrameRecord, SyntheticConfig, _check_finite,
+                   canonical_json)
 from .discriminator import TrainConfig
 from .pipeline import PipelineConfig, RunReport, _check_labels, run_bidomain, run_rounds
 from .scoring import entropy_map
@@ -223,9 +224,16 @@ class ProxyDetector:
         self.n_classes = int(n_classes)
         self.roi_dim = int(roi_dim)
         self.pretrain_epochs = int(pretrain_epochs)
-        # each frame object's re-weighted ROI vector, computed once per detector
+        # each frame object's re-weighted ROI vector, computed once per detector; a
+        # NaN or infinity in it raises naming the frame before any fit or logit
         roi_dim = self.roi_dim
-        self._row = functools.cache(lambda f: reweight(f, roi_dim=roi_dim).vector)
+
+        def row(frame: FrameRecord) -> np.ndarray:
+            vector = reweight(frame, roi_dim=roi_dim).vector
+            _check_finite(vector[None], lambda i: frame.id, "ROI vector")
+            return vector
+
+        self._row = functools.cache(row)
         # each pretrained frame sequence's state, keyed on its frame objects in order
         self._pretrained: Dict[Tuple[FrameRecord, ...], Dict[str, np.ndarray]] = {}
 

@@ -206,11 +206,17 @@ class TestGradientStep:
     def test_leaky_relu_bytes_equal_where(self, leak):
         z = np.array([-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e300, np.inf, np.nan])
         want = np.where(z > 0, z, leak * z).tobytes()
-        assert _leaky_relu(z, leak).tobytes() == want
-        # the slope kept for backprop, and the product written over z
-        slopes = []
-        assert _leaky_relu(z, leak, slopes, out=z) is z and z.tobytes() == want
-        assert slopes[0].tobytes() == np.where(np.frombuffer(want) > 0, 1.0, leak).tobytes()
+        # the slope-free form max(z, leak * z), with and without a scratch array
+        for scratch in (None, np.full_like(z, 7.0)):
+            a = z.copy()
+            assert _leaky_relu(a, leak, scratch=scratch) is a and a.tobytes() == want
+        # the form that keeps the slope for backprop: where(z > 0, 1.0, leak),
+        # and NaN where z is NaN
+        a, slope = z.copy(), np.full_like(z, 7.0)
+        assert _leaky_relu(a, leak, slope=slope) is a and a.tobytes() == want
+        want_slope = np.where(z > 0, 1.0, leak)
+        want_slope[np.isnan(z)] = np.nan
+        assert slope.tobytes() == want_slope.tobytes()
 
     @pytest.mark.parametrize("dims, l2", [((5, 7, 1), 0.0), ((5, 8, 4, 1), 1e-3)])
     def test_gradients_bytes_equal_oracle(self, dims, l2):
@@ -246,29 +252,48 @@ class TestGradientStep:
             for got, want in zip(ow + ob, want_w + want_b):
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dims", [(5, 7, 1), (5, 8, 6, 4, 1)])
+    @pytest.mark.parametrize("logit", [15.5, -15.5, 16.5, -16.5])
+    def test_gradients_bytes_equal_oracle_near_the_clamp(self, dims, logit):
+        """Every row inside 15 < |z| < 16.1, where the guard fires but no row is
+        clamped, or past 16.2, where every row is clamped."""
+        rng = np.random.default_rng(8)
+        model = DiscriminatorModel.initialize(dims, seed=6)
+        model.biases[-1][:] = logit
+        X = 0.05 * rng.normal(size=(24, dims[0]))
+        y = rng.integers(0, 2, size=24).astype(float)
+        z = np.abs(_layers(model, X)[-1])
+        assert (((z > 15.0) & (z < 16.1)) if abs(logit) < 16.0 else (z > 16.2)).all()
+        want_loss, want_w, want_b = plain_loss_and_grads(model, X, y, 1e-3)
+        _, gw, gb = _grads(_Flat(model), X, y, 1e-3)
+        loss, lw, lb = loss_and_grads(model, X, y, l2=1e-3)
+        assert loss == want_loss
+        for got, lg, want in zip(gw + gb, lw + lb, want_w + want_b):
+            assert got.tobytes() == lg.tobytes() == want.tobytes()
+
 
 def oracle_train(model, source, target, cfg):
     """``train`` step by step: ``plain_loss_and_grads`` on each batch, ``p -= lr * g``
     per array, and the loss of every vector once per epoch.
 
-    Returns the model, the loss history and how many batch rows had a logit
-    past the prediction clamp when their gradient was taken.
+    Returns the model, the loss history and every batch row's |logit| when
+    its gradient was taken.
     """
     X = np.vstack([source, target])
     y = np.concatenate([np.zeros(len(source)), np.ones(len(target))])
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    history, clamped = [], 0
+    history, logits = [], []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(X))
         for start in range(0, len(X), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            clamped += int((np.abs(_layers(model, X[idx])[-1]) > 17.0).sum())
+            logits.append(np.abs(_layers(model, X[idx])[-1]))
             _, gw, gb = plain_loss_and_grads(model, X[idx], y[idx], cfg.l2)
             for p, g in zip(model.weights + model.biases, gw + gb):
                 p -= cfg.learning_rate * g
         history.append(bce_loss(model.predict(X), y))
-    return model, history, clamped
+    return model, history, np.concatenate(logits)
 
 
 def assert_same_fit(got, want):
@@ -301,7 +326,24 @@ class TestTrainingOracle:
         model = DiscriminatorModel.initialize((5, 8, 4, 1), seed=12)
         cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=7, l2=1e-3, seed=2)
         want = oracle_train(model, src, tgt, cfg)
-        assert want[2] >= 5
+        assert (want[2] > 17.0).sum() >= 5
+        assert_same_fit(train(model, src, tgt, cfg), want)
+
+    @pytest.mark.parametrize("dims", [(5, 8, 1), (5, 8, 6, 4, 1)])
+    # 40 vectors: no tail, a tail of 4, and one batch larger than the pool
+    @pytest.mark.parametrize("batch_size", [8, 12, 64])
+    @pytest.mark.parametrize("logit", [15.5, -15.5, 16.5, -16.5])
+    def test_bytes_equal_near_and_past_the_clamp(self, dims, batch_size, logit):
+        """Every row inside 15 < |z| < 16.1, where a step's guard fires but no row is
+        clamped, or past 16.2, where every row is clamped."""
+        rng = np.random.default_rng(len(dims))
+        src, tgt = 0.05 * rng.normal(size=(22, 5)), 0.05 * rng.normal(size=(18, 5))
+        model = DiscriminatorModel.initialize(dims, seed=5)
+        model.biases[-1][:] = logit
+        cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=batch_size, l2=1e-3, seed=4)
+        want = oracle_train(model, src, tgt, cfg)
+        z = want[2]
+        assert (((z > 15.0) & (z < 16.1)) if abs(logit) < 16.0 else (z > 16.2)).all()
         assert_same_fit(train(model, src, tgt, cfg), want)
 
     def test_fits_of_other_shapes_in_between_keep_their_bytes(self):

@@ -765,3 +765,35 @@ class TestPretrainMemo:
                 det.pretrain(src)
         assert det.pretrain(src[:4])["W"].shape == (16, 3)
 
+
+class TestNonFiniteROIs:
+    """A NaN in one frame's ROI features raises ``ValueError`` naming that frame where
+    the detector first reads its row, on every strategy (``bidomain`` runs through
+    ``run_bidomain``), instead of a fit whose every weight turns NaN."""
+
+    @staticmethod
+    def run(strategy, pool):
+        source, target, eval_frames = generate(
+            SyntheticConfig(n_source=30, n_target=40, n_eval=10, seed=0))
+        frames = {"source": source, "target": target, "eval": eval_frames}[pool]
+        rois = np.array(frames[0].roi_features)
+        rois[0, 0] = np.nan
+        frames[0] = dataclasses.replace(frames[0], roi_features=rois)
+        message = "^frame %s has a non-finite ROI vector$" % frames[0].id
+        with pytest.raises(ValueError, match=message):
+            run_strategy(strategy, source, target, eval_frames, default_schedule(4, 0.1), 0,
+                         ProxyDetector(n_classes=3, roi_dim=16), disc_epochs=5)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_source_frame(self, strategy):
+        self.run(strategy, "source")
+
+    # random reads a target frame's row only if it picks the frame, and bidomain's
+    # banks check the target pool first (test_roi_feature_in_sample_round)
+    @pytest.mark.parametrize("strategy", ["entropy", "committee"])
+    def test_target_frame(self, strategy):
+        self.run(strategy, "target")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_eval_frame(self, strategy):
+        self.run(strategy, "eval")

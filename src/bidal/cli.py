@@ -13,9 +13,9 @@ import sys
 from dataclasses import replace
 
 from . import io as frameio
-from .core import ConfigError, _build, read_json, write_ids
+from .core import BudgetSchedule, ConfigError, _build, read_json, write_ids
 # ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
-from .discriminator import DiscriminatorModel, NumericalError, TrainConfig, fit, train
+from .discriminator import DiscriminatorModel, NumericalError, fit, train
 from .pipeline import PipelineConfig, RunReport, _roi_dim, run_bidomain, serialize_report
 from .simulator import STRATEGIES, BenchFile, ProxyDetector, SyntheticConfig, benchmark, generate
 from .source_sampler import score_source, select_source
@@ -119,17 +119,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(path, cls, seed):
-    """The ``cls`` config in ``path`` (``cls()`` without one), with ``seed`` unless it is None."""
-    cfg = frameio.load_config(path) if path else cls()
-    if not isinstance(cfg, cls):
-        kind = "pipeline" if cls is PipelineConfig else "synthetic"
+# the pipeline config without a file (train-disc's without --config): every field at its
+# default, and no rounds
+_NO_PIPELINE_CONFIG = PipelineConfig(BudgetSchedule(0, (), ()))
+
+
+def _config(path, default, seed):
+    """The config in ``path`` (``default`` without one), of ``default``'s type; a ``seed`` other
+    than None sets its seed and a pipeline's discriminator seed, so run and train-disc agree."""
+    cfg = frameio.load_config(path) if path else default
+    if type(cfg) is not type(default):
+        kind = "pipeline" if isinstance(default, PipelineConfig) else "synthetic"
         raise ConfigError("expected a %s config" % kind)
+    if seed is not None and isinstance(cfg, PipelineConfig):
+        cfg = replace(cfg, discriminator=replace(cfg.discriminator, seed=seed))
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _cmd_gen(args) -> int:
-    cfg = _config(args.config, SyntheticConfig, args.seed)
+    cfg = _config(args.config, SyntheticConfig(), args.seed)
     os.makedirs(args.out, exist_ok=True)
     source, target, eval_frames = generate(cfg)
     frameio.save_frames(source, os.path.join(args.out, "source.ndjson"))
@@ -143,16 +151,9 @@ def _cmd_gen(args) -> int:
 def _cmd_train_disc(args) -> int:
     source = frameio.load_frames(args.source)
     target = frameio.load_frames(args.target)
-    # with a pipeline config, initialize with its top-level seed, as `run` does
-    if args.config:
-        pcfg = _config(args.config, PipelineConfig, None)
-        cfg, hidden_dims, seed = pcfg.discriminator, pcfg.hidden_dims, pcfg.seed
-    else:
-        cfg, hidden_dims = TrainConfig(), PipelineConfig.hidden_dims
-        seed = cfg.seed
-    if args.seed is not None:
-        cfg, seed = replace(cfg, seed=args.seed), args.seed
-    model, history = fit(source, target, hidden_dims, cfg, seed)
+    # initialize with the config's top-level seed, as `run` does
+    cfg = _config(args.config, _NO_PIPELINE_CONFIG, args.seed)
+    model, history = fit(source, target, cfg.hidden_dims, cfg.discriminator, cfg.seed)
     model.save(args.out)
     print("final loss %.6f after %d epochs -> %s"
           % (history[-1] if history else float("nan"), len(history), args.out))
@@ -179,7 +180,7 @@ def _cmd_sample_target(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args.config, PipelineConfig, args.seed)
+    cfg = _config(args.config, _NO_PIPELINE_CONFIG, args.seed)
     source = frameio.load_frames(args.source)
     target = frameio.load_frames(args.target)
     eval_frames = frameio.load_frames(args.eval_frames) if args.eval_frames else []
@@ -208,7 +209,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _config(args.config, SyntheticConfig, args.seed)
+    cfg = _config(args.config, SyntheticConfig(), args.seed)
     report = benchmark(
         cfg,
         strategies=args.strategies,

@@ -12,10 +12,12 @@ values) and ``write_ids`` (id-list files).
 Configs, checkpoints, run reports, bench summaries and frame records are read
 by one schema walk, ``_build``: each value of a JSON object is checked against
 its dataclass field's declared type, with no coercion and no non-finite
-number, and a fault raises ``ConfigError`` naming the value's path. Each
-type's walk is compiled once, into a check closure (``_compile``). A Python
-caller's ``SyntheticConfig`` and ``TrainConfig`` reject a NaN or infinite
-float field in the walk's words (``_require_finite``).
+number, and a fault raises ``ConfigError`` naming the value's path. A field
+declares its bound once, in its type: a ``Range`` (``PosInt``, ``NonNegInt``),
+a ``Literal`` or ``NonEmpty``. Each type's walk is compiled once, into a check
+closure (``_compile``). A config (a ``Checked`` dataclass) runs the same
+checks on its fields that hold no other config when it is built, in the
+walk's words less the location: ``seed must be at least 0, got -1``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import (Any, Callable, Dict, Mapping, Sequence, Tuple, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (Annotated, Any, Callable, Dict, Literal, Mapping, Sequence, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -102,37 +104,65 @@ def _check_finite(rows: np.ndarray, id_of: Callable[[int], str], what: str) -> N
         raise ValueError("frame %s has a non-finite %s" % (id_of(first), what))
 
 
-def _int_tuple(values: Sequence[Any], what: str) -> Tuple[int, ...]:
-    """``values`` as a tuple of ints; Python and numpy integers only, never bools."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError("%s must hold integers, got %r" % (what, v))
-    return tuple(int(v) for v in values)
+@dataclass(frozen=True)
+class Range:
+    """A number field's bound, declared in its type: ``Annotated[float, Range(gt=0, le=1)]``."""
+
+    ge: Any = None
+    gt: Any = None
+    le: Any = None
+    lt: Any = None
+
+    def holds(self, value) -> bool:
+        return not ((self.ge is not None and value < self.ge)
+                    or (self.gt is not None and value <= self.gt)
+                    or (self.le is not None and value > self.le)
+                    or (self.lt is not None and value >= self.lt))
+
+    def __str__(self) -> str:
+        limits = zip(("at least", "greater than", "at most", "less than"),
+                     (self.ge, self.gt, self.le, self.lt))
+        return " and ".join("%s %s" % (words, v) for words, v in limits if v is not None)
+
+
+class NonEmpty:
+    """A list field's bound, declared in its type: ``Annotated[Tuple[int, ...], NonEmpty()]``."""
+
+    def holds(self, value) -> bool:
+        return len(value) > 0
+
+    def __str__(self) -> str:
+        return "non-empty"
+
+
+PosInt = Annotated[int, Range(ge=1)]
+NonNegInt = Annotated[int, Range(ge=0)]
+
+
+class Checked:
+    """A dataclass whose constructor checks each field that holds no other dataclass, as the
+    schema walk checks it: a Python or numpy integer is stored as an int, a sequence of a
+    tuple field as a tuple, and a fault raises ``ConfigError`` naming the field."""
+
+    def __post_init__(self):
+        for name, check in _leaf_checks(type(self)).items():
+            object.__setattr__(self, name, check(getattr(self, name), name, None))
 
 
 @dataclass(frozen=True)
-class BudgetSchedule:
+class BudgetSchedule(Checked):
     """Per-round annotation budgets and the pipeline epochs that trigger them."""
 
-    rounds: int
-    per_round: Tuple[int, ...]
-    trigger_epochs: Tuple[int, ...]
+    rounds: NonNegInt
+    per_round: Tuple[PosInt, ...]
+    trigger_epochs: Tuple[NonNegInt, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "per_round", _int_tuple(self.per_round, "per_round"))
-        object.__setattr__(
-            self, "trigger_epochs", _int_tuple(self.trigger_epochs, "trigger_epochs")
-        )
-        if self.rounds < 0:
-            raise ValueError("rounds must be non-negative")
+        super().__post_init__()
         if len(self.per_round) != self.rounds:
             raise ValueError("per_round length must equal rounds")
         if len(self.trigger_epochs) != self.rounds:
             raise ValueError("trigger_epochs length must equal rounds")
-        if any(b <= 0 for b in self.per_round):
-            raise ValueError("per-round budgets must be positive")
-        if any(e < 0 for e in self.trigger_epochs):
-            raise ValueError("trigger epochs must be non-negative")
         if any(
             a >= b for a, b in zip(self.trigger_epochs, self.trigger_epochs[1:])
         ):
@@ -155,44 +185,19 @@ class BudgetSchedule:
         return BudgetSchedule(rounds, per_round, tuple(trigger_epochs))
 
 
-def _require_finite(cfg: Any, *names: str) -> None:
-    """Raise ``ValueError`` for the first float field of ``cfg`` in ``names`` that is NaN
-    or infinite, in the words of the file walk."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not math.isfinite(value):
-            raise ValueError("%s must be a finite number, got %s" % (name, _shown(value)))
-
-
 @dataclass(frozen=True)
-class SyntheticConfig:
-    n_source: int = 400
-    n_target: int = 400
-    n_eval: int = 300
-    clusters_per_domain: int = 3
-    feature_dims: Tuple[int, int, int, int, int] = (16, 4, 4, 2, 16)  # C,H,W,C',d_roi
-    domain_shift: float = 3.0
-    label_noise: float = 0.0
-    cluster_skew: float = 0.6
-    roi_noise: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        _require_finite(self, "domain_shift", "roi_noise")
-        if min(self.n_source, self.n_target, self.n_eval) < 1:
-            raise ValueError("dataset sizes must be positive")
-        if self.clusters_per_domain < 1:
-            raise ValueError("clusters_per_domain must be positive")
-        if any(d < 1 for d in self.feature_dims):
-            raise ValueError("feature dims must be positive")
-        if self.domain_shift < 0:
-            raise ValueError("domain_shift must be non-negative")
-        if not 0.0 <= self.label_noise < 0.5:
-            raise ValueError("label_noise must lie in [0, 0.5)")
-        if not 0.0 < self.cluster_skew <= 1.0:
-            raise ValueError("cluster_skew must lie in (0, 1]")
-        if self.roi_noise < 0:
-            raise ValueError("roi_noise must be non-negative")
+class SyntheticConfig(Checked):
+    n_source: PosInt = 400
+    n_target: PosInt = 400
+    n_eval: PosInt = 300
+    clusters_per_domain: PosInt = 3
+    # C, H, W, C', d_roi
+    feature_dims: Tuple[PosInt, PosInt, PosInt, PosInt, PosInt] = (16, 4, 4, 2, 16)
+    domain_shift: Annotated[float, Range(ge=0)] = 3.0
+    label_noise: Annotated[float, Range(ge=0, lt=0.5)] = 0.0
+    cluster_skew: Annotated[float, Range(gt=0, le=1)] = 0.6
+    roi_noise: Annotated[float, Range(ge=0)] = 0.5
+    seed: NonNegInt = 0
 
 
 @dataclass(frozen=True)
@@ -276,9 +281,30 @@ def _check_keys(d: Dict[str, Any], allowed, loc: Any, key: Any = None) -> None:
 @functools.lru_cache(maxsize=None)
 def _schema(cls) -> Tuple[Tuple[str, Any, Any], ...]:
     """Each field of dataclass ``cls``: name, declared type and default (``MISSING`` if none)."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     return tuple((f.name, hints[f.name], f.default if f.default_factory is MISSING
                   else f.default_factory()) for f in fields(cls))
+
+
+def _base(tp: Any) -> Any:
+    """``tp`` without its bound."""
+    return get_args(tp)[0] if get_origin(tp) is Annotated else tp
+
+
+def _is_leaf(tp: Any) -> bool:
+    """Whether a value of type ``tp`` holds no dataclass."""
+    return not (isinstance(tp, type) and is_dataclass(tp)) and all(map(_is_leaf, get_args(tp)))
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_checks(cls) -> Dict[str, Callable]:
+    """The walk's check of each field of dataclass ``cls`` that holds no dataclass."""
+    return {name: _compile(tp, ()) for name, tp, _ in _schema(cls) if _is_leaf(tp)}
+
+
+def _checked(cls, name: str, value: Any) -> Any:
+    """``value`` as the walk checks field ``name`` of dataclass ``cls``; a fault names ``name``."""
+    return _leaf_checks(cls)[name](value, name, None)
 
 
 def _build(cls, d: Any, context: str, readers: Mapping[Any, Callable]):
@@ -317,6 +343,17 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
 
         return build
     origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:  # a Range or NonEmpty bound on the checked value
+        inner, bound = _compile(args[0], readers), args[1]
+        expected = str(bound)
+
+        def check_bound(value, loc, key):
+            checked = inner(value, loc, key)
+            if not bound.holds(checked):
+                _fail(loc, key, expected, value)
+            return checked
+
+        return check_bound
     if origin is Union:  # Optional[X]
         inner = _compile(args[0], readers)
         return lambda value, loc, key: None if value is None else inner(value, loc, key)
@@ -334,18 +371,18 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
         item_tp, *rest = args
         item = _compile(item_tp, readers)
         n = None if origin is list or rest == [Ellipsis] else 1 + len(rest)
-        expected = "a list of %s%s" % ("" if n is None else "%d " % n, item_tp.__name__)
+        expected = "a list of %s%s" % ("" if n is None else "%d " % n, _base(item_tp).__name__)
 
-        def check_list(value, loc, key):
-            if not isinstance(value, list) or n not in (None, len(value)):
+        def check_list(value, loc, key):  # a constructor's tuple or array, too
+            if not isinstance(value, (list, tuple, np.ndarray)) or n not in (None, len(value)):
                 _fail(loc, key, expected, value)
             here = (loc, key)
             items = [item(v, here, i) for i, v in enumerate(value)]
             return items if origin is list else tuple(items)
 
         return check_list
-    if issubclass(tp, Enum):  # a member's value gives the member
-        members = {m.value: m for m in tp}
+    if origin is Literal or issubclass(tp, Enum):  # a choice; an Enum member's value gives it
+        members = dict(zip(args, args)) if origin is Literal else {m.value: m for m in tp}
 
         def check_enum(value, loc, key):
             try:
@@ -354,8 +391,8 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
                 _fail(loc, key, " or ".join(map(repr, members)), value)
 
         return check_enum
-    # a float field takes ints; only a bool field takes booleans
-    accepted = (int, float) if tp is float else tp
+    # a float field takes ints, an int field numpy integers; only a bool field takes booleans
+    accepted = (int, float) if tp is float else (int, np.integer) if tp is int else tp
     exact = None if tp is float else tp  # a JSON value of this type needs no further check
 
     def check(value, loc, key):
@@ -366,6 +403,6 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
         # JSON has no NaN or Infinity, although Python's json module reads both
         if isinstance(value, float) and not math.isfinite(value):
             _fail(loc, key, "a finite number", value)
-        return value
+        return int(value) if tp is int else value
 
     return check

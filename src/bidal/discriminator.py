@@ -42,9 +42,10 @@ check raises ``ValueError`` naming the first frame it rejects, so no NaN
 gets a score.
 
 A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
-``CHECKPOINT_VERSION``, with layer widths of at least 1 and one finite weight
-matrix and bias vector per pair of adjacent layers; ``load`` raises
-``ValueError`` naming the file and the key otherwise.
+``CHECKPOINT_VERSION``, with one finite weight matrix and bias vector per
+pair of adjacent layers; ``load`` raises ``ValueError`` naming the file and
+the key otherwise. The model's constructor checks ``layer_dims`` and ``leak``
+against the bounds ``_Checkpoint`` declares, as the walk does.
 
 ``fit`` holds the pool rules that ``run`` and ``train-disc`` share: both
 pools non-empty, frame ids unique across both pools, every frame tagged with
@@ -58,12 +59,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Annotated, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Domain, FrameRecord, _build, _check_finite, _require_finite,
-                   canonical_json, decode_array, encode_array, read_json)
+from .core import (Checked, Domain, FrameRecord, NonNegInt, PosInt, Range, _build, _check_finite,
+                   _checked, canonical_json, decode_array, encode_array, read_json)
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
@@ -78,41 +79,27 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-2
-    epochs: int = 300
-    batch_size: int = 32
-    l2: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        _require_finite(self, "learning_rate", "l2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
+class TrainConfig(Checked):
+    learning_rate: Annotated[float, Range(gt=0)] = 1e-2
+    epochs: NonNegInt = 300
+    batch_size: PosInt = 32
+    l2: Annotated[float, Range(ge=0)] = 1e-4
+    seed: NonNegInt = 0
 
 
 class DiscriminatorModel:
     """Leaky-ReLU MLP with a sigmoid head; immutable once built."""
 
     def __init__(self, layer_dims, weights, biases, leak=LEAK, rng_seed=0):
-        self.layer_dims = tuple(int(d) for d in layer_dims)
+        self.layer_dims = _checked(_Checkpoint, "layer_dims", layer_dims)
         dims = list(self.layer_dims)
         if len(dims) < 3:
             raise ValueError("layer_dims %s needs at least one hidden layer" % dims)
         if dims[-1] != 1:
             raise ValueError("layer_dims %s must end in an output width of 1" % dims)
-        _check_widths(self.layer_dims)
-        if not 0.0 < leak < 1.0:
-            raise ValueError("leak must lie in (0,1)")
+        self.leak = float(_checked(_Checkpoint, "leak", leak))
         self.weights = [np.array(w, dtype=np.float64) for w in weights]
         self.biases = [np.array(b, dtype=np.float64) for b in biases]
-        self.leak = float(leak)
         self.rng_seed = int(rng_seed)
         _check_counts(self.layer_dims, self.weights, self.biases)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -168,7 +155,6 @@ class DiscriminatorModel:
         try:
             if ckpt.version != CHECKPOINT_VERSION:
                 raise ValueError("version is %d, expected %d" % (ckpt.version, CHECKPOINT_VERSION))
-            _check_widths(dims)
             _check_counts(dims, ckpt.weights, ckpt.biases)
             weights = [decode_array(blob, dims[i:i + 2], "<f8", "weights[%d]" % i)
                        for i, blob in enumerate(ckpt.weights)]
@@ -188,17 +174,11 @@ class _Checkpoint:
     """The JSON object ``save`` writes and ``load`` reads through the schema walk."""
 
     version: int
-    layer_dims: Tuple[int, ...]
+    layer_dims: Tuple[PosInt, ...]
     weights: Tuple[str, ...]
     biases: Tuple[str, ...]
-    leak: float
+    leak: Annotated[float, Range(gt=0, lt=1)]
     rng_seed: int
-
-
-def _check_widths(layer_dims) -> None:
-    """Every layer at least one unit wide."""
-    if any(d < 1 for d in layer_dims):
-        raise ValueError("layer_dims must hold widths of at least 1, got %s" % list(layer_dims))
 
 
 def _check_counts(layer_dims, weights, biases) -> None:

@@ -18,9 +18,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (BudgetSchedule, ConfigError, Domain, FrameRecord, SyntheticConfig, _build,
-                   _check_keys, _compile, _schema, canonical_json, decode_array, encode_array,
-                   read_json, validate_frame)
+from .core import (BudgetSchedule, ConfigError, Domain, FrameRecord, NonNegInt, SyntheticConfig,
+                   _base, _build, _check_keys, _compile, _schema, canonical_json, decode_array,
+                   encode_array, read_json, validate_frame)
 from .pipeline import PipelineConfig
 from .source_sampler import Proportion, SourceSelectionMode, Threshold, TopK
 
@@ -44,9 +44,9 @@ BUDGET_PRESETS = {
 class _Shapes:
     """Each array's shape in a frame record; ``roi_confidences`` has ``roi_features``' first."""
 
-    feature_map: Tuple[int, int, int]
-    objectness_map: Tuple[int, int, int]
-    roi_features: Tuple[int, int]
+    feature_map: Tuple[NonNegInt, NonNegInt, NonNegInt]
+    objectness_map: Tuple[NonNegInt, NonNegInt, NonNegInt]
+    roi_features: Tuple[NonNegInt, NonNegInt]
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class _Record:
     objectness_map: str
     roi_features: str
     roi_confidences: str
-    hidden_label: Optional[int] = None
+    hidden_label: Optional[NonNegInt] = None
 
 
 def save_frames(frames: Sequence[FrameRecord], path: str) -> None:
@@ -88,14 +88,6 @@ def load_frames(path: str) -> List[FrameRecord]:
                 continue
             try:
                 r = _build(_Record, json.loads(line), "frame record", {})
-                # the values that the declared types cannot rule out
-                for key, shape in vars(r.shapes).items():
-                    if min(shape) < 0:
-                        raise ValueError("frame record shapes %s must hold non-negative "
-                                         "integers, got %s" % (key, list(shape)))
-                if r.hidden_label is not None and r.hidden_label < 0:
-                    raise ValueError("frame record hidden_label must be a non-negative integer "
-                                     "or null, got %d" % r.hidden_label)
                 rois = r.shapes.roi_features
                 arrays = {key: decode_array(getattr(r, key), shape, "<f4", key)
                           for key, shape in (("feature_map", r.shapes.feature_map),
@@ -138,7 +130,7 @@ def parse_source_mode(spec: Union[str, Dict[str, Any]], context: str = "source_m
         raise ConfigError("%s type must be threshold|proportion|topk" % context)
     ((name, tp, _),) = _schema(cls)
     value = _compile(tp, ())(spec.get("value", getattr(cls, name, None)), context + " value", None)
-    return _build(cls, {name: float(value) if tp is float else value}, context, {})
+    return _build(cls, {name: float(value) if _base(tp) is float else value}, context, {})
 
 
 def parse_schedule(d: Union[str, Dict[str, Any]], context: str = "schedule") -> BudgetSchedule:

@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Annotated, Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .core import BudgetSchedule, FrameRecord, canonical_json
+from .core import (BudgetSchedule, Checked, FrameRecord, NonEmpty, NonNegInt, PosInt,
+                   canonical_json)
 from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
 from .target_sampler import BankConfig, _sample_round, reweight
@@ -63,21 +64,15 @@ class DetectorOracle(Protocol):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Checked):
     schedule: BudgetSchedule
     source_mode: SourceSelectionMode = Threshold(0.0)
-    source_finetune_epochs: int = 15
+    source_finetune_epochs: NonNegInt = 15
     discriminator: TrainConfig = TrainConfig()
-    seed: int = 0
-    round_finetune_epochs: int = 1
-    hidden_dims: Tuple[int, ...] = (64, 32)
+    seed: NonNegInt = 0
+    round_finetune_epochs: NonNegInt = 1
+    hidden_dims: Annotated[Tuple[PosInt, ...], NonEmpty()] = (64, 32)
     bank_config: BankConfig = BankConfig()
-
-    def __post_init__(self):
-        if self.source_finetune_epochs < 0:
-            raise ValueError("source_finetune_epochs must be non-negative")
-        if self.round_finetune_epochs < 0:
-            raise ValueError("round_finetune_epochs must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -10,35 +10,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import Annotated, List, Sequence, Union
 
-from .core import Domain, FrameRecord, Score
+from .core import Checked, Domain, FrameRecord, PosInt, Range, Score
 from .discriminator import DiscriminatorModel, domainness
 
 
 @dataclass(frozen=True)
-class Proportion:
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("proportion must lie in (0,1]")
+class Proportion(Checked):
+    p: Annotated[float, Range(gt=0, le=1)]
 
 
 @dataclass(frozen=True)
-class Threshold:
+class Threshold(Checked):
     """Keep frames whose domainness logit exceeds this value (0 means s > 0.5)."""
 
     logit: float = 0.0
 
 
 @dataclass(frozen=True)
-class TopK:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
+class TopK(Checked):
+    k: PosInt
 
 
 SourceSelectionMode = Union[Proportion, Threshold, TopK]

@@ -37,11 +37,11 @@ merge comparison, so ``build_banks`` raises ``ValueError`` naming its frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Literal, Optional, Sequence
 
 import numpy as np
 
-from .core import Domain, FrameRecord, _check_finite
+from .core import Checked, Domain, FrameRecord, _check_finite
 from .discriminator import DiscriminatorModel, domainness
 
 NORM_FLOOR = 1e-12
@@ -73,7 +73,7 @@ class BankSet:
 
 
 @dataclass(frozen=True)
-class BankConfig:
+class BankConfig(Checked):
     """Knobs for the bank-maintenance variants.
 
     update_prototype_on_join: running-mean prototype update when a frame joins
@@ -83,11 +83,7 @@ class BankConfig:
     """
 
     update_prototype_on_join: bool = False
-    pairwise_compare: str = "min"
-
-    def __post_init__(self):
-        if self.pairwise_compare not in ("min", "max"):
-            raise ValueError("pairwise_compare must be 'min' or 'max'")
+    pairwise_compare: Literal["min", "max"] = "min"
 
 
 def reweight(frame: FrameRecord, roi_dim: Optional[int] = None) -> ReweightedROI:

@@ -443,7 +443,7 @@ def test_bad_hidden_label_exits_2(workspace, capsys, label):
     assert rc == 2
     err = capsys.readouterr().err
     if label == -1:
-        message = "frame record hidden_label must be a non-negative integer or null, got -1"
+        message = "frame record hidden_label must be at least 0, got -1"
     else:
         message = "frame record hidden_label must be int, got %r" % (label,)
     assert err == "data error: line 2: %s\n" % message, err
@@ -695,6 +695,35 @@ def test_train_disc_then_sample_source_reproduces_run(workspace):
     assert ids.read_text().splitlines() == selection["ids"]
 
 
+def test_run_seed_sets_the_discriminator_seed_as_train_disc_does(workspace):
+    """With ``--seed``, train-disc's checkpoint is the run's discriminator: it scores the
+    source pool as the run's stage 3 did."""
+    from bidal import load_frames, score_source
+
+    tmp_path, data = workspace
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    src, tgt = str(data / "source.ndjson"), str(data / "target.ndjson")
+    report, model = tmp_path / "r.json", tmp_path / "m.json"
+    common = ["--source", src, "--target", tgt, "--config", str(cfg), "--seed", "5"]
+    assert main(["run"] + common + ["--out", str(report)]) == 0
+    assert main(["train-disc"] + common + ["--out", str(model)]) == 0
+    scores = score_source(load_frames(src), DiscriminatorModel.load(str(model)))
+    want = json.loads(report.read_text())["source_selection"]["scores"]
+    assert {s.frame_id: s.value for s in scores} == want
+
+
+def test_source_mode_value_that_is_no_number_exits_2(workspace, capsys):
+    tmp_path, data = workspace
+    model = tmp_path / "m.json"
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(model))
+    out = tmp_path / "ids.txt"
+    assert main(["sample-source", "--frames", str(data / "source.ndjson"), "--model", str(model),
+                 "--mode", "topk:abc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: source_mode value must be a number, got 'abc'\n"
+    assert not out.exists()
+
+
 def test_outputs_do_not_depend_on_line_order(workspace):
     """train-disc, sample-source, sample-target and run write the same bytes from shuffled files."""
     tmp_path, data = workspace
@@ -745,9 +774,9 @@ def test_outputs_do_not_depend_on_line_order(workspace):
         (lambda p: dict(p, leak="0.01"), "checkpoint {} leak must be float, got '0.01'"),
         (lambda p: dict(p, rng_seed=1.5), "checkpoint {} rng_seed must be int, got 1.5"),
         (lambda p: dict(p, layer_dims=[16, 0, 1], weights=["", ""], biases=["", p["biases"][1]]),
-         "checkpoint {}: layer_dims must hold widths of at least 1, got [16, 0, 1]"),
+         "checkpoint {} layer_dims[1] must be at least 1, got 0"),
         (lambda p: dict(p, layer_dims=[16, -4, 1]),
-         "checkpoint {}: layer_dims must hold widths of at least 1, got [16, -4, 1]"),
+         "checkpoint {} layer_dims[1] must be at least 1, got -4"),
         (lambda p: dict(p, version=2), "checkpoint {}: version is 2, expected 1"),
         (lambda p: dict(p, momentum=0.9), "unknown checkpoint {} keys: momentum"),
         (lambda p: json.dumps(p)[:-1],
@@ -978,6 +1007,8 @@ def _report_edit(edit):
         (_report_edit(lambda p: p.update(final_metric=float("nan"))),
          "report {} final_metric must be a finite number, got nan"),
         (_report_edit(lambda p: p.update(stages=[1])), "report {} stages[0] must be str, got 1"),
+        (_report_edit(lambda p: p["rounds"][0].update(scores=[0.5])),
+         "report {} rounds[0] scores must be a JSON object, got [0.5]"),
         (_report_edit(lambda p: p["rounds"][0].update(picks=[])),
          "unknown report {} rounds[0] keys: picks"),
         (_report_edit(lambda p: p.update(resumed=True)), "unknown report {} keys: resumed"),
@@ -986,7 +1017,7 @@ def _report_edit(edit):
         (_report_edit(lambda p: p.update(summary={})), "unknown report {} keys: summary"),
     ],
     ids=["json-list", "round-without-trigger-epoch", "invalid-json", "round-str",
-         "selected-int", "final-metric-str", "final-metric-nan", "stage-int",
+         "selected-int", "final-metric-str", "final-metric-nan", "stage-int", "scores-list",
          "unknown-round-key", "unknown-key", "empty-object", "summary-int",
          "run-report-with-summary"],
 )

@@ -101,7 +101,7 @@ class TestBudgetSchedule:
         [((1.5, 2), (0, 5)), ((1, 2), (0, 5.0)), ((True, 2), (0, 5))],
     )
     def test_non_integral_values_rejected(self, per_round, epochs):
-        with pytest.raises(ValueError, match="must hold integers"):
+        with pytest.raises(ValueError, match=r"(per_round\[0\]|trigger_epochs\[1\]) must be int"):
             BudgetSchedule(2, per_round, epochs)
 
     def test_numpy_integers_accepted(self):
@@ -127,3 +127,4 @@ class TestBudgetSchedule:
     def test_zero_rounds_schedule(self):
         s = BudgetSchedule(0, (), ())
         assert s.total_budget == 0
+        assert BudgetSchedule.equal_split(10, 0, ()) == s

@@ -83,8 +83,30 @@ class TestModel:
     def test_rejects_non_positive_widths(self, dims):
         weights = [np.zeros((max(a, 0), max(b, 0))) for a, b in zip(dims, dims[1:])]
         biases = [np.zeros(max(b, 0)) for b in dims[1:]]
-        with pytest.raises(ValueError, match="layer_dims must hold widths of at least 1"):
+        with pytest.raises(ValueError, match=r"^layer_dims\[1\] must be at least 1, got -?\d+$"):
             DiscriminatorModel(dims, weights, biases)
+
+    @pytest.mark.parametrize("leak", [0.0, 1.0, -0.5, float("nan")])
+    def test_rejects_a_leak_outside_0_1(self, leak):
+        model = DiscriminatorModel.initialize((4, 8, 1), seed=0)
+        words = "a finite number" if leak != leak else "greater than 0 and less than 1"
+        with pytest.raises(ValueError, match=re.escape("leak must be %s, got %r" % (words, leak))):
+            DiscriminatorModel(model.layer_dims, model.weights, model.biases, leak=leak)
+
+    @pytest.mark.parametrize(
+        "kind, layer, message",
+        [("weights", 0, "weight shape mismatch at layer 0"),
+         ("weights", 1, "weight shape mismatch at layer 1"),
+         ("biases", 0, "bias shape mismatch at layer 0"),
+         ("biases", 1, "bias shape mismatch at layer 1")],
+    )
+    def test_rejects_a_misshapen_layer(self, kind, layer, message):
+        model = DiscriminatorModel.initialize((4, 8, 1), seed=0)
+        arrays = {"weights": list(model.weights), "biases": list(model.biases)}
+        a = arrays[kind][layer]
+        arrays[kind][layer] = a.T if kind == "weights" else a[:-1]
+        with pytest.raises(ValueError, match="^%s$" % message):
+            DiscriminatorModel(model.layer_dims, arrays["weights"], arrays["biases"])
 
     def test_predict_is_clamped(self):
         model = DiscriminatorModel.initialize((2, 4, 1))

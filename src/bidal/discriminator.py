@@ -44,8 +44,8 @@ gets a score.
 A checkpoint is a ``_Checkpoint``, read by ``core``'s schema walk, at version
 ``CHECKPOINT_VERSION``, with one finite weight matrix and bias vector per
 pair of adjacent layers; ``load`` raises ``ValueError`` naming the file and
-the key otherwise. The model's constructor checks ``layer_dims`` and ``leak``
-against the bounds ``_Checkpoint`` declares, as the walk does.
+the key otherwise. The constructor checks ``layer_dims``, ``leak`` and
+``rng_seed`` against the bounds ``_Checkpoint`` declares, as the walk does.
 
 ``fit`` holds the pool rules that ``run`` and ``train-disc`` share: both
 pools non-empty, frame ids unique across both pools, every frame tagged with
@@ -98,9 +98,9 @@ class DiscriminatorModel:
         if dims[-1] != 1:
             raise ValueError("layer_dims %s must end in an output width of 1" % dims)
         self.leak = float(_checked(_Checkpoint, "leak", leak))
+        self.rng_seed = _checked(_Checkpoint, "rng_seed", rng_seed)
         self.weights = [np.array(w, dtype=np.float64) for w in weights]
         self.biases = [np.array(b, dtype=np.float64) for b in biases]
-        self.rng_seed = int(rng_seed)
         _check_counts(self.layer_dims, self.weights, self.biases)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.layer_dims[i], self.layer_dims[i + 1]):
@@ -178,7 +178,7 @@ class _Checkpoint:
     weights: Tuple[str, ...]
     biases: Tuple[str, ...]
     leak: Annotated[float, Range(gt=0, lt=1)]
-    rng_seed: int
+    rng_seed: NonNegInt
 
 
 def _check_counts(layer_dims, weights, biases) -> None:

@@ -4,15 +4,16 @@ Stages: (1) pretrain the detector oracle on the source pool, (2) train the
 domain discriminator on pooled enhanced features of both pools with the
 detector frozen, (3) select target-like source frames and fine-tune on them,
 (4) loop over epochs, firing a target sampling round at each trigger epoch
-and fine-tuning on the union of both labeled pools. Stage 4 is
-``run_rounds``; its bi-domain pick is ``sample_round``'s sibling
-``_sample_round``, baselines pass their own.
+and fine-tuning on the union of both labeled pools. One function, ``_run``,
+runs every strategy: stage 1, the strategy's stage hook, then stage 4 on a
+schedule clipped to the target pool. ``run_bidomain`` passes Bi3D's hook
+(stages 2 and 3, and the bank pick ``_sample_round``); a baseline's hook
+labels the whole source pool and passes the baseline's own pick.
 
 The pool rules (both pools non-empty, frame ids unique across both, every
 frame tagged with its own pool's domain) live in ``discriminator.fit``,
-which ``run`` and ``train-disc`` share. Every strategy adds one rule,
-``_check_labels``, before it trains: every source and eval frame carries a
-label.
+which ``run`` and ``train-disc`` share. ``_run`` adds one rule for every
+strategy before it trains: every source and eval frame carries a label.
 
 The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
 re-weights each target frame object once per run. Each round scores the
@@ -29,9 +30,9 @@ frame carries no label the run sets ``report.halted`` and stops before
 fine-tuning so the frames can be annotated offline; ``bidal run`` writes the
 halting round's picks to a manifest, and this module writes no file.
 
-Every strategy records its run in one ``RunReport``, its only record, whose
-dataclasses alone name the report's keys; ``bidal report`` reads it through
-``core``'s walk.
+``_run`` records every strategy's run in one ``RunReport``, its only record,
+whose dataclasses alone name the report's keys; ``bidal report`` reads it
+through ``core``'s walk.
 """
 
 from __future__ import annotations
@@ -133,37 +134,30 @@ def run_bidomain(
     eval_frames: Sequence[FrameRecord] = (),
 ) -> Tuple[Any, RunReport]:
     """Run the full bi-domain pipeline; returns (detector state, report)."""
-    source = sorted(source, key=lambda f: f.id)
-    target = sorted(target, key=lambda f: f.id)
-    by_id = {f.id: f for f in source + target}
-    _check_labels(source, eval_frames)
+    return _run(source, target, oracle, cfg, _bidomain_stages, eval_frames)
 
-    # stage 1: pretrain on the full source pool
-    det_state = oracle.pretrain(source)
 
+def _bidomain_stages(source, target, oracle, cfg, det_state, report):
+    """Stages 2 and 3 and the bank pick: Bi3D's stage hook for ``_run``."""
     # stage 2: discriminator on pooled enhanced features, detector frozen
     disc, history = fit(source, target, cfg.hidden_dims, cfg.discriminator, cfg.seed)
 
     # stage 3: domainness-aware source selection + fine-tune
     src_scores = score_source(source, disc)
     selected_source = select_source(src_scores, cfg.source_mode)
-    report = RunReport(
-        cfg.seed, ["pretrain", "train-discriminator", "select-source"], warnings=[], rounds=[],
-        discriminator_final_loss=history[-1] if history else None,
-        config=dict(asdict(cfg), source_mode=repr(cfg.source_mode)),
-        source_selection=SourceSelection(list(selected_source),
-                                         {s.frame_id: s.value for s in src_scores}),
-    )
+    report.stages += ["train-discriminator", "select-source"]
+    report.discriminator_final_loss = history[-1] if history else None
+    report.config = dict(asdict(cfg), source_mode=repr(cfg.source_mode))
+    report.source_selection = SourceSelection(list(selected_source),
+                                              {s.frame_id: s.value for s in src_scores})
+    by_id = {f.id: f for f in source}
     src_labeled = [(by_id[i], by_id[i].hidden_label) for i in selected_source]
     det_state = oracle.finetune(det_state, src_labeled, cfg.source_finetune_epochs)
-
-    # stage 4: per-round target sampling and joint fine-tuning
-    schedule = _clip_schedule(cfg.schedule, len(target), report.warnings)
-    roi_dim = _roi_dim(source + target)
 
     # the discriminator is fixed from here on, so each frame object is scored and
     # re-weighted once per run; an oracle that returns new frames each round gets
     # them rescored
+    roi_dim = _roi_dim(source + target)
     scores: Dict[FrameRecord, float] = {}
     rois = functools.cache(lambda frame: reweight(frame, roi_dim=roi_dim))
 
@@ -178,43 +172,43 @@ def run_bidomain(
         delta = _sample_round(list(current.values()), rois, values, budget, cfg.bank_config)
         return delta, {i: scores[current[i]] for i in delta}
 
-    det_state = run_rounds(
-        oracle, det_state, target, src_labeled, schedule, pick,
-        cfg.round_finetune_epochs, report, eval_frames,
-    )
-    return det_state, report
+    return det_state, src_labeled, pick
 
 
-def _check_labels(source: Sequence[FrameRecord], eval_frames: Sequence[FrameRecord]) -> None:
-    """Every source and eval frame carries a label; every strategy checks before it trains."""
+def _run(
+    source: Sequence[FrameRecord],
+    target: Sequence[FrameRecord],
+    oracle: DetectorOracle,
+    cfg: PipelineConfig,
+    stages: Callable[..., Tuple[Any, List[Tuple[FrameRecord, Any]], Callable]],
+    eval_frames: Sequence[FrameRecord] = (),
+) -> Tuple[Any, RunReport]:
+    """One run of any strategy, stages 1 and 4 around its stage hook; returns (state, report).
+
+    ``stages(source, target, oracle, cfg, det_state, report)`` gets the
+    id-sorted pools and the pretrained state and returns the detector state,
+    the labeled source frames and the pick. Every epoch up to the last
+    trigger of the clipped schedule fine-tunes on those plus the labeled
+    targets. A trigger epoch first calls ``pick(unlabeled, budget, round,
+    det_state)``, which returns the picked ids and the scores to report for
+    them. A pick that names an id twice, an already-labeled id or an id
+    outside ``target`` raises ``ValueError`` naming it. A pick without labels
+    sets ``report.halted`` and returns before fine-tuning.
+    """
+    source = sorted(source, key=lambda f: f.id)
+    target = sorted(target, key=lambda f: f.id)
     for pool, frames in (("source", source), ("eval", eval_frames)):
         unlabeled = [f.id for f in frames if f.hidden_label is None]
         if unlabeled:
             raise ValueError("%s frames must carry labels; unlabeled: %r" % (pool, unlabeled[:5]))
+    report = RunReport(cfg.seed, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
 
+    # stage 1: pretrain on the full source pool, then the strategy's own stages
+    det_state, src_labeled, pick = stages(
+        source, target, oracle, cfg, oracle.pretrain(source), report)
 
-def run_rounds(
-    oracle: DetectorOracle,
-    det_state: Any,
-    target: Sequence[FrameRecord],
-    src_labeled: List[Tuple[FrameRecord, Any]],
-    schedule: BudgetSchedule,
-    pick: Callable[[List[FrameRecord], int, int, Any], Tuple[List[str], Dict[str, float]]],
-    epochs: int,
-    report: RunReport,
-    eval_frames: Sequence[FrameRecord] = (),
-) -> Any:
-    """Stage 4, the round loop every strategy shares; fills ``report``, returns the detector state.
-
-    Every epoch up to the last trigger fine-tunes on ``src_labeled`` plus the
-    labeled targets. A trigger epoch first calls ``pick(unlabeled, budget,
-    round, det_state)`` on the unlabeled frames of the id-sorted ``target``,
-    which returns the picked ids and the scores to report for them. A pick
-    that names an id twice, an already-labeled id or an id outside ``target``
-    raises ``ValueError`` naming it. A pick without labels sets
-    ``report.halted`` and returns before fine-tuning; otherwise the labeled
-    ids end up in ``report.labeled_target``.
-    """
+    # stage 4: per-round target sampling and joint fine-tuning
+    schedule = _clip_schedule(cfg.schedule, len(target), report.warnings)
     by_id = {f.id: f for f in target}
     triggers = {e: (k, schedule.per_round[k]) for k, e in enumerate(schedule.trigger_epochs)}
     max_epoch = max(schedule.trigger_epochs) if schedule.rounds else -1
@@ -223,9 +217,7 @@ def run_rounds(
     for epoch in range(max_epoch + 1):
         if epoch in triggers:
             k, budget = triggers[epoch]
-            unlabeled = [f for f in target if f.id not in picked]
-            budget = min(budget, len(unlabeled))
-            delta, scores = pick(unlabeled, budget, k, det_state) if budget else ([], {})
+            delta, scores = pick([f for f in target if f.id not in picked], budget, k, det_state)
             report.rounds.append(RoundEntry(k, epoch, budget, list(delta), scores))
             for i in delta:
                 if i not in by_id:
@@ -235,10 +227,11 @@ def run_rounds(
                 picked.add(i)
             if any(by_id[i].hidden_label is None for i in delta):
                 report.halted = "selected frames lack labels; manifest emitted"
-                return det_state
+                return det_state, report
             labeled += delta
         det_state = oracle.finetune(
-            det_state, src_labeled + [(by_id[i], by_id[i].hidden_label) for i in labeled], epochs
+            det_state, src_labeled + [(by_id[i], by_id[i].hidden_label) for i in labeled],
+            cfg.round_finetune_epochs,
         )
         if eval_frames:
             report.metrics.append(EpochMetric(epoch, oracle.evaluate(det_state, eval_frames)))
@@ -246,7 +239,7 @@ def run_rounds(
     if eval_frames:
         report.final_metric = oracle.evaluate(det_state, eval_frames)
     report.labeled_target = labeled
-    return det_state
+    return det_state, report
 
 
 def serialize_report(report: RunReport) -> str:

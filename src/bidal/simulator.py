@@ -53,7 +53,7 @@ import numpy as np
 from .core import (BudgetSchedule, Domain, FrameRecord, SyntheticConfig, _check_finite,
                    canonical_json)
 from .discriminator import TrainConfig
-from .pipeline import PipelineConfig, RunReport, _check_labels, run_bidomain, run_rounds
+from .pipeline import PipelineConfig, RunReport, _run, run_bidomain
 from .scoring import entropy_map
 from .target_sampler import _cosine, reweight
 
@@ -423,29 +423,29 @@ def run_strategy(
 ) -> RunReport:
     """One full pipeline run for one strategy; returns its report.
 
-    ``oracle`` is the run's detector; runs on the same frames can share one,
-    which pretrains them once. Every strategy sorts both pools by id first,
-    so the detector pretrains on one sequence whatever the input order.
+    Every strategy runs ``pipeline``'s one run function, so each sorts both
+    pools by id, pretrains and clips ``schedule`` alike. ``oracle`` is the
+    run's detector; runs on the same frames can share one, which pretrains
+    them once.
     """
-    if strategy == "bidomain":
-        cfg = PipelineConfig(
-            schedule=schedule,
-            discriminator=TrainConfig(epochs=disc_epochs, seed=seed),
-            seed=seed,
-            round_finetune_epochs=ROUND_EPOCHS,
-        )
-        return run_bidomain(source, target, oracle, cfg, eval_frames)[1]
-    # baselines label the whole id-sorted source pool and never train a discriminator
-    source = sorted(source, key=lambda f: f.id)
-    src_labeled = [(f, f.hidden_label) for f in source]
-    _check_labels(source, eval_frames)
-    pick = _baseline_pick(strategy, src_labeled, seed, oracle)
-    report = RunReport(seed, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
-    run_rounds(
-        oracle, oracle.pretrain(source), sorted(target, key=lambda f: f.id), src_labeled,
-        schedule, pick, ROUND_EPOCHS, report, eval_frames,
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % strategy)
+    cfg = PipelineConfig(
+        schedule=schedule,
+        discriminator=TrainConfig(epochs=disc_epochs, seed=seed),
+        seed=seed,
+        round_finetune_epochs=ROUND_EPOCHS,
     )
-    return report
+    if strategy == "bidomain":
+        return run_bidomain(source, target, oracle, cfg, eval_frames)[1]
+    return _run(source, target, oracle, cfg, functools.partial(_baseline_stages, strategy),
+                eval_frames)[1]
+
+
+def _baseline_stages(strategy, source, target, oracle, cfg, det_state, report):
+    """A baseline's stage hook: the whole source pool, labeled, and the baseline's pick."""
+    src_labeled = [(f, f.hidden_label) for f in source]
+    return det_state, src_labeled, _baseline_pick(strategy, src_labeled, cfg.seed, oracle)
 
 
 def _baseline_pick(strategy, src_labeled, seed, oracle):
@@ -462,13 +462,12 @@ def _baseline_pick(strategy, src_labeled, seed, oracle):
         # a frame's entropy never changes, so each is computed once per run
         entropy = functools.cache(frame_entropy)
         return lambda unlabeled, budget, k, _: (sample_entropy(unlabeled, budget, entropy), {})
-    if strategy == "committee":
-        X = oracle._roi_rows([f for f, _ in src_labeled])
-        y = np.array([lab for _, lab in src_labeled])
-        return lambda unlabeled, budget, k, _: (sample_committee(
-            unlabeled, oracle._roi_rows, X, y, oracle.n_classes, budget, seed + 7919 * k,
-        ), {})
-    raise ValueError("unknown strategy %r" % strategy)
+    # the committee: ``run_strategy`` has rejected every other name
+    X = oracle._roi_rows([f for f, _ in src_labeled])
+    y = np.array([lab for _, lab in src_labeled])
+    return lambda unlabeled, budget, k, _: (sample_committee(
+        unlabeled, oracle._roi_rows, X, y, oracle.n_classes, budget, seed + 7919 * k,
+    ), {})
 
 
 def selection_diversity(vecs: Sequence[np.ndarray]) -> float:

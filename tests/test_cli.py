@@ -301,6 +301,7 @@ def test_train_disc_uses_config_hidden_dims(workspace):
     "edit, message",
     [
         (lambda p: p.pop("leak"), "requires leak"),
+        (lambda p: p.update(rng_seed=-3), "rng_seed must be at least 0, got -3"),
         (
             lambda p: p["weights"].insert(0, p["weights"].pop(0)[:8]),
             "weights[0] payload is 6 bytes, expected 512",

@@ -72,6 +72,19 @@ class TestValidateFrame:
         frame = make_frame(feature_map=np.zeros((2, 2)))
         assert any("feature_map" in e for e in validate_frame(frame))
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("objectness_map", np.zeros((2, 2)), "objectness_map must have shape (C', H, W)"),
+            ("feature_map", np.zeros((0, 2, 2)), "feature_map has an empty dimension"),
+            ("objectness_map", np.zeros((0, 2, 2)), "objectness_map has an empty dimension"),
+            ("roi_features", np.ones(4), "roi_features must have shape (k, d_roi)"),
+        ],
+        ids=["objectness-rank", "feature-empty", "objectness-empty", "roi-rank"],
+    )
+    def test_malformed_shape(self, field, value, error):
+        assert error in validate_frame(make_frame(**{field: value}))
+
 
 class TestBudgetSchedule:
     def test_basic_construction(self):

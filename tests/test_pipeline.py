@@ -23,7 +23,7 @@ from bidal import (
 )
 from bidal.core import _build
 from bidal.discriminator import fit
-from bidal.pipeline import RunReport, run_rounds
+from bidal.pipeline import RunReport, _run
 from bidal.simulator import STRATEGIES, run_strategy
 
 
@@ -184,7 +184,7 @@ FAULTY_PICKS = {
 
 @pytest.mark.parametrize("fault", sorted(FAULTY_PICKS))
 def test_faulty_pick_raises_naming_the_id(fault):
-    """The round loop checks every pick, whichever strategy made it."""
+    """The run function checks every pick, whichever strategy's stage hook made it."""
     src, tgt, ev = small_world()
     tgt = sorted(tgt, key=lambda f: f.id)
     rounds, message = FAULTY_PICKS[fault]
@@ -192,13 +192,26 @@ def test_faulty_pick_raises_naming_the_id(fault):
     def pick(unlabeled, budget, k, det_state):
         return [tgt[i].id if isinstance(i, int) else i for i in rounds[k]], {}
 
-    detector = oracle()
-    report = RunReport(0, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
+    def stages(source, target, oracle, cfg, det_state, report):
+        return det_state, [(f, f.hidden_label) for f in source], pick
+
     schedule = BudgetSchedule(len(rounds), tuple(map(len, rounds)), tuple(range(len(rounds))))
-    src_labeled = [(f, f.hidden_label) for f in src]
+    cfg = small_pipeline_config(schedule=schedule, round_finetune_epochs=1)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        run_rounds(detector, detector.pretrain(src), tgt, src_labeled, schedule, pick, 1,
-                   report, ev)
+        _run(src, tgt, oracle(), cfg, stages, ev)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_strategy_clips_an_oversized_schedule(strategy):
+    """Every strategy runs one skeleton, so a schedule past the target pool is clipped
+    alike: one warning, the same rounds and the same fine-tuned epochs."""
+    src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=10, n_eval=20, seed=3))
+    report = run_strategy(strategy, src, tgt, ev, BudgetSchedule(3, (5, 5, 5), (0, 2, 4)),
+                          seed=4, oracle=ProxyDetector(n_classes=3, roi_dim=16), disc_epochs=5)
+    assert report.warnings == ["budget 15 exceeds target pool size 10; clipping"]
+    assert [(r.round, r.budget) for r in report.rounds] == [(0, 5), (1, 5)]
+    assert [m.epoch for m in report.metrics] == [0, 1, 2]
+    assert sorted(report.labeled_target) == sorted(f.id for f in tgt)
 
 
 class FreshFramesDetector(ProxyDetector):

@@ -281,6 +281,9 @@ class TestBaselineSamplers:
                 [ref_binary_entropy(float(c)) for c in f.roi_confidences]
             )
             assert frame_entropy(f) == pytest.approx(want, abs=1e-6)
+        no_rois = dataclasses.replace(frames[0], roi_features=np.zeros((0, 16)),
+                                      roi_confidences=np.zeros(0))
+        assert frame_entropy(no_rois) == 0.0
 
     def test_committee_contract(self):
         cfg = SyntheticConfig(n_source=40, n_target=30, n_eval=3, seed=3)
@@ -293,6 +296,7 @@ class TestBaselineSamplers:
         assert a == b
         assert len(set(a)) == 6
         assert set(a) <= {f.id for f in tgt}
+        assert sample_committee(tgt, det._roi_rows, X, y, 3, 0, seed=0) == []
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_committee_rejects_a_label_outside_its_classes(self, label):

@@ -91,6 +91,10 @@ class TestSelectSource:
         with pytest.raises(ValueError):
             select_source([], TopK(1))
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(TypeError, match="unknown selection mode: 'top3'"):
+            select_source([Score("a", 0.5)], "top3")
+
 
 class TestScoreSource:
     def make_frame(self, fid, domain, fill):

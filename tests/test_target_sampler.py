@@ -90,6 +90,20 @@ class TestReweight:
         with pytest.raises(ValueError):
             reweight(frame, roi_dim=5)
 
+    @pytest.mark.parametrize("rois, confs", [(np.ones((2, 4)), np.full(1, 0.5)),
+                                             (np.ones(4), np.full(4, 0.5))])
+    def test_inconsistent_rois_rejected(self, rois, confs):
+        frame = FrameRecord(
+            id="f",
+            domain=Domain.TARGET,
+            feature_map=np.zeros((1, 1, 1)),
+            objectness_map=np.zeros((1, 1, 1)),
+            roi_features=rois,
+            roi_confidences=confs,
+        )
+        with pytest.raises(ValueError, match="inconsistent ROI features/confidences in 'f'"):
+            reweight(frame, roi_dim=4)
+
 
 class TestCosine:
     def test_matches_oracle(self):
@@ -122,6 +136,10 @@ class TestMerge:
         m = merge_banks(a, b)
         assert np.allclose(m.prototype, [0.75, 0.25])
         assert m.members == ["a", "b", "c", "d"]
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="prototype dimension mismatch"):
+            merge_banks(SimilarityBank(np.ones(2), ["a"]), SimilarityBank(np.ones(3), ["b"]))
 
     def test_merge_sequence_preserves_founder_mean(self):
         # any merge order over singleton banks must leave the prototype at

@@ -27,6 +27,7 @@ import binascii
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import (Annotated, Any, Callable, Dict, Literal, Mapping, Sequence, Tuple, Union,
@@ -93,6 +94,14 @@ def validate_frame(frame: FrameRecord) -> list:
     if not frame.id:
         errors.append("frame id is empty")
     return errors
+
+
+def _check_unique_ids(frames: Sequence[FrameRecord], where: str) -> None:
+    """Raise ``ValueError`` naming the ids (the first five, sorted) that two
+    frames of ``frames`` share."""
+    repeated = sorted(i for i, n in Counter(f.id for f in frames).items() if n > 1)
+    if repeated:
+        raise ValueError("frame ids must be unique %s; repeated: %r" % (where, repeated[:5]))
 
 
 def _check_finite(rows: np.ndarray, id_of: Callable[[int], str], what: str) -> None:

@@ -57,14 +57,14 @@ first, so a checkpoint does not depend on the order of the frame files.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Annotated, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (Checked, Domain, FrameRecord, NonNegInt, PosInt, Range, _build, _check_finite,
-                   _checked, canonical_json, decode_array, encode_array, read_json)
+                   _check_unique_ids, _checked, canonical_json, decode_array, encode_array,
+                   read_json)
 from .scoring import scene_vector, scene_vectors
 
 PRED_EPS = 1e-7
@@ -455,9 +455,7 @@ def fit(
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
     frames = source + target
-    repeated = sorted(i for i, n in Counter(f.id for f in frames).items() if n > 1)
-    if repeated:
-        raise ValueError("frame ids must be unique across both pools; repeated: %r" % repeated[:5])
+    _check_unique_ids(frames, "across both pools")
     mistagged = [f.id for f in source if f.domain != Domain.SOURCE]
     mistagged += [f.id for f in target if f.domain != Domain.TARGET]
     if mistagged:

@@ -18,11 +18,12 @@ strategy before it trains: every source and eval frame carries a label.
 The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
 re-weights each target frame object once per run. Each round scores the
 frames it has not seen yet with one call of ``discriminator.domainness``,
-the scoring function of every stage; one ``{FrameRecord: float}`` memo
-feeds every round's banks and the report's per-pick scores, and a second
-memo keeps each frame's re-weighted ROI vector. Both are keyed on the frame
-object, so an oracle whose ``features`` returns new frames gets them
-rescored, and both are dropped when the run returns. Stage 3 scores the
+the scoring function of every stage, and re-weights them with one call of
+``target_sampler._reweight_pool`` (``_pool_memo``); one ``{FrameRecord:
+float}`` memo feeds every round's banks and the report's per-pick scores,
+and a second memo keeps each frame's re-weighted ROI vector. Both are keyed
+on the frame object, so an oracle whose ``features`` returns new frames gets
+them rescored, and both are dropped when the run returns. Stage 3 scores the
 source pool with one call too (``score_source``).
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
@@ -37,7 +38,6 @@ through ``core``'s walk.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field
 from typing import Annotated, Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -47,7 +47,7 @@ from .core import (BudgetSchedule, Checked, FrameRecord, NonEmpty, NonNegInt, Po
                    canonical_json)
 from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
-from .target_sampler import BankConfig, _sample_round, reweight
+from .target_sampler import BankConfig, _reweight_pool, _sample_round
 
 
 class DetectorOracle(Protocol):
@@ -159,13 +159,8 @@ def _bidomain_stages(source, target, oracle, cfg, det_state, report):
     # them rescored
     roi_dim = _roi_dim(source + target)
     scores: Dict[FrameRecord, float] = {}
-    rois = functools.cache(lambda frame: reweight(frame, roi_dim=roi_dim))
-
-    def values(frames):
-        new = [f for f in frames if f not in scores]
-        if new:
-            scores.update(zip(new, domainness(disc, new).tolist()))
-        return [scores[f] for f in frames]
+    values = _pool_memo(scores, lambda new: domainness(disc, new).tolist())
+    rois = _pool_memo({}, lambda new: _reweight_pool(new, roi_dim))
 
     def pick(unlabeled, budget, k, det_state):
         current = {f.id: oracle.features(det_state, f) for f in unlabeled}
@@ -173,6 +168,18 @@ def _bidomain_stages(source, target, oracle, cfg, det_state, report):
         return delta, {i: scores[current[i]] for i in delta}
 
     return det_state, src_labeled, pick
+
+
+def _pool_memo(memo: Dict[FrameRecord, Any], compute: Callable[[List[FrameRecord]], Sequence]):
+    """A pool function that calls ``compute`` once, on the frames not yet in ``memo``."""
+
+    def pool(frames):
+        new = [f for f in frames if f not in memo]
+        if new:
+            memo.update(zip(new, compute(new)))
+        return [memo[f] for f in frames]
+
+    return pool
 
 
 def _run(

@@ -6,34 +6,51 @@ cap is reached every frame founds a bank; afterwards a frame either joins its
 nearest bank, or — when it is less similar to every prototype than the two
 closest prototypes are to each other — triggers a count-weighted merge of the
 most similar pair and founds a fresh bank. Finally the highest-domainness
-member of each bank is selected. ``sample_round`` re-weights each frame and
-scores the whole pool in one batched pass
-(``discriminator.domainness``); its sibling ``_sample_round`` takes
-both as functions, so a caller that keeps ROI vectors and scores across
-rounds (``pipeline.run_bidomain``) runs the same code path.
+member of each bank is selected. ``sample_round`` re-weights the pool and
+scores it, each in one pass (``_reweight_pool``, ``discriminator.domainness``);
+its sibling ``_sample_round`` takes both as pool functions, so a caller that
+keeps ROI vectors and scores across rounds (``pipeline.run_bidomain``) runs
+the same code path. A pool that repeats an id raises ``ValueError``.
 
-The bank is incremental: the prototypes sit as rows of a (cap, d) matrix with
-their norms, beside a cap x cap matrix of pair cosines whose aggregates (the
-min, the max and the pairs tied at the max) are cached. After the fill phase
-the stream is scored a block of frames at a time: one pass of
-``_Prototypes.cosine_rows`` gives each frame's cosine with every row, and the
-block's per-row ``argmax`` is walked in stream order. Frames join their
-nearest bank up to the first one below the pair aggregate, which triggers the
-merge; the rest of the block is scored again. The block grows while no merge
-comes and starts small again after one, so a join costs a share of an
-O(block*cap*d) pass rather than an O(cap*d) pass of its own. A merge drops the
-absorbed bank's row and column, and a merge or a join with
+``_reweight_pool`` groups the frames by ROI shape (k, d) and takes one stacked
+``(m, 1, k) @ (m, k, d)`` product per group: the BLAS gemv that one frame's
+``confs @ rois`` makes, so each vector keeps its bytes. ``reweight`` is its
+one-frame case, and the two share their checks: the first malformed frame in
+pool order raises.
+
+The bank is incremental: the prototypes sit as the columns of a (d, cap)
+matrix with their norms, beside a cap x cap matrix of pair cosines whose
+aggregate (the min or the max, as the config compares) is cached. After the
+fill phase the stream is scored a block of frames at a time: one pass of
+``_Prototypes.cosine_rows`` gives each frame's cosine with every prototype,
+and the block's per-row ``argmax`` is walked in stream order. Frames join
+their nearest bank up to the first one below the pair aggregate, which
+triggers the merge; the rest of the block is scored again. The block grows
+while no merge comes and starts small again after one, so a join costs a
+share of an O(block*cap*d) pass rather than an O(cap*d) pass of its own. A
+merge drops the absorbed bank's row and column and scores the merged
+prototype and the newcomer in one two-row pass; a join with
 ``update_prototype_on_join`` (whose blocks are one row) rewrites one row and
-column in O(cap*d); either then refreshes the aggregates in O(cap^2). The pair
-matrix, the stream's blocks and single rows all go through ``cosine_rows``.
-Similarities follow ``cosine``'s norm floor, but are elementwise products
-summed per row rather than BLAS products, so identical prototypes score the
-same wherever they sit, a frame scores the same in any block, and exact ties
-break as they always have. The stream's vectors are stacked and checked for
-finiteness once; a NaN would otherwise win every ``argmax`` and lose every
-merge comparison, so ``build_banks`` raises ``ValueError`` naming its frame.
-"""
+column. Either then refreshes the aggregate in O(cap^2); the pairs tied at the
+max are found only at a merge. The pair matrix, the stream's blocks and
+single rows all go through ``cosine_rows``.
 
+Similarities follow ``cosine``'s norm floor, but are not BLAS products. The
+kernel forms every elementwise product of a (d, rows, cap) block and sums it
+over the d lanes (``_lane_sum``) in the order numpy's ``sum`` adds a
+contiguous run: from 0.0; below 8 terms in sequence; up to 128 terms in eight
+accumulators over blocks of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+before the rest is added in sequence; above that, split at n/2 rounded down to
+a multiple of 8. Each lane add is one numpy add over the whole block, and the
+lanes are stored in ``_lane_order`` so the combining adds are over contiguous
+halves. A cosine thus has the bytes of ``(u * v).sum()`` divided by the norms:
+identical prototypes score the same wherever they sit, a frame scores the same
+in any block, exact ties break as they always have, and the bytes depend on
+neither BLAS nor numpy's SIMD level. The stream's vectors are stacked and
+checked for finiteness once; a NaN would otherwise win every ``argmax`` and
+lose every merge comparison, so ``build_banks`` raises ``ValueError`` naming
+its frame.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -41,7 +58,7 @@ from typing import Callable, Dict, List, Literal, Optional, Sequence
 
 import numpy as np
 
-from .core import Checked, Domain, FrameRecord, _check_finite
+from .core import Checked, Domain, FrameRecord, _check_finite, _check_unique_ids
 from .discriminator import DiscriminatorModel, domainness
 
 NORM_FLOOR = 1e-12
@@ -88,19 +105,40 @@ class BankConfig(Checked):
 
 def reweight(frame: FrameRecord, roi_dim: Optional[int] = None) -> ReweightedROI:
     """Confidence-weighted sum of ROI vectors; zero vector when there are none."""
-    rois = np.asarray(frame.roi_features, dtype=np.float64)
-    confs = np.asarray(frame.roi_confidences, dtype=np.float64)
-    if rois.size == 0:
-        if roi_dim is None:
-            raise ValueError(
-                "frame %r has no ROIs and no roi_dim was configured" % frame.id
-            )
-        return ReweightedROI(frame.id, np.zeros(roi_dim))
-    if rois.ndim != 2 or rois.shape[0] != confs.shape[0]:
-        raise ValueError("inconsistent ROI features/confidences in %r" % frame.id)
-    if roi_dim is not None and rois.shape[1] != roi_dim:
-        raise ValueError("ROI dimension mismatch in %r" % frame.id)
-    return ReweightedROI(frame.id, confs @ rois)
+    return _reweight_pool([frame], roi_dim)[0]
+
+
+def _reweight_pool(
+    frames: Sequence[FrameRecord], roi_dim: Optional[int] = None
+) -> List[ReweightedROI]:
+    """``reweight`` of each frame, in pool order; the first malformed frame raises.
+
+    Frames are grouped by ROI shape (k, d), and each group is cast to float64
+    and takes one stacked ``(m, 1, k) @ (m, k, d)`` product: the BLAS gemv that
+    ``confs @ rois`` makes for one frame, so each vector has the bytes of its
+    own product."""
+    vectors: List[Optional[np.ndarray]] = [None] * len(frames)
+    groups: Dict[tuple, list] = {}
+    for n, frame in enumerate(frames):
+        rois, confs = np.asarray(frame.roi_features), np.asarray(frame.roi_confidences)
+        if rois.size == 0:
+            if roi_dim is None:
+                raise ValueError(
+                    "frame %r has no ROIs and no roi_dim was configured" % frame.id
+                )
+            vectors[n] = np.zeros(roi_dim)
+            continue
+        if rois.ndim != 2 or confs.ndim != 1 or rois.shape[0] != confs.shape[0]:
+            raise ValueError("inconsistent ROI features/confidences in %r" % frame.id)
+        if roi_dim is not None and rois.shape[1] != roi_dim:
+            raise ValueError("ROI dimension mismatch in %r" % frame.id)
+        groups.setdefault(rois.shape, []).append((n, confs, rois))
+    for group in groups.values():
+        at, confs, rois = zip(*group)
+        confs, rois = np.array(confs, dtype=np.float64), np.array(rois, dtype=np.float64)
+        for n, vector in zip(at, np.matmul(confs[:, None, :], rois)[:, 0]):
+            vectors[n] = vector
+    return [ReweightedROI(frame.id, vector) for frame, vector in zip(frames, vectors)]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -146,14 +184,66 @@ def _block_rows(capacity: int, dim: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * capacity * max(dim, 1)))
 
 
-class _Prototypes:
-    """Prototype rows in bank order, their norms, and the pair-cosine matrix
-    with its cached aggregates; built from the founding rows once the fill
-    phase is over, after which the bank count stays at its cap."""
+# numpy's pairwise sum keeps eight accumulators r0..r7 and combines them as
+# ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); holding them in this order makes each
+# combining step one add of a contiguous half onto the other
+_ACCUMULATOR_ORDER = (0, 4, 2, 6, 1, 5, 3, 7)
 
-    def __init__(self, rows: np.ndarray, norms: np.ndarray):
-        self.rows, self.norms, self.size = rows.copy(), norms.copy(), len(rows)
-        n = self.size
+
+def _lane_order(d: int) -> np.ndarray:
+    """The order ``_lane_sum`` takes d lanes in: each full block of 8 lanes in
+    ``_ACCUMULATOR_ORDER`` when d >= 8, the rest as they come."""
+    full = d - d % 8 if d >= 8 else 0
+    return np.array([k - k % 8 + _ACCUMULATOR_ORDER[k % 8] for k in range(full)]
+                    + list(range(full, d)), dtype=np.intp)
+
+
+def _lane_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of lanes given in ``_lane_order``, with the bytes of
+    numpy's sum over a contiguous run of the lanes in their own order, taken
+    lane by lane; overwrites ``terms``.
+
+    numpy adds its pairwise sum to a 0.0 start (so a sum of -0.0 terms is
+    +0.0). Below 8 terms the pairwise sum adds them in sequence; up to 128 it
+    keeps eight accumulators over blocks of 8, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest in sequence; above
+    that it splits at n/2 rounded down to a multiple of 8 and sums each half.
+    """
+    n = len(terms)
+    if n < 8:
+        total = np.zeros(terms.shape[1:])
+        for k in range(n):
+            total += terms[k]
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _lane_sum(terms[:half]) + _lane_sum(terms[half:])
+    acc, tail = terms[:8], n - n % 8
+    for k in range(8, tail, 8):
+        acc += terms[k : k + 8]
+    acc[:4] += acc[4:]
+    acc[:2] += acc[2:4]
+    total = acc[0]
+    total += acc[1]
+    for k in range(tail, n):
+        total += terms[k]
+    total += 0.0
+    return total
+
+
+class _Prototypes:
+    """Prototype rows in bank order, held as the columns of a (d, cap) matrix
+    whose rows are the lanes in ``_lane_order``, their norms, and the
+    pair-cosine matrix with the cached aggregate that ``compare`` names; built
+    from the founding rows once the fill phase is over, after which the bank
+    count stays at its cap."""
+
+    def __init__(self, rows: np.ndarray, norms: np.ndarray, compare: str = "min"):
+        self._order = _lane_order(rows.shape[1])
+        self.lanes, self.norms = rows.T[self._order], norms.copy()
+        self._live = ~(norms < NORM_FLOOR)
+        self._compare = np.min if compare == "min" else np.max
+        n = len(rows)
         self.pairs = np.empty((n, n))
         step = _block_rows(n, rows.shape[1])
         for k in range(0, n, step):
@@ -163,14 +253,15 @@ class _Prototypes:
 
     def cosine_rows(self, vecs: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """Cosine of each row of ``vecs`` (norms ``norms``) with every prototype,
-        under ``cosine``'s norm floor: a (len(vecs), size) matrix."""
-        rows, own = self.rows[: self.size], self.norms[: self.size]
-        sims = np.zeros((len(vecs), self.size))
-        # not BLAS ``vecs @ rows.T``: each product row is summed on its own, so
-        # identical rows score bit-identically wherever they sit
+        under ``cosine``'s norm floor: a (len(vecs), cap) matrix."""
+        products = vecs.T[self._order][:, :, None] * self.lanes[:, None, :]
+        sims = np.zeros((len(vecs), self.lanes.shape[1]))
+        # not BLAS ``vecs @ rows.T``: each pair's products are summed in one
+        # written-out order, so identical rows score bit-identically wherever they
+        # sit, on any BLAS and at any SIMD level
         np.divide(
-            (vecs[:, None, :] * rows).sum(axis=-1), norms[:, None] * own, out=sims,
-            where=~(norms < NORM_FLOOR)[:, None] & ~(own < NORM_FLOOR),
+            _lane_sum(products), norms[:, None] * self.norms, out=sims,
+            where=~(norms < NORM_FLOOR)[:, None] & self._live,
         )
         return sims
 
@@ -178,33 +269,36 @@ class _Prototypes:
         """Cosine of ``vec`` with every row: the one-row case of ``cosine_rows``."""
         return self.cosine_rows(vec[None], _norms(vec)[None])[0]
 
-    def append(self, vec: np.ndarray) -> None:
-        self.size += 1
-        self.set(self.size - 1, vec)
-
     def set(self, k: int, vec: np.ndarray) -> None:
-        n = self.size
-        self.rows[k] = vec
-        self.norms[k] = _norms(vec)
-        self.pairs[k, :n] = self.pairs[:n, k] = self.cosines(vec)
+        """Move row ``k`` to ``vec`` and refresh the aggregate."""
+        self._write([k], vec[None])
 
-    def delete(self, j: int) -> None:
-        n = self.size
-        self.rows[j : n - 1] = self.rows[j + 1 : n]
-        self.norms[j : n - 1] = self.norms[j + 1 : n]
-        self.pairs[j : n - 1, :n] = self.pairs[j + 1 : n, :n]
-        self.pairs[:n, j : n - 1] = self.pairs[:n, j + 1 : n]
-        self.size -= 1
+    def merge(self, i: int, j: int, merged: np.ndarray, newcomer: np.ndarray) -> None:
+        """Drop row ``j`` (``i < j``), move row ``i`` to ``merged`` and append
+        ``newcomer`` as the last row; both are scored in one two-row pass."""
+        self.lanes[:, j:-1] = self.lanes[:, j + 1 :]
+        self.norms[j:-1] = self.norms[j + 1 :]
+        self.pairs[j:-1] = self.pairs[j + 1 :]
+        self.pairs[:, j:-1] = self.pairs[:, j + 1 :]
+        self._write([i, len(self.norms) - 1], np.array([merged, newcomer]))
+
+    def _write(self, at: List[int], vecs: np.ndarray) -> None:
+        self.lanes[:, at] = vecs.T[self._order]
+        self.norms[at] = norms = _norms(vecs)
+        self._live = ~(self.norms < NORM_FLOOR)
+        for k, sims in zip(at, self.cosine_rows(vecs, norms)):
+            self.pairs[k] = self.pairs[:, k] = sims
+        self.refresh()
 
     def refresh(self) -> None:
-        """Recompute the pair aggregates after a prototype moved."""
-        sims = self.pairs[self._upper]
-        if not sims.size:
-            self.pair_min = self.pair_max = None
-            return
-        self.pair_min, self.pair_max = sims.min(), sims.max()
-        tied = np.flatnonzero(sims == self.pair_max)
-        self.top_pairs = list(zip(self._upper[0][tied].tolist(), self._upper[1][tied].tolist()))
+        """Recompute the aggregate of the pair cosines, ``None`` below two rows."""
+        self._sims = self.pairs[self._upper]
+        self.aggregate = self._compare(self._sims) if self._sims.size else None
+
+    def top_pairs(self) -> List[tuple]:
+        """The (i, j) pairs, i < j, tied at the largest pair cosine, row by row."""
+        tied = np.flatnonzero(self._sims == self._sims.max())
+        return list(zip(self._upper[0][tied].tolist(), self._upper[1][tied].tolist()))
 
 
 def _stacked(rois: Sequence[ReweightedROI]) -> np.ndarray:
@@ -236,8 +330,9 @@ def build_banks(
     ``_BLOCK_START`` rows, doubles after each block without a merge up to
     ``_block_rows``, and starts over after a merge; with
     ``update_prototype_on_join`` every join moves a prototype, so a block is
-    one row. A merge or a prototype-moving join costs O(cap*d) to rewrite one
-    row and column of the pair matrix plus an O(cap^2) aggregate refresh.
+    one row. A prototype-moving join costs O(cap*d) to rewrite one row and
+    column of the pair matrix, a merge one two-row pass to rewrite two, and
+    either an O(cap^2) refresh of the aggregate the config compares.
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
@@ -249,13 +344,13 @@ def build_banks(
         return BankSet(banks=banks)
 
     norms = _norms(vecs)
-    protos = _Prototypes(vecs[:fill], norms[:fill])
+    protos = _Prototypes(vecs[:fill], norms[:fill], config.pairwise_compare)
     most = 1 if config.update_prototype_on_join else _block_rows(capacity, vecs.shape[1])
     t, block = fill, min(_BLOCK_START, most)
     while t < len(ids):
         end = min(t + block, len(ids))
         sims = protos.cosine_rows(vecs[t:end], norms[t:end])
-        agg = protos.pair_min if config.pairwise_compare == "min" else protos.pair_max
+        agg = protos.aggregate
         below = [] if agg is None else np.flatnonzero(sims.max(axis=1) < agg)
         joins = int(below[0]) if len(below) else end - t
         # ties resolve to the earliest bank
@@ -266,20 +361,16 @@ def build_banks(
                 n = nearest.count
                 nearest.prototype = ((n - 1) * nearest.prototype + vecs[k]) / n
                 protos.set(idx, nearest.prototype)
-                protos.refresh()
         t += joins
         if t == end:
             block = min(2 * block, most)
             continue
         # merge the most similar pair, then found a bank for the newcomer
-        i, j = min(protos.top_pairs, key=lambda ij: _pair_key(banks[ij[0]], banks[ij[1]]))
+        i, j = min(protos.top_pairs(), key=lambda ij: _pair_key(banks[ij[0]], banks[ij[1]]))
         banks[i] = merge_banks(banks[i], banks[j])
         del banks[j]
         banks.append(SimilarityBank(prototype=vecs[t].copy(), members=[ids[t]]))
-        protos.delete(j)
-        protos.set(i, banks[i].prototype)
-        protos.append(vecs[t])
-        protos.refresh()
+        protos.merge(i, j, banks[i].prototype, vecs[t])
         t, block = t + 1, min(_BLOCK_START, most)
     return BankSet(banks=banks)
 
@@ -307,7 +398,7 @@ def sample_round(
     """One sampling round: reweight, cluster into banks, pick one frame per bank."""
     return _sample_round(
         unlabeled,
-        lambda f: reweight(f, roi_dim=roi_dim),
+        lambda frames: _reweight_pool(frames, roi_dim),
         lambda frames: domainness(model, frames).tolist(),
         budget,
         config,
@@ -316,17 +407,19 @@ def sample_round(
 
 def _sample_round(
     unlabeled: Sequence[FrameRecord],
-    rois: Callable[[FrameRecord], ReweightedROI],
+    rois: Callable[[Sequence[FrameRecord]], Sequence[ReweightedROI]],
     values: Callable[[Sequence[FrameRecord]], Sequence[float]],
     budget: int,
     config: BankConfig,
 ) -> List[str]:
-    """``sample_round`` with a frame's re-weighted ROIs given by ``rois`` and the
-    pool's domainness values, in order, by ``values``."""
+    """``sample_round`` with the pool's re-weighted ROIs given by ``rois`` and its
+    domainness values by ``values``, each in pool order. A pool that repeats an
+    id raises ``ValueError`` naming it: the scores are keyed by id."""
     for f in unlabeled:
         if f.domain != Domain.TARGET:
             raise ValueError("frame %r is not target-tagged" % f.id)
+    _check_unique_ids(unlabeled, "in the target pool")
     if not unlabeled:
         return []
-    banks = build_banks([rois(f) for f in unlabeled], budget, config=config)
+    banks = build_banks(rois(unlabeled), budget, config=config)
     return select_targets(banks, dict(zip([f.id for f in unlabeled], values(unlabeled))))

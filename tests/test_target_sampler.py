@@ -1,4 +1,10 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,17 +15,23 @@ from bidal import (
     Domain,
     FrameRecord,
     ReweightedROI,
+    SyntheticConfig,
     build_banks,
+    generate,
     reweight,
     sample_round,
     select_targets,
 )
 from bidal.target_sampler import (
     _BLOCK_START,
+    NORM_FLOOR,
     SimilarityBank,
     _block_rows,
+    _lane_order,
+    _lane_sum,
     _norms,
     _Prototypes,
+    _reweight_pool,
     cosine,
     merge_banks,
 )
@@ -103,6 +115,162 @@ class TestReweight:
         )
         with pytest.raises(ValueError, match="inconsistent ROI features/confidences in 'f'"):
             reweight(frame, roi_dim=4)
+
+
+# 1e-5 to 1e5 as literals: numpy's ``power`` may round them differently at
+# another SIMD level
+SCALES = np.array([1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5])
+
+
+def roi_frames():
+    """Target frames over ROI counts 0-6 and widths 1-33, float32 and float64,
+    in a shuffled order, each its ROI count's and width's group more than once."""
+    rng = np.random.default_rng(14)
+    frames = []
+    for n, (k, d, dtype) in enumerate(
+        itertools.product(range(7), (1, 2, 3, 7, 8, 16, 17, 33), (np.float32, np.float64))
+    ):
+        for copy in range(3):
+            frames.append(FrameRecord(
+                id="f%03d-%d" % (n, copy),
+                domain=Domain.TARGET,
+                feature_map=np.zeros((1, 1, 1)),
+                objectness_map=np.zeros((1, 1, 1)),
+                roi_features=(rng.normal(size=(k, d)) * rng.choice(SCALES)).astype(dtype),
+                roi_confidences=rng.uniform(size=k).astype(dtype),
+            ))
+    return [frames[i] for i in rng.permutation(len(frames))]
+
+
+def check_pool_reweighting():
+    """Assert that each width's pool re-weighting has the bytes of every frame's
+    own ``confs @ rois`` product (a zero vector without ROIs)."""
+    frames = roi_frames()
+    for d in sorted({np.shape(f.roi_features)[1] for f in frames}):
+        pool = [f for f in frames if np.shape(f.roi_features)[1] == d]
+        got = _reweight_pool(pool, roi_dim=d)
+        assert [r.frame_id for r in got] == [f.id for f in pool]
+        for roi, f in zip(got, pool):
+            rois = np.asarray(f.roi_features, dtype=np.float64)
+            confs = np.asarray(f.roi_confidences, dtype=np.float64)
+            want = confs @ rois if len(confs) else np.zeros(d)
+            assert roi.vector.tobytes() == want.tobytes(), f.id
+            assert reweight(f, roi_dim=d).vector.tobytes() == want.tobytes(), f.id
+
+
+class TestReweightPool:
+    def test_bytes_of_each_frames_product(self):
+        check_pool_reweighting()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("roi_features", np.ones((2, 5)), "ROI dimension mismatch in 'f007'"),
+            ("roi_features", np.ones(4), "inconsistent ROI features/confidences in 'f007'"),
+            ("roi_confidences", np.ones((2, 1)), "inconsistent ROI features/confidences in 'f007'"),
+            ("roi_confidences", np.ones(3), "inconsistent ROI features/confidences in 'f007'"),
+        ],
+    )
+    def test_first_bad_frame_in_pool_order_raises(self, field, value, message):
+        frames = [
+            FrameRecord(
+                id="f%03d" % k, domain=Domain.TARGET, feature_map=np.zeros((1, 1, 1)),
+                objectness_map=np.zeros((1, 1, 1)), roi_features=np.ones((2, 4)),
+                roi_confidences=np.full(2, 0.5),
+            )
+            for k in range(12)
+        ]
+        # two bad frames; the later one holds an error that a frame-by-frame
+        # check would never reach
+        frames[7] = replace(frames[7], **{field: value})
+        frames[9] = replace(frames[9], roi_features=np.zeros((0, 4)), roi_confidences=np.zeros(0))
+        with pytest.raises(ValueError, match=message):
+            _reweight_pool(frames, roi_dim=4)
+        with pytest.raises(ValueError, match="frame 'f009' has no ROIs"):
+            _reweight_pool(frames[8:])
+        assert len(_reweight_pool(frames[8:], roi_dim=4)) == 4
+
+
+# every width at which numpy's pairwise sum changes its order: the sequential sum
+# below 8 terms, one to two blocks of 8, the 128-term block and its split
+LANE_DIMS = list(range(1, 10)) + [15, 16, 17, 127, 128, 129, 255, 256, 257]
+
+
+def lane_cases():
+    """(rows, vecs) for every width in ``LANE_DIMS``: zero rows, rows below the
+    norm floor, identical rows and magnitudes from 1e-5 to 1e5."""
+    rng = np.random.default_rng(15)
+    for d in LANE_DIMS:
+        rows = rng.normal(size=(12, d)) * rng.choice(SCALES, size=(12, 1))
+        vecs = rng.normal(size=(7, d)) * rng.choice(SCALES, size=(7, 1))
+        rows[1] = vecs[2] = 0.0
+        rows[2] = -1e-13 / np.sqrt(d)
+        vecs[3] = 1e-14 / np.sqrt(d)
+        rows[[5, 8]] = rows[4]
+        vecs[4] = rows[4]
+        # every product with the zero row is -0.0: the sum must still be +0.0
+        vecs[5] = -np.abs(vecs[5])
+        yield rows, vecs
+
+
+def plain_cosines(rows, vecs):
+    """The per-row cosines in their plainest form: products summed by ``sum``."""
+    norms, own = _norms(vecs), _norms(rows)
+    sims = np.zeros((len(vecs), len(rows)))
+    np.divide((vecs[:, None, :] * rows).sum(axis=-1), norms[:, None] * own, out=sims,
+              where=~(norms < NORM_FLOOR)[:, None] & ~(own < NORM_FLOOR))
+    return sims
+
+
+def lane_kernel_digest() -> str:
+    """sha256 of the bank kernel's cosines over ``lane_cases``, after asserting
+    that the kernel and its sum have the bytes of their plain forms."""
+    h = hashlib.sha256()
+    for rows, vecs in lane_cases():
+        order = _lane_order(rows.shape[1])
+        products = vecs.T[order][:, :, None] * rows.T[order][:, None, :]
+        sums = _lane_sum(products)
+        assert sums.tobytes() == (vecs[:, None, :] * rows).sum(axis=-1).tobytes(), rows.shape
+        sims = _Prototypes(rows, _norms(rows)).cosine_rows(vecs, _norms(vecs))
+        assert sims.tobytes() == plain_cosines(rows, vecs).tobytes(), rows.shape
+        h.update(sims.tobytes())
+    return h.hexdigest()
+
+
+class TestLaneKernel:
+    def test_bytes_of_the_plain_sum(self):
+        lane_kernel_digest()
+
+    def test_lane_order(self):
+        assert _lane_order(7).tolist() == list(range(7))
+        assert _lane_order(17).tolist() == [0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16]
+
+    def test_identical_rows_and_the_norm_floor(self):
+        for rows, vecs in lane_cases():
+            sims = _Prototypes(rows, _norms(rows)).cosine_rows(vecs, _norms(vecs))
+            assert not sims[:, [1, 2]].any() and not sims[[2, 3]].any()
+            assert (sims[:, 4] == sims[:, 5]).all() and (sims[:, 4] == sims[:, 8]).all()
+            assert sims[4, 4] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "env",
+        [{"OPENBLAS_CORETYPE": "Haswell"},
+         {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
+        ids=["haswell-blas", "no-avx512"],
+    )
+    def test_bytes_hold_under_another_cpu(self, env):
+        # the kernel's cosines keep their bytes under another BLAS kernel and
+        # without numpy's AVX-512 paths; the pool re-weighting is a BLAS gemv, so
+        # it only keeps the bytes of each frame's own product in that process
+        root = Path(__file__).resolve().parents[1]
+        code = ("from tests.test_target_sampler import check_pool_reweighting, lane_kernel_digest;"
+                "check_pool_reweighting(); print(lane_kernel_digest())")
+        run = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]), **env),
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == [lane_kernel_digest()]
 
 
 class TestCosine:
@@ -411,6 +579,20 @@ class TestContracts:
         banks = build_banks(rois_from([(1.0, 0.0)]), 1)
         with pytest.raises(KeyError):
             select_targets(banks, {})
+
+    @pytest.mark.parametrize("pool", ["renamed", "same-object"])
+    def test_sample_round_rejects_a_repeated_id(self, pool):
+        # the scores are keyed by id, so two frames with one id would both be
+        # banked under one score and could both be picked
+        _, tgt, _ = generate(SyntheticConfig(n_source=20, n_target=30, n_eval=5, seed=0))
+        model = DiscriminatorModel.initialize((16, 8, 1), seed=0)
+        frames, budget = {
+            "renamed": (tgt[:10] + [replace(tgt[11], id="t00000")], 10),
+            "same-object": (tgt[:5] + [tgt[0]], 6),
+        }[pool]
+        with pytest.raises(ValueError, match=r"frame ids must be unique in the target pool; "
+                                             r"repeated: \['t00000'\]"):
+            sample_round(frames, model, budget)
 
     def test_sample_round_rejects_source_frames(self):
         model = DiscriminatorModel.initialize((2, 4, 1), seed=0)

@@ -9,28 +9,26 @@ Run:  python3 demos/03_target_bank_sampling.py
 
 import numpy as np
 
-from bidal import ReweightedROI, build_banks, select_targets
+from bidal import build_banks, select_targets
 
 rng = np.random.default_rng(1)
 
-# three well-separated cluster directions in 8-d, nine frames interleaved
+# three well-separated cluster directions in 8-d, nine frames interleaved: one
+# ROI matrix with a row per frame
 dirs = np.eye(8)[:3]
-frames = []
-for i in range(9):
-    c = i % 3
-    v = dirs[c] + 0.1 * rng.normal(size=8)
-    frames.append(ReweightedROI("f%02d" % i, v))
+rois = dirs[np.arange(9) % 3] + 0.1 * rng.normal(size=(9, 8))
+ids = ["f%02d" % i for i in range(9)]
 print("9 frames from clusters A/B/C in the order "
       + " ".join("ABC"[i % 3] for i in range(9)))
 
-banks = build_banks(frames, capacity=3)
+banks = build_banks(rois, ids, capacity=3)
 print("\nfinal banks (capacity 3):")
 for k, bank in enumerate(banks.banks):
     print("  bank %d: members %s" % (k, ", ".join(bank.members)))
 
 # give cluster A's frames the highest "domainness" scores across the board
-scores = {f.frame_id: 0.9 - 0.01 * i if i % 3 == 0 else 0.3 + 0.01 * i
-          for i, f in enumerate(frames)}
+scores = {f: 0.9 - 0.01 * i if i % 3 == 0 else 0.3 + 0.01 * i
+          for i, f in enumerate(ids)}
 picked = select_targets(banks, scores)
 print("\none pick per bank (highest score inside each):", picked)
 print("clusters covered:", sorted({"ABC"[int(p[1:]) % 3] for p in picked}))

@@ -36,7 +36,6 @@ from .simulator import ProxyDetector, benchmark, generate, run_strategy
 from .source_sampler import Proportion, Threshold, TopK, score_source, select_source
 from .target_sampler import (
     BankConfig,
-    ReweightedROI,
     SimilarityBank,
     build_banks,
     reweight,
@@ -59,7 +58,6 @@ __all__ = [
     "PipelineConfig",
     "Proportion",
     "ProxyDetector",
-    "ReweightedROI",
     "Score",
     "SimilarityBank",
     "SyntheticConfig",

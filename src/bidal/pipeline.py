@@ -19,12 +19,13 @@ The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
 re-weights each target frame object once per run. Each round scores the
 frames it has not seen yet with one call of ``discriminator.domainness``,
 the scoring function of every stage, and re-weights them with one call of
-``target_sampler._reweight_pool`` (``_pool_memo``); one ``{FrameRecord:
-float}`` memo feeds every round's banks and the report's per-pick scores,
-and a second memo keeps each frame's re-weighted ROI vector. Both are keyed
-on the frame object, so an oracle whose ``features`` returns new frames gets
-them rescored, and both are dropped when the run returns. Stage 3 scores the
-source pool with one call too (``score_source``).
+``target_sampler.reweight``, the re-weighting function of every ROI consumer
+(``_pool_memo``); one ``{FrameRecord: float}`` memo feeds every round's banks
+and the report's per-pick scores, and a second memo keeps each frame's row
+of the ROI matrix. Both are keyed on the frame object, so an oracle whose
+``features`` returns new frames gets them rescored, and both are dropped when
+the run returns. Stage 3 scores the source pool with one call too
+(``score_source``).
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run sets ``report.halted`` and stops before
@@ -47,7 +48,7 @@ from .core import (BudgetSchedule, Checked, FrameRecord, NonEmpty, NonNegInt, Po
                    canonical_json)
 from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
-from .target_sampler import BankConfig, _reweight_pool, _sample_round
+from .target_sampler import BankConfig, _sample_round, reweight
 
 
 class DetectorOracle(Protocol):
@@ -160,7 +161,7 @@ def _bidomain_stages(source, target, oracle, cfg, det_state, report):
     roi_dim = _roi_dim(source + target)
     scores: Dict[FrameRecord, float] = {}
     values = _pool_memo(scores, lambda new: domainness(disc, new).tolist())
-    rois = _pool_memo({}, lambda new: _reweight_pool(new, roi_dim))
+    rois = _pool_memo({}, lambda new: reweight(new, roi_dim))
 
     def pick(unlabeled, budget, k, det_state):
         current = {f.id: oracle.features(det_state, f) for f in unlabeled}

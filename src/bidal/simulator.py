@@ -15,7 +15,8 @@ over a transposed copy, has the value of ``Z.max(axis=1)`` (max is exact, and
 ``exp`` erases the sign of a zero max). ``tests/test_simulator.py`` checks both.
 
 Per-frame work that cannot change within a run is done once per run: each
-``ProxyDetector`` keeps its frames' re-weighted ROI rows, ``sample_committee``
+``ProxyDetector`` re-weights the frames it has not seen with one call of
+``target_sampler.reweight`` and keeps their ROI rows, ``sample_committee``
 reads the unlabeled frames' rows through the run's detector, and the entropy
 baseline hands ``sample_entropy`` a per-run cache of its frames' entropies. A
 detector also pretrains each frame sequence once. ``benchmark`` builds one
@@ -50,10 +51,9 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (BudgetSchedule, Domain, FrameRecord, SyntheticConfig, _check_finite,
-                   canonical_json)
+from .core import BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonical_json
 from .discriminator import TrainConfig
-from .pipeline import PipelineConfig, RunReport, _run, run_bidomain
+from .pipeline import PipelineConfig, RunReport, _pool_memo, _run, run_bidomain
 from .scoring import entropy_map
 from .target_sampler import _cosine, reweight
 
@@ -224,22 +224,17 @@ class ProxyDetector:
         self.n_classes = int(n_classes)
         self.roi_dim = int(roi_dim)
         self.pretrain_epochs = int(pretrain_epochs)
-        # each frame object's re-weighted ROI vector, computed once per detector; a
+        # each frame object's re-weighted ROI row, computed once per detector; a
         # NaN or infinity in it raises naming the frame before any fit or logit
         roi_dim = self.roi_dim
-
-        def row(frame: FrameRecord) -> np.ndarray:
-            vector = reweight(frame, roi_dim=roi_dim).vector
-            _check_finite(vector[None], lambda i: frame.id, "ROI vector")
-            return vector
-
-        self._row = functools.cache(row)
+        self._reweighted = _pool_memo({}, lambda new: reweight(new, roi_dim=roi_dim))
         # each pretrained frame sequence's state, keyed on its frame objects in order
         self._pretrained: Dict[Tuple[FrameRecord, ...], Dict[str, np.ndarray]] = {}
 
     def _roi_rows(self, frames: Sequence[FrameRecord]) -> np.ndarray:
-        """The re-weighted ROI vectors of ``frames``, one row each, each computed once."""
-        return np.stack([self._row(f) for f in frames])
+        """The re-weighted ROI vectors of ``frames``, one row each, each computed once;
+        the frames not seen yet are re-weighted in one ``reweight`` call."""
+        return np.stack(self._reweighted(frames))
 
     def _design(self, labeled):
         for f, lab in labeled:

@@ -7,16 +7,18 @@ nearest bank, or — when it is less similar to every prototype than the two
 closest prototypes are to each other — triggers a count-weighted merge of the
 most similar pair and founds a fresh bank. Finally the highest-domainness
 member of each bank is selected. ``sample_round`` re-weights the pool and
-scores it, each in one pass (``_reweight_pool``, ``discriminator.domainness``);
+scores it, each in one pass (``reweight``, ``discriminator.domainness``);
 its sibling ``_sample_round`` takes both as pool functions, so a caller that
 keeps ROI vectors and scores across rounds (``pipeline.run_bidomain``) runs
 the same code path. A pool that repeats an id raises ``ValueError``.
 
-``_reweight_pool`` groups the frames by ROI shape (k, d) and takes one stacked
+``reweight`` is the one re-weighting function: it gives a pool's vectors as
+the rows of one (n, d) matrix, which ``build_banks`` takes with the frames'
+ids. It groups the frames by ROI shape (k, d) and takes one stacked
 ``(m, 1, k) @ (m, k, d)`` product per group: the BLAS gemv that one frame's
-``confs @ rois`` makes, so each vector keeps its bytes. ``reweight`` is its
-one-frame case, and the two share their checks: the first malformed frame in
-pool order raises.
+``confs @ rois`` makes, so each row keeps its bytes. The first malformed
+frame in pool order raises, and then the first non-finite row, so a pool
+with a NaN row before a frame of the wrong ROI width names the width.
 
 The bank is incremental: the prototypes sit as the columns of a (d, cap)
 matrix with their norms, beside a cap x cap matrix of pair cosines whose
@@ -46,10 +48,9 @@ lanes are stored in ``_lane_order`` so the combining adds are over contiguous
 halves. A cosine thus has the bytes of ``(u * v).sum()`` divided by the norms:
 identical prototypes score the same wherever they sit, a frame scores the same
 in any block, exact ties break as they always have, and the bytes depend on
-neither BLAS nor numpy's SIMD level. The stream's vectors are stacked and
-checked for finiteness once; a NaN would otherwise win every ``argmax`` and
-lose every merge comparison, so ``build_banks`` raises ``ValueError`` naming
-its frame.
+neither BLAS nor numpy's SIMD level. ``build_banks`` checks its matrix for
+finiteness once; a NaN would otherwise win every ``argmax`` and lose every
+merge comparison, so it raises ``ValueError`` naming the row's frame.
 """
 from __future__ import annotations
 
@@ -62,14 +63,6 @@ from .core import Checked, Domain, FrameRecord, _check_finite, _check_unique_ids
 from .discriminator import DiscriminatorModel, domainness
 
 NORM_FLOOR = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class ReweightedROI:
-    """Confidence-weighted sum of a frame's ROI feature vectors."""
-
-    frame_id: str
-    vector: np.ndarray
 
 
 @dataclass(eq=False)
@@ -103,22 +96,18 @@ class BankConfig(Checked):
     pairwise_compare: Literal["min", "max"] = "min"
 
 
-def reweight(frame: FrameRecord, roi_dim: Optional[int] = None) -> ReweightedROI:
-    """Confidence-weighted sum of ROI vectors; zero vector when there are none."""
-    return _reweight_pool([frame], roi_dim)[0]
+def reweight(frames: Sequence[FrameRecord], roi_dim: Optional[int] = None) -> np.ndarray:
+    """Each frame's confidence-weighted sum of its ROI vectors, as the rows of one
+    float64 (n, d) matrix in pool order; a frame without ROIs gets a zero row.
 
-
-def _reweight_pool(
-    frames: Sequence[FrameRecord], roi_dim: Optional[int] = None
-) -> List[ReweightedROI]:
-    """``reweight`` of each frame, in pool order; the first malformed frame raises.
-
+    The frames are checked in pool order and the first malformed one raises;
+    without ``roi_dim`` the first frame with ROIs sets the width. The matrix
+    is then checked once, naming the first frame whose row is not finite.
     Frames are grouped by ROI shape (k, d), and each group is cast to float64
-    and takes one stacked ``(m, 1, k) @ (m, k, d)`` product: the BLAS gemv that
-    ``confs @ rois`` makes for one frame, so each vector has the bytes of its
-    own product."""
-    vectors: List[Optional[np.ndarray]] = [None] * len(frames)
-    groups: Dict[tuple, list] = {}
+    and takes one stacked ``(m, 1, k) @ (m, k, d)`` product, written into its
+    rows: the BLAS gemv that ``confs @ rois`` makes for one frame, so each row
+    has the bytes of its own product."""
+    width, groups = roi_dim, {}
     for n, frame in enumerate(frames):
         rois, confs = np.asarray(frame.roi_features), np.asarray(frame.roi_confidences)
         if rois.size == 0:
@@ -126,19 +115,20 @@ def _reweight_pool(
                 raise ValueError(
                     "frame %r has no ROIs and no roi_dim was configured" % frame.id
                 )
-            vectors[n] = np.zeros(roi_dim)
             continue
         if rois.ndim != 2 or confs.ndim != 1 or rois.shape[0] != confs.shape[0]:
             raise ValueError("inconsistent ROI features/confidences in %r" % frame.id)
-        if roi_dim is not None and rois.shape[1] != roi_dim:
+        width = rois.shape[1] if width is None else width
+        if rois.shape[1] != width:
             raise ValueError("ROI dimension mismatch in %r" % frame.id)
         groups.setdefault(rois.shape, []).append((n, confs, rois))
+    rows = np.zeros((len(frames), width or 0))
     for group in groups.values():
         at, confs, rois = zip(*group)
         confs, rois = np.array(confs, dtype=np.float64), np.array(rois, dtype=np.float64)
-        for n, vector in zip(at, np.matmul(confs[:, None, :], rois)[:, 0]):
-            vectors[n] = vector
-    return [ReweightedROI(frame.id, vector) for frame, vector in zip(frames, vectors)]
+        rows[list(at)] = np.matmul(confs[:, None, :], rois)[:, 0]
+    _check_finite(rows, lambda i: frames[i].id, "ROI vector")
+    return rows
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -265,10 +255,6 @@ class _Prototypes:
         )
         return sims
 
-    def cosines(self, vec: np.ndarray) -> np.ndarray:
-        """Cosine of ``vec`` with every row: the one-row case of ``cosine_rows``."""
-        return self.cosine_rows(vec[None], _norms(vec)[None])[0]
-
     def set(self, k: int, vec: np.ndarray) -> None:
         """Move row ``k`` to ``vec`` and refresh the aggregate."""
         self._write([k], vec[None])
@@ -301,27 +287,18 @@ class _Prototypes:
         return list(zip(self._upper[0][tied].tolist(), self._upper[1][tied].tolist()))
 
 
-def _stacked(rois: Sequence[ReweightedROI]) -> np.ndarray:
-    """The stream's vectors as the rows of one (n, d) finite matrix; the first
-    bad vector in stream order raises."""
-    vecs = [np.asarray(roi.vector, dtype=np.float64) for roi in rois]
-    if not vecs:
-        return np.empty((0, 0))
-    if vecs[0].ndim != 1:
-        raise ValueError("ROI vectors must be one-dimensional")
-    if any(vec.shape != vecs[0].shape for vec in vecs):
-        raise ValueError("dimension mismatch")
-    stacked = np.array(vecs)
-    _check_finite(stacked, lambda i: rois[i].frame_id, "ROI vector")
-    return stacked
-
-
 def build_banks(
-    rois: Sequence[ReweightedROI],
+    rois: np.ndarray,
+    ids: Sequence[str],
     capacity: int,
     config: BankConfig = BankConfig(),
 ) -> BankSet:
-    """Stream re-weighted ROI vectors into at most ``capacity`` banks.
+    """Stream the rows of ``rois``, the re-weighted ROI vectors of the frames
+    ``ids`` names in order, into at most ``capacity`` banks.
+
+    ``rois`` must be an (n, d) matrix with one row per id and every entry
+    finite; otherwise ``ValueError`` is raised, a non-finite row named by its
+    id.
 
     Past the fill phase the stream is scored a block of frames per
     O(block*cap*d) pass over the prototype rows. The frames before the
@@ -336,8 +313,12 @@ def build_banks(
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
-    vecs = _stacked(rois)
-    ids = [roi.frame_id for roi in rois]
+    vecs = np.ascontiguousarray(rois, dtype=np.float64)
+    if vecs.ndim != 2:
+        raise ValueError("ROI vectors must form an (n, d) matrix, got shape %s" % (vecs.shape,))
+    if len(vecs) != len(ids):
+        raise ValueError("%d ROI rows for %d ids" % (len(vecs), len(ids)))
+    _check_finite(vecs, lambda i: ids[i], "ROI vector")
     fill = min(capacity, len(ids))
     banks = [SimilarityBank(prototype=vecs[k].copy(), members=[ids[k]]) for k in range(fill)]
     if len(ids) == fill:
@@ -398,7 +379,7 @@ def sample_round(
     """One sampling round: reweight, cluster into banks, pick one frame per bank."""
     return _sample_round(
         unlabeled,
-        lambda frames: _reweight_pool(frames, roi_dim),
+        lambda frames: reweight(frames, roi_dim),
         lambda frames: domainness(model, frames).tolist(),
         budget,
         config,
@@ -407,12 +388,12 @@ def sample_round(
 
 def _sample_round(
     unlabeled: Sequence[FrameRecord],
-    rois: Callable[[Sequence[FrameRecord]], Sequence[ReweightedROI]],
+    rois: Callable[[Sequence[FrameRecord]], Sequence[np.ndarray]],
     values: Callable[[Sequence[FrameRecord]], Sequence[float]],
     budget: int,
     config: BankConfig,
 ) -> List[str]:
-    """``sample_round`` with the pool's re-weighted ROIs given by ``rois`` and its
+    """``sample_round`` with the pool's ROI rows given by ``rois`` and its
     domainness values by ``values``, each in pool order. A pool that repeats an
     id raises ``ValueError`` naming it: the scores are keyed by id."""
     for f in unlabeled:
@@ -421,5 +402,6 @@ def _sample_round(
     _check_unique_ids(unlabeled, "in the target pool")
     if not unlabeled:
         return []
-    banks = build_banks(rois(unlabeled), budget, config=config)
-    return select_targets(banks, dict(zip([f.id for f in unlabeled], values(unlabeled))))
+    ids = [f.id for f in unlabeled]
+    banks = build_banks(rois(unlabeled), ids, budget, config=config)
+    return select_targets(banks, dict(zip(ids, values(unlabeled))))

@@ -16,7 +16,6 @@ from bidal import (
     DiscriminatorModel,
     Domain,
     FrameRecord,
-    ReweightedROI,
     Score,
     SyntheticConfig,
     Threshold,
@@ -195,9 +194,8 @@ def test_c06_bank_oracle_equivalence(announce):
         for combo in itertools.product(range(3), repeat=n):
             vecs = [grid[c] for c in combo]
             ids = ["f%02d" % i for i in range(n)]
-            rois = [ReweightedROI(i, np.array(v)) for i, v in zip(ids, vecs)]
             for cap in (1, 2, 3):
-                got = build_banks(rois, cap)
+                got = build_banks(np.array(vecs), ids, cap)
                 want = ref_build_banks(vecs, ids, cap)
                 if not _banks_equal(got, want):
                     mismatches += 1
@@ -209,13 +207,12 @@ def test_c06_bank_oracle_equivalence(announce):
         if trial % 4 == 0:
             vecs[rng.integers(n)] = vecs[rng.integers(n)]
         ids = ["f%02d" % i for i in range(n)]
-        rois = [ReweightedROI(i, v) for i, v in zip(ids, vecs)]
         cap = int(rng.integers(1, 4))
         cfg = BankConfig(
             update_prototype_on_join=bool(trial % 2),
             pairwise_compare="max" if trial % 5 == 0 else "min",
         )
-        got = build_banks(rois, cap, config=cfg)
+        got = build_banks(vecs, ids, cap, config=cfg)
         want = ref_build_banks(
             vecs.tolist(),
             ids,
@@ -236,14 +233,13 @@ def test_c07_bank_and_selection_contracts(announce):
         cap = int(rng.integers(1, 6))
         vecs = rng.normal(size=(n, 3))
         ids = ["f%02d" % i for i in range(n)]
-        rois = [ReweightedROI(i, v) for i, v in zip(ids, vecs)]
         # cap respected at every streaming step, not just at the end
         for cut in range(1, n + 1):
-            if len(build_banks(rois[:cut], cap).banks) > cap:
+            if len(build_banks(vecs[:cut], ids[:cut], cap).banks) > cap:
                 ok = False
         if n == 0:
             continue
-        banks = build_banks(rois, cap)
+        banks = build_banks(vecs, ids, cap)
         members = [m for b in banks.banks for m in b.members]
         if sorted(members) != ids or len(set(members)) != len(members):
             ok = False

@@ -592,7 +592,7 @@ class TestBatchedScorer:
     def test_sample_round_picks_equal_per_frame_scoring(self, config):
         _, target, model = self.pool()
         per_frame = _sample_round(
-            target, lambda frames: [reweight(f, roi_dim=16) for f in frames],
+            target, lambda frames: np.array([reweight([f], roi_dim=16)[0] for f in frames]),
             lambda frames: [domainness(model, [f])[0] for f in frames], 7, config,
         )
         assert sample_round(target, model, 7, roi_dim=16, config=config) == per_frame

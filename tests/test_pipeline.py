@@ -229,7 +229,7 @@ THREE_ROUND_REPORT = "eadbc8a83961a5fc791243c114ad16bf6da9dada868b0962ad6570cdd5
 @pytest.mark.parametrize("fresh", [False, True], ids=["same-frames", "fresh-frames"])
 def test_target_frames_scored_once_per_run(monkeypatch, fresh):
     calls, reweighted = [], []
-    real_values, real_reweight = bidal.pipeline.domainness, bidal.pipeline._reweight_pool
+    real_values, real_reweight = bidal.pipeline.domainness, bidal.pipeline.reweight
 
     def counting_values(model, frames):
         calls.extend(f.id for f in frames)
@@ -240,7 +240,7 @@ def test_target_frames_scored_once_per_run(monkeypatch, fresh):
         return real_reweight(frames, roi_dim)
 
     monkeypatch.setattr(bidal.pipeline, "domainness", counting_values)
-    monkeypatch.setattr(bidal.pipeline, "_reweight_pool", counting_reweight)
+    monkeypatch.setattr(bidal.pipeline, "reweight", counting_reweight)
     src, tgt, ev = small_world()
     cfg = small_pipeline_config(schedule=BudgetSchedule(3, (3, 3, 3), (0, 2, 4)))
     detector = (FreshFramesDetector if fresh else ProxyDetector)(

@@ -444,7 +444,7 @@ def test_selection_diversity_equals_mean_of_cosine_distances():
     vecs += [vecs[3], vecs[3], vecs[17], np.full(6, 1e-14), np.zeros(6), np.full(6, 2e-12)]
     frames = {"f%02d" % i: _diversity_frame("f%02d" % i, v) for i, v in enumerate(vecs)}
     ids = sorted(frames)
-    rows = [reweight(frames[i], roi_dim=6).vector for i in ids]
+    rows = list(reweight([frames[i] for i in ids], roi_dim=6))
     assert sum(np.linalg.norm(r) < 1e-12 for r in rows) == 2
     want = float(np.mean([1.0 - cosine(rows[i], rows[j])
                           for i in range(len(rows)) for j in range(i + 1, len(rows))]))
@@ -636,13 +636,14 @@ def test_benchmark_golden():
     "strategy, counted", [("entropy", "frame_entropy"), ("random", "reweight")]
 )
 def test_per_frame_work_done_once_per_run(monkeypatch, strategy, counted):
-    """Entropies and the detector's ROI rows are computed once per frame per run."""
+    """Entropies and the detector's ROI rows are computed once per frame per run;
+    ``frame_entropy`` takes one frame, ``reweight`` a pool."""
     calls = Counter()
     real = getattr(bidal.simulator, counted)
 
-    def counting(frame, *args, **kwargs):
-        calls[frame.id] += 1
-        return real(frame, *args, **kwargs)
+    def counting(frames, *args, **kwargs):
+        calls.update(f.id for f in (frames if counted == "reweight" else [frames]))
+        return real(frames, *args, **kwargs)
 
     monkeypatch.setattr(bidal.simulator, counted, counting)
     src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))

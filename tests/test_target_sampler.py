@@ -14,7 +14,7 @@ from bidal import (
     DiscriminatorModel,
     Domain,
     FrameRecord,
-    ReweightedROI,
+    ProxyDetector,
     SyntheticConfig,
     build_banks,
     generate,
@@ -31,7 +31,6 @@ from bidal.target_sampler import (
     _lane_sum,
     _norms,
     _Prototypes,
-    _reweight_pool,
     cosine,
     merge_banks,
 )
@@ -45,10 +44,14 @@ from .reference import (
 
 
 def rois_from(vectors):
-    return [
-        ReweightedROI("f%04d" % i, np.asarray(v, dtype=float))
-        for i, v in enumerate(vectors)
-    ]
+    """``vectors`` as an ROI matrix, and the ids f0000, f0001, ... of its rows."""
+    rois = np.array(vectors, dtype=float)
+    return rois, ["f%04d" % i for i in range(len(rois))]
+
+
+def cosines(protos, vec):
+    """Cosine of ``vec`` with every prototype: the one-row case of ``cosine_rows``."""
+    return protos.cosine_rows(vec[None], _norms(vec)[None])[0]
 
 
 def assert_same_banks(got, want):
@@ -73,7 +76,7 @@ class TestReweight:
                 roi_features=rois,
                 roi_confidences=confs,
             )
-            got = reweight(frame).vector
+            got = reweight([frame])[0]
             want = ref_reweight(rois.tolist(), confs.tolist())
             assert np.allclose(got, want, atol=1e-12)
 
@@ -86,9 +89,9 @@ class TestReweight:
             roi_features=np.zeros((0, 4)),
             roi_confidences=np.zeros(0),
         )
-        assert np.array_equal(reweight(frame, roi_dim=6).vector, np.zeros(6))
+        assert np.array_equal(reweight([frame], roi_dim=6), np.zeros((1, 6)))
         with pytest.raises(ValueError):
-            reweight(frame)
+            reweight([frame])
 
     def test_dim_mismatch_rejected(self):
         frame = FrameRecord(
@@ -100,7 +103,7 @@ class TestReweight:
             roi_confidences=np.full(2, 0.5),
         )
         with pytest.raises(ValueError):
-            reweight(frame, roi_dim=5)
+            reweight([frame], roi_dim=5)
 
     @pytest.mark.parametrize("rois, confs", [(np.ones((2, 4)), np.full(1, 0.5)),
                                              (np.ones(4), np.full(4, 0.5))])
@@ -114,7 +117,7 @@ class TestReweight:
             roi_confidences=confs,
         )
         with pytest.raises(ValueError, match="inconsistent ROI features/confidences in 'f'"):
-            reweight(frame, roi_dim=4)
+            reweight([frame], roi_dim=4)
 
 
 # 1e-5 to 1e5 as literals: numpy's ``power`` may round them differently at
@@ -148,14 +151,14 @@ def check_pool_reweighting():
     frames = roi_frames()
     for d in sorted({np.shape(f.roi_features)[1] for f in frames}):
         pool = [f for f in frames if np.shape(f.roi_features)[1] == d]
-        got = _reweight_pool(pool, roi_dim=d)
-        assert [r.frame_id for r in got] == [f.id for f in pool]
-        for roi, f in zip(got, pool):
+        got = reweight(pool, roi_dim=d)
+        assert got.shape == (len(pool), d) and got.dtype == np.float64
+        for row, f in zip(got, pool):
             rois = np.asarray(f.roi_features, dtype=np.float64)
             confs = np.asarray(f.roi_confidences, dtype=np.float64)
             want = confs @ rois if len(confs) else np.zeros(d)
-            assert roi.vector.tobytes() == want.tobytes(), f.id
-            assert reweight(f, roi_dim=d).vector.tobytes() == want.tobytes(), f.id
+            assert row.tobytes() == want.tobytes(), f.id
+            assert reweight([f], roi_dim=d)[0].tobytes() == want.tobytes(), f.id
 
 
 class TestReweightPool:
@@ -185,10 +188,32 @@ class TestReweightPool:
         frames[7] = replace(frames[7], **{field: value})
         frames[9] = replace(frames[9], roi_features=np.zeros((0, 4)), roi_confidences=np.zeros(0))
         with pytest.raises(ValueError, match=message):
-            _reweight_pool(frames, roi_dim=4)
+            reweight(frames, roi_dim=4)
         with pytest.raises(ValueError, match="frame 'f009' has no ROIs"):
-            _reweight_pool(frames[8:])
-        assert len(_reweight_pool(frames[8:], roi_dim=4)) == 4
+            reweight(frames[8:])
+        assert reweight(frames[8:], roi_dim=4).shape == (4, 4)
+
+    def test_malformed_frame_raises_before_a_non_finite_row(self):
+        # every frame's checks run before the matrix's finiteness check, so a NaN
+        # frame before a frame of the wrong ROI width names the width, in
+        # sample_round and in the proxy detector alike
+        _, target, _ = generate(SyntheticConfig(n_source=20, n_target=30, n_eval=5, seed=0))
+        rois = np.array(target[3].roi_features)
+        rois[0, 0] = np.nan
+        target[3] = replace(target[3], roi_features=rois)
+        model = DiscriminatorModel.initialize((16, 8, 1), seed=0)
+        checks = [
+            lambda: reweight(target, roi_dim=16),
+            lambda: sample_round(target, model, 5, roi_dim=16),
+            lambda: ProxyDetector(n_classes=3, roi_dim=16).pretrain(target),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="^frame t00003 has a non-finite ROI vector$"):
+                check()
+        target[6] = replace(target[6], roi_features=target[6].roi_features[:, :15])
+        for check in checks:
+            with pytest.raises(ValueError, match="^ROI dimension mismatch in 't00006'$"):
+                check()
 
 
 # every width at which numpy's pairwise sum changes its order: the sequential sum
@@ -339,16 +364,13 @@ class TestBuildBanksOracle:
         for n in range(1, 6):
             for combo in itertools.product(grid, repeat=n):
                 for ids in (sorted, lambda ids: sorted(ids, reverse=True)):
-                    rois = [
-                        ReweightedROI(i, np.asarray(v))
-                        for i, v in zip(ids("f%04d" % k for k in range(n)), combo)
-                    ]
+                    names = ids("f%04d" % k for k in range(n))
                     for cap in (1, 2, 3):
                         for compare in ("min", "max"):
-                            got = build_banks(rois, cap, BankConfig(pairwise_compare=compare))
+                            got = build_banks(np.array(combo), names, cap,
+                                              BankConfig(pairwise_compare=compare))
                             want = ref_build_banks(
-                                list(combo), [r.frame_id for r in rois], cap,
-                                pairwise_compare=compare,
+                                list(combo), names, cap, pairwise_compare=compare,
                             )
                             assert_same_banks(got, want)
 
@@ -360,16 +382,16 @@ class TestBuildBanksOracle:
             vecs = rng.normal(size=(n, d))
             if trial % 3 == 0:  # sprinkle exact duplicates to exercise ties
                 vecs[rng.integers(n)] = vecs[rng.integers(n)]
-            rois = rois_from(vecs)
+            rois, ids = rois_from(vecs)
             cap = int(rng.integers(1, 5))
             cfg = BankConfig(
                 update_prototype_on_join=bool(trial % 2),
                 pairwise_compare="max" if trial % 5 == 0 else "min",
             )
-            got = build_banks(rois, cap, config=cfg)
+            got = build_banks(rois, ids, cap, config=cfg)
             want = ref_build_banks(
                 vecs.tolist(),
-                [r.frame_id for r in rois],
+                ids,
                 cap,
                 update_on_join=cfg.update_prototype_on_join,
                 pairwise_compare=cfg.pairwise_compare,
@@ -390,9 +412,7 @@ class TestBuildBanksOracle:
                 vecs[k] = vecs[rng.integers(n)]
             vecs[rng.integers(n, size=n // 20)] = 0.0
             ids = ["f%04d" % i for i in rng.permutation(n)]
-            got = build_banks(
-                [ReweightedROI(i, v) for i, v in zip(ids, vecs)], cap, config=cfg
-            )
+            got = build_banks(vecs, ids, cap, config=cfg)
             want = ref_build_banks(
                 vecs.tolist(), ids, cap, update_on_join=update, pairwise_compare=compare
             )
@@ -407,7 +427,7 @@ class TestBuildBanksOracle:
             at = rng.choice(cap, size=3, replace=False)
             rows[at] = rows[at[0]]
             protos = _Prototypes(rows, _norms(rows))
-            sims = protos.cosines(rng.normal(size=16))
+            sims = cosines(protos, rng.normal(size=16))
             assert sims[at[0]] == sims[at[1]] == sims[at[2]]
             pairs = protos.pairs
             assert np.array_equal(pairs, pairs.T)
@@ -427,13 +447,13 @@ class TestBuildBanksOracle:
         rows[9] *= 1e-14
         protos = _Prototypes(rows, _norms(rows))
         for k in range(cap):
-            assert protos.pairs[k].tobytes() == protos.cosines(rows[k]).tobytes()
+            assert protos.pairs[k].tobytes() == cosines(protos, rows[k]).tobytes()
         most = _block_rows(cap, d)
         vecs = rng.normal(size=(most, d))
         vecs[[0, 7, most - 1]] = rows[8]
         vecs[2] = 0.0
         vecs[4] *= 1e-14
-        single = np.stack([protos.cosines(v) for v in vecs])
+        single = np.stack([cosines(protos, v) for v in vecs])
         assert not single[2].any() and not single[4].any() and not single[:, [5, 9]].any()
         assert (single[:, 3] == single[:, 8]).all() and (single[:, 31] == single[:, 8]).all()
         for size in range(1, most + 1):
@@ -454,11 +474,9 @@ class TestBuildBanksOracle:
                 stream = [e0] * (2 + first) + [e1] + [(e0, e1)[k % 2] for k in range(30)]
                 if gap:
                     stream[2 + first + gap] = -(e0 + e1)
-                rois = rois_from(stream)
-                got = build_banks(rois, 2, BankConfig(pairwise_compare=compare))
-                want = ref_build_banks(
-                    stream, [r.frame_id for r in rois], 2, pairwise_compare=compare
-                )
+                rois, ids = rois_from(stream)
+                got = build_banks(rois, ids, 2, BankConfig(pairwise_compare=compare))
+                want = ref_build_banks(stream, ids, 2, pairwise_compare=compare)
                 assert_same_banks(got, want)
                 last = 2 + first + (gap or 0)
                 assert got.banks[-1].members[0] == "f%04d" % last
@@ -473,45 +491,47 @@ class TestBuildBanksOracle:
         founders = rng.normal(size=(cap, d))
         picks = rng.integers(cap, size=12 * cap)
         stream = np.vstack([founders, founders[picks] + 1e-3 * rng.normal(size=(len(picks), d))])
-        rois = rois_from(stream)
-        got = build_banks(rois, cap, BankConfig(pairwise_compare=compare))
+        got = build_banks(*rois_from(stream), cap, BankConfig(pairwise_compare=compare))
         protos = _Prototypes(founders, _norms(founders))
         want = [["f%04d" % k] for k in range(cap)]
         for k, v in enumerate(stream[cap:], start=cap):
-            want[int(np.argmax(protos.cosines(v)))].append("f%04d" % k)
+            want[int(np.argmax(cosines(protos, v)))].append("f%04d" % k)
         assert [b.members for b in got.banks] == want
         assert all(np.array_equal(b.prototype, f) for b, f in zip(got.banks, founders))
 
     @pytest.mark.parametrize(
-        "vectors, message",
+        "rois, message",
         [
-            ([np.ones((2, 3)), np.ones(4)], "ROI vectors must be one-dimensional"),
-            ([np.ones(3), np.ones((1, 3)), np.ones(4)], "dimension mismatch"),
-            ([np.ones(3)] * 8 + [np.ones(4)], "dimension mismatch"),
+            (np.ones(3), r"ROI vectors must form an \(n, d\) matrix, got shape \(3,\)"),
+            (np.ones((3, 1, 2)),
+             r"ROI vectors must form an \(n, d\) matrix, got shape \(3, 1, 2\)"),
+            (np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, np.inf]]),
+             "^frame f0001 has a non-finite ROI vector$"),
         ],
-        ids=["first-2d", "later-2d", "later-width-past-fill"],
+        ids=["one-dim", "three-dim", "nan-row-in-fill"],
     )
-    def test_first_bad_vector_names_the_error(self, vectors, message):
+    def test_first_bad_vector_names_the_error(self, rois, message):
+        # the matrix is checked whole, also inside the fill phase, where no
+        # similarity is computed yet
         with pytest.raises(ValueError, match=message):
-            build_banks([ReweightedROI("f%d" % k, v) for k, v in enumerate(vectors)], 2)
+            build_banks(rois, ["f%04d" % k for k in range(3)], 5)
 
     @pytest.mark.parametrize("cap", [1, 2, 5])
     def test_dimension_mismatch_rejected(self, cap):
-        # also inside the fill phase, where no similarity is computed yet
-        rois = rois_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]) + [
-            ReweightedROI("f9999", np.ones(4))
-        ]
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            build_banks(rois, cap)
+        # one row per id, also inside the fill phase
+        rois, ids = rois_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="^3 ROI rows for 2 ids$"):
+            build_banks(rois, ids[:2], cap)
+        with pytest.raises(ValueError, match="^2 ROI rows for 3 ids$"):
+            build_banks(rois[:2], ids, cap)
 
     def test_capacity_one(self):
-        rois = rois_from(np.random.default_rng(5).normal(size=(6, 3)))
-        banks = build_banks(rois, 1)
+        banks = build_banks(*rois_from(np.random.default_rng(5).normal(size=(6, 3))), 1)
         assert len(banks.banks) == 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            build_banks([], 0)
+            build_banks(np.empty((0, 3)), [], 0)
 
 
 class TestContracts:
@@ -520,12 +540,12 @@ class TestContracts:
         for _ in range(200):
             n = int(rng.integers(0, 25))
             vecs = rng.normal(size=(n, 3))
-            rois = rois_from(vecs)
+            rois, ids = rois_from(vecs)
             cap = int(rng.integers(1, 7))
-            banks = build_banks(rois, cap)
+            banks = build_banks(rois, ids, cap)
             assert len(banks.banks) <= cap
             members = [m for b in banks.banks for m in b.members]
-            assert sorted(members) == sorted(r.frame_id for r in rois)
+            assert sorted(members) == ids
             assert len(set(members)) == len(members)
 
     def test_selection_size_is_min_of_budget_and_pool(self):
@@ -554,12 +574,11 @@ class TestContracts:
         for _ in range(100):
             n = int(rng.integers(1, 15))
             vecs = rng.normal(size=(n, 3))
-            rois = rois_from(vecs)
+            rois, ids = rois_from(vecs)
             cap = int(rng.integers(1, 5))
-            banks = build_banks(rois, cap)
-            scores = {r.frame_id: float(rng.uniform()) for r in rois}
+            banks = build_banks(rois, ids, cap)
+            scores = {i: float(rng.uniform()) for i in ids}
             # force some score ties
-            ids = [r.frame_id for r in rois]
             if n > 2:
                 scores[ids[0]] = scores[ids[-1]]
             got = select_targets(banks, scores)
@@ -573,10 +592,10 @@ class TestContracts:
         vecs = np.random.default_rng(9).normal(size=(8, 3))
         vecs[5, 1] = vecs[6, 0] = value
         with pytest.raises(ValueError, match="frame f0005 has a non-finite ROI vector"):
-            build_banks(rois_from(vecs), 3)
+            build_banks(*rois_from(vecs), 3)
 
     def test_select_targets_missing_score(self):
-        banks = build_banks(rois_from([(1.0, 0.0)]), 1)
+        banks = build_banks(*rois_from([(1.0, 0.0)]), 1)
         with pytest.raises(KeyError):
             select_targets(banks, {})
 

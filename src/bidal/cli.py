@@ -12,11 +12,13 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import io as frameio
 from .core import BudgetSchedule, ConfigError, _build, read_json, write_ids
 # ``train`` is unused: perfbench/test_perfbench.py checks that its tracer patches it here
 from .discriminator import DiscriminatorModel, NumericalError, fit, train
-from .pipeline import PipelineConfig, RunReport, _roi_dim, run_bidomain, serialize_report
+from .pipeline import PipelineConfig, RunReport, run_bidomain, serialize_report
 from .simulator import STRATEGIES, BenchFile, ProxyDetector, SyntheticConfig, benchmark, generate
 from .source_sampler import score_source, select_source
 from .target_sampler import sample_round
@@ -168,6 +170,15 @@ def _cmd_sample_source(args) -> int:
     write_ids(args.out, selected)
     print("selected %d of %d source frames" % (len(selected), len(frames)))
     return EXIT_OK
+
+
+def _roi_dim(frames) -> int:
+    """The ROI width of the first frame with ROIs, or 1 when no frame has any."""
+    for f in frames:
+        rois = np.asarray(f.roi_features)
+        if rois.size:
+            return rois.shape[1]
+    return 1
 
 
 def _cmd_sample_target(args) -> int:

@@ -47,12 +47,13 @@ pair of adjacent layers; ``load`` raises ``ValueError`` naming the file and
 the key otherwise. The constructor checks ``layer_dims``, ``leak`` and
 ``rng_seed`` against the bounds ``_Checkpoint`` declares, as the walk does.
 
-``fit`` holds the pool rules that ``run`` and ``train-disc`` share: both
-pools non-empty, frame ids unique across both pools, every frame tagged with
-its own pool's domain, one feature-map channel count, and finite scene
-vectors, checked once per pool before training. Each rule raises
-``ValueError`` naming the offending frames. ``fit`` sorts both pools by id
-first, so a checkpoint does not depend on the order of the frame files.
+``_check_pools`` holds the pool rules that every strategy's run and
+``train-disc`` share: both pools non-empty, frame ids unique across both
+pools, and every frame tagged with its own pool's domain. ``fit`` checks them,
+then one feature-map channel count and finite scene vectors, once per pool
+before training. Each rule raises ``ValueError`` naming the offending frames.
+``fit`` sorts both pools by id first, so a checkpoint does not depend on the
+order of the frame files.
 """
 
 from __future__ import annotations
@@ -442,6 +443,18 @@ def train(
     return flat.model.copy(), history
 
 
+def _check_pools(source: Sequence[FrameRecord], target: Sequence[FrameRecord]) -> None:
+    """Raise ``ValueError`` unless both pools are non-empty, no id repeats within or
+    across them, and each frame carries its own pool's domain."""
+    if not source or not target:
+        raise ValueError("source and target pools must be non-empty")
+    _check_unique_ids(list(source) + list(target), "across both pools")
+    mistagged = [f.id for f in source if f.domain != Domain.SOURCE]
+    mistagged += [f.id for f in target if f.domain != Domain.TARGET]
+    if mistagged:
+        raise ValueError("frames tagged with the other pool's domain: %r" % mistagged[:5])
+
+
 def fit(
     source: Sequence[FrameRecord],
     target: Sequence[FrameRecord],
@@ -450,16 +463,10 @@ def fit(
     seed: int,
 ) -> Tuple[DiscriminatorModel, List[float]]:
     """Stage 2: a ``(C,) + hidden_dims + (1,)`` model, seeded, trained on both id-sorted pools."""
-    if not source or not target:
-        raise ValueError("source and target pools must be non-empty")
     source = sorted(source, key=lambda f: f.id)
     target = sorted(target, key=lambda f: f.id)
+    _check_pools(source, target)
     frames = source + target
-    _check_unique_ids(frames, "across both pools")
-    mistagged = [f.id for f in source if f.domain != Domain.SOURCE]
-    mistagged += [f.id for f in target if f.domain != Domain.TARGET]
-    if mistagged:
-        raise ValueError("frames tagged with the other pool's domain: %r" % mistagged[:5])
     channels = np.shape(source[0].feature_map)[0]
     for f in frames:
         if np.shape(f.feature_map)[0] != channels:

@@ -10,22 +10,18 @@ schedule clipped to the target pool. ``run_bidomain`` passes Bi3D's hook
 (stages 2 and 3, and the bank pick ``_sample_round``); a baseline's hook
 labels the whole source pool and passes the baseline's own pick.
 
-The pool rules (both pools non-empty, frame ids unique across both, every
-frame tagged with its own pool's domain) live in ``discriminator.fit``,
-which ``run`` and ``train-disc`` share. ``_run`` adds one rule for every
-strategy before it trains: every source and eval frame carries a label.
+Every strategy's run checks the pool rules (both pools non-empty, frame ids
+unique across both, every frame tagged with its own pool's domain) before
+stage 1, with ``discriminator._check_pools``, the check ``fit`` makes for
+``train-disc``, and one more: every source and eval frame carries a label.
 
-The discriminator is fixed after stage 2, so ``run_bidomain`` scores and
-re-weights each target frame object once per run. Each round scores the
-frames it has not seen yet with one call of ``discriminator.domainness``,
-the scoring function of every stage, and re-weights them with one call of
-``target_sampler.reweight``, the re-weighting function of every ROI consumer
-(``_pool_memo``); one ``{FrameRecord: float}`` memo feeds every round's banks
-and the report's per-pick scores, and a second memo keeps each frame's row
-of the ROI matrix. Both are keyed on the frame object, so an oracle whose
-``features`` returns new frames gets them rescored, and both are dropped when
-the run returns. Stage 3 scores the source pool with one call too
-(``score_source``).
+The detector oracle is the one source of ROI rows: ``roi_rows`` gives a pool's
+re-weighted ROI vectors, and the detector keeps each frame's row. The
+discriminator is fixed after stage 2, so ``run_bidomain``'s first round scores
+the whole target pool with one call of ``discriminator.domainness``, the
+scoring function of every stage; every round's banks and the report's
+per-pick scores read those scores by id. Stage 3 scores the source pool with
+one call too (``score_source``).
 
 The annotator is simulated by revealing ``hidden_label``. If a selected
 frame carries no label the run sets ``report.halted`` and stops before
@@ -46,13 +42,18 @@ import numpy as np
 
 from .core import (BudgetSchedule, Checked, FrameRecord, NonEmpty, NonNegInt, PosInt,
                    canonical_json)
-from .discriminator import TrainConfig, domainness, fit, train  # noqa: F401, see cli.py
+from .discriminator import TrainConfig, _check_pools, domainness, fit
+from .discriminator import train  # noqa: F401, see cli.py
 from .source_sampler import SourceSelectionMode, Threshold, score_source, select_source
-from .target_sampler import BankConfig, _sample_round, reweight
+from .target_sampler import BankConfig, _sample_round
 
 
 class DetectorOracle(Protocol):
-    """Stand-in for a full detector; the pipeline only needs these four calls."""
+    """Stand-in for a full detector; the pipeline only needs these four calls.
+
+    ``roi_rows(frames)`` gives the frames' re-weighted ROI vectors as one
+    ``(len(frames), roi_dim)`` matrix, the rows ``run_bidomain``'s banks compare.
+    """
 
     def pretrain(self, frames: Sequence[FrameRecord]) -> Any: ...
 
@@ -62,7 +63,7 @@ class DetectorOracle(Protocol):
 
     def evaluate(self, state: Any, frames: Sequence[FrameRecord]) -> float: ...
 
-    def features(self, state: Any, frame: FrameRecord) -> FrameRecord: ...
+    def roi_rows(self, frames: Sequence[FrameRecord]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -155,32 +156,18 @@ def _bidomain_stages(source, target, oracle, cfg, det_state, report):
     src_labeled = [(by_id[i], by_id[i].hidden_label) for i in selected_source]
     det_state = oracle.finetune(det_state, src_labeled, cfg.source_finetune_epochs)
 
-    # the discriminator is fixed from here on, so each frame object is scored and
-    # re-weighted once per run; an oracle that returns new frames each round gets
-    # them rescored
-    roi_dim = _roi_dim(source + target)
-    scores: Dict[FrameRecord, float] = {}
-    values = _pool_memo(scores, lambda new: domainness(disc, new).tolist())
-    rois = _pool_memo({}, lambda new: reweight(new, roi_dim))
+    # the discriminator is fixed from here on, so the first round scores the whole
+    # target pool once; every round and the report read those scores by id
+    scores: Dict[str, float] = {}
 
     def pick(unlabeled, budget, k, det_state):
-        current = {f.id: oracle.features(det_state, f) for f in unlabeled}
-        delta = _sample_round(list(current.values()), rois, values, budget, cfg.bank_config)
-        return delta, {i: scores[current[i]] for i in delta}
+        if not scores:
+            scores.update(zip([f.id for f in target], domainness(disc, target).tolist()))
+        delta = _sample_round(unlabeled, oracle.roi_rows, lambda pool: [scores[f.id] for f in pool],
+                              budget, cfg.bank_config)
+        return delta, {i: scores[i] for i in delta}
 
     return det_state, src_labeled, pick
-
-
-def _pool_memo(memo: Dict[FrameRecord, Any], compute: Callable[[List[FrameRecord]], Sequence]):
-    """A pool function that calls ``compute`` once, on the frames not yet in ``memo``."""
-
-    def pool(frames):
-        new = [f for f in frames if f not in memo]
-        if new:
-            memo.update(zip(new, compute(new)))
-        return [memo[f] for f in frames]
-
-    return pool
 
 
 def _run(
@@ -209,6 +196,7 @@ def _run(
         unlabeled = [f.id for f in frames if f.hidden_label is None]
         if unlabeled:
             raise ValueError("%s frames must carry labels; unlabeled: %r" % (pool, unlabeled[:5]))
+    _check_pools(source, target)
     report = RunReport(cfg.seed, ["pretrain"], warnings=[], rounds=[], discriminator_final_loss=None)
 
     # stage 1: pretrain on the full source pool, then the strategy's own stages
@@ -253,14 +241,6 @@ def _run(
 def serialize_report(report: RunReport) -> str:
     """Canonical JSON of ``report`` without the fields still at their defaults (byte-stable)."""
     return canonical_json(report)
-
-
-def _roi_dim(frames: Sequence[FrameRecord]) -> int:
-    for f in frames:
-        rois = np.asarray(f.roi_features)
-        if rois.size:
-            return rois.shape[1]
-    return 1
 
 
 def _clip_schedule(schedule: BudgetSchedule, n_target: int, warnings: List[str]) -> BudgetSchedule:

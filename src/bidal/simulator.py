@@ -14,15 +14,15 @@ place, with the bytes of the plain expressions: its row max, ``np.maximum.reduce
 over a transposed copy, has the value of ``Z.max(axis=1)`` (max is exact, and
 ``exp`` erases the sign of a zero max). ``tests/test_simulator.py`` checks both.
 
-Per-frame work that cannot change within a run is done once per run: each
-``ProxyDetector`` re-weights the frames it has not seen with one call of
-``target_sampler.reweight`` and keeps their ROI rows, ``sample_committee``
-reads the unlabeled frames' rows through the run's detector, and the entropy
-baseline hands ``sample_entropy`` a per-run cache of its frames' entropies. A
-detector also pretrains each frame sequence once. ``benchmark`` builds one
-detector per seed and hands it to each of that seed's runs, so a seed's runs
-pretrain once and re-weight each frame once between them, and the diversity
-column reads the selected frames' rows from that detector.
+Per-frame work that cannot change is done once: a ``ProxyDetector`` is the
+one source of ROI rows. Its ``roi_rows`` re-weights the frames it has not
+seen with one call of ``target_sampler.reweight`` and keeps each frame's row,
+which its fits, ``run_bidomain``'s banks and ``sample_committee`` all read.
+The entropy baseline hands ``sample_entropy`` a per-run cache of its frames'
+entropies. A detector also pretrains each frame sequence once. ``benchmark``
+builds one detector per seed and hands it to each of that seed's runs, so a
+seed's runs pretrain once and re-weight each frame once between them, and
+the diversity column reads the selected frames' rows from that detector.
 
 ``generate`` draws each frame's values in seeded order and then runs the
 arithmetic on them (means, noise scales, clipping, ROI normalization, float32
@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import BudgetSchedule, Domain, FrameRecord, SyntheticConfig, canonical_json
 from .discriminator import TrainConfig
-from .pipeline import PipelineConfig, RunReport, _pool_memo, _run, run_bidomain
+from .pipeline import PipelineConfig, RunReport, _run, run_bidomain
 from .scoring import entropy_map
 from .target_sampler import _cosine, reweight
 
@@ -226,22 +226,24 @@ class ProxyDetector:
         self.pretrain_epochs = int(pretrain_epochs)
         # each frame object's re-weighted ROI row, computed once per detector; a
         # NaN or infinity in it raises naming the frame before any fit or logit
-        roi_dim = self.roi_dim
-        self._reweighted = _pool_memo({}, lambda new: reweight(new, roi_dim=roi_dim))
+        self._rows: Dict[FrameRecord, np.ndarray] = {}
         # each pretrained frame sequence's state, keyed on its frame objects in order
         self._pretrained: Dict[Tuple[FrameRecord, ...], Dict[str, np.ndarray]] = {}
 
-    def _roi_rows(self, frames: Sequence[FrameRecord]) -> np.ndarray:
-        """The re-weighted ROI vectors of ``frames``, one row each, each computed once;
-        the frames not seen yet are re-weighted in one ``reweight`` call."""
-        return np.stack(self._reweighted(frames))
+    def roi_rows(self, frames: Sequence[FrameRecord]) -> np.ndarray:
+        """The re-weighted ROI vectors of ``frames`` as one ``(n, roi_dim)`` matrix, each
+        row computed once; the frames not seen yet are re-weighted in one ``reweight`` call."""
+        new = [f for f in frames if f not in self._rows]
+        if new:
+            self._rows.update(zip(new, reweight(new, roi_dim=self.roi_dim)))
+        return np.array([self._rows[f] for f in frames]).reshape(len(frames), self.roi_dim)
 
     def _design(self, labeled):
         for f, lab in labeled:
             if lab not in range(self.n_classes):
                 raise ValueError("frame %r has label %r, not a class index below the detector's "
                                  "%d classes" % (f.id, lab, self.n_classes))
-        X = self._roi_rows([f for f, _ in labeled])
+        X = self.roi_rows([f for f, _ in labeled])
         y = np.array([int(lab) for _, lab in labeled])
         w = np.array(
             [
@@ -282,15 +284,12 @@ class ProxyDetector:
         return {"W": W, "b": b}
 
     def logits(self, state, frames: Sequence[FrameRecord]) -> np.ndarray:
-        return self._roi_rows(frames) @ state["W"] + state["b"]
+        return self.roi_rows(frames) @ state["W"] + state["b"]
 
     def evaluate(self, state, frames: Sequence[FrameRecord]) -> float:
         preds = np.argmax(self.logits(state, frames), axis=1)
         truth = np.array([int(f.hidden_label) for f in frames])
         return float(np.mean(preds == truth))
-
-    def features(self, state, frame: FrameRecord) -> FrameRecord:
-        return frame
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -447,7 +446,7 @@ def _baseline_pick(strategy, src_labeled, seed, oracle):
     """The round loop's pick for a baseline; baselines report no scores.
 
     The committee reads its ROI rows from ``oracle``, the run's detector, so
-    it re-weights each frame once per run.
+    each frame is re-weighted once per detector.
     """
     if strategy == "random":
         return lambda unlabeled, budget, k, _: (
@@ -458,10 +457,10 @@ def _baseline_pick(strategy, src_labeled, seed, oracle):
         entropy = functools.cache(frame_entropy)
         return lambda unlabeled, budget, k, _: (sample_entropy(unlabeled, budget, entropy), {})
     # the committee: ``run_strategy`` has rejected every other name
-    X = oracle._roi_rows([f for f, _ in src_labeled])
+    X = oracle.roi_rows([f for f, _ in src_labeled])
     y = np.array([lab for _, lab in src_labeled])
     return lambda unlabeled, budget, k, _: (sample_committee(
-        unlabeled, oracle._roi_rows, X, y, oracle.n_classes, budget, seed + 7919 * k,
+        unlabeled, oracle.roi_rows, X, y, oracle.n_classes, budget, seed + 7919 * k,
     ), {})
 
 
@@ -574,7 +573,7 @@ def benchmark(
                 # the detector re-weighted each selected frame in its fine-tunes
                 rows.append(asdict(BenchRow(
                     strategy, int(seed), budget, report.final_metric,
-                    selection_diversity(oracle._roi_rows(
+                    selection_diversity(oracle.roi_rows(
                         [by_id[i] for i in report.labeled_target])),
                 )))
     summary = _summarize(rows, strategies, seeds)

@@ -8,9 +8,10 @@ closest prototypes are to each other — triggers a count-weighted merge of the
 most similar pair and founds a fresh bank. Finally the highest-domainness
 member of each bank is selected. ``sample_round`` re-weights the pool and
 scores it, each in one pass (``reweight``, ``discriminator.domainness``);
-its sibling ``_sample_round`` takes both as pool functions, so a caller that
-keeps ROI vectors and scores across rounds (``pipeline.run_bidomain``) runs
-the same code path. A pool that repeats an id raises ``ValueError``.
+its sibling ``_sample_round`` takes both as pool functions, so
+``pipeline.run_bidomain``, which reads the rows from its detector and keeps
+the scores across rounds, runs the same code path. A pool that repeats an id
+raises ``ValueError``.
 
 ``reweight`` is the one re-weighting function: it gives a pool's vectors as
 the rows of one (n, d) matrix, which ``build_banks`` takes with the frames'
@@ -388,7 +389,7 @@ def sample_round(
 
 def _sample_round(
     unlabeled: Sequence[FrameRecord],
-    rois: Callable[[Sequence[FrameRecord]], Sequence[np.ndarray]],
+    rois: Callable[..., np.ndarray],
     values: Callable[[Sequence[FrameRecord]], Sequence[float]],
     budget: int,
     config: BankConfig,

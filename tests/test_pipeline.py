@@ -3,15 +3,18 @@ import hashlib
 import json
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import bidal.pipeline
+import bidal.simulator
 import bidal.source_sampler
 import bidal.target_sampler
 from bidal import (
     BudgetSchedule,
+    Domain,
     PipelineConfig,
     ProxyDetector,
     SyntheticConfig,
@@ -174,6 +177,35 @@ class TestRunBidomain:
         assert vals == sorted(vals, reverse=True)
 
 
+# each broken pool rule -> (how it breaks the pools, the message of the run's check)
+INVALID_POOLS = {
+    "empty-source": (lambda src, tgt: ([], tgt), "source and target pools must be non-empty"),
+    "empty-target": (lambda src, tgt: (src, []), "source and target pools must be non-empty"),
+    "id-across-pools": (
+        lambda src, tgt: (src + [dataclasses.replace(tgt[0], domain=Domain.SOURCE)], tgt),
+        "frame ids must be unique across both pools; repeated: ['t00000']"),
+    "mistagged-frame": (
+        lambda src, tgt: ([dataclasses.replace(src[0], domain=Domain.TARGET)] + src[1:], tgt),
+        "frames tagged with the other pool's domain: ['s00000']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_POOLS))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_strategy_rejects_invalid_pools(strategy, case, monkeypatch):
+    """Every strategy's run checks the pool rules before stage 1, with ``fit``'s messages."""
+    src, tgt, ev = small_world(seed=10)
+    breaks, message = INVALID_POOLS[case]
+
+    def pretrain(self, frames):
+        raise AssertionError("pretrained before the pools were checked")
+
+    monkeypatch.setattr(ProxyDetector, "pretrain", pretrain)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        run_strategy(strategy, *breaks(src, tgt), ev, BudgetSchedule(2, (3, 3), (0, 2)), seed=0,
+                     oracle=ProxyDetector(n_classes=3, roi_dim=16), disc_epochs=5)
+
+
 # each faulty pick -> (picks per round, the message naming the faulty id)
 FAULTY_PICKS = {
     "already-labeled": ([[0], [0]], "round 1 picked 't00000' a second time"),
@@ -214,46 +246,33 @@ def test_every_strategy_clips_an_oversized_schedule(strategy):
     assert sorted(report.labeled_target) == sorted(f.id for f in tgt)
 
 
-class FreshFramesDetector(ProxyDetector):
-    """An oracle whose ``features`` returns a new frame object every round."""
-
-    def features(self, state, frame):
-        return dataclasses.replace(frame)
-
-
 # sha256 of serialize_report for test_target_frames_scored_once_per_run's run,
 # recorded before the run kept one domainness score per frame object
 THREE_ROUND_REPORT = "eadbc8a83961a5fc791243c114ad16bf6da9dada868b0962ad6570cdd524ad3c"
 
 
-@pytest.mark.parametrize("fresh", [False, True], ids=["same-frames", "fresh-frames"])
-def test_target_frames_scored_once_per_run(monkeypatch, fresh):
-    calls, reweighted = [], []
-    real_values, real_reweight = bidal.pipeline.domainness, bidal.pipeline.reweight
+def test_target_frames_scored_once_per_run(monkeypatch):
+    """A run scores each target frame once, and its detector re-weights each frame it
+    reads once: the source pool, the target pool and the eval frames."""
+    calls, reweighted = [], Counter()
+    real_values, real_reweight = bidal.pipeline.domainness, bidal.simulator.reweight
 
     def counting_values(model, frames):
         calls.extend(f.id for f in frames)
         return real_values(model, frames)
 
     def counting_reweight(frames, roi_dim=None):
-        reweighted.extend(f.id for f in frames)
+        reweighted.update(f.id for f in frames)
         return real_reweight(frames, roi_dim)
 
     monkeypatch.setattr(bidal.pipeline, "domainness", counting_values)
-    monkeypatch.setattr(bidal.pipeline, "reweight", counting_reweight)
+    monkeypatch.setattr(bidal.simulator, "reweight", counting_reweight)
     src, tgt, ev = small_world()
     cfg = small_pipeline_config(schedule=BudgetSchedule(3, (3, 3, 3), (0, 2, 4)))
-    detector = (FreshFramesDetector if fresh else ProxyDetector)(
-        n_classes=3, roi_dim=16, pretrain_epochs=30
-    )
-    _, report = run_bidomain(src, tgt, detector, cfg, ev)
-    if fresh:
-        # every round's frames are new objects, so each round rescores its pool
-        assert len(calls) == len(tgt) + (len(tgt) - 3) + (len(tgt) - 6)
-    else:
-        assert sorted(calls) == sorted(f.id for f in tgt)
-    # the same holds for re-weighting: once per frame object per run
-    assert reweighted == calls
+    _, report = run_bidomain(src, tgt, oracle(), cfg, ev)
+    assert sorted(calls) == sorted(f.id for f in tgt)
+    assert set(reweighted) == {f.id for f in src + tgt + ev}
+    assert max(reweighted.values()) == 1
     digest = hashlib.sha256(serialize_report(report).encode()).hexdigest()
     assert digest == THREE_ROUND_REPORT
 

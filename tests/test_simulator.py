@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -289,25 +290,25 @@ class TestBaselineSamplers:
         cfg = SyntheticConfig(n_source=40, n_target=30, n_eval=3, seed=3)
         src, tgt, _ = generate(cfg)
         det = ProxyDetector(n_classes=3, roi_dim=16)
-        X = det._roi_rows(src)
+        X = det.roi_rows(src)
         y = np.array([f.hidden_label for f in src])
-        a = sample_committee(tgt, det._roi_rows, X, y, 3, 6, seed=0)
-        b = sample_committee(tgt, det._roi_rows, X, y, 3, 6, seed=0)
+        a = sample_committee(tgt, det.roi_rows, X, y, 3, 6, seed=0)
+        b = sample_committee(tgt, det.roi_rows, X, y, 3, 6, seed=0)
         assert a == b
         assert len(set(a)) == 6
         assert set(a) <= {f.id for f in tgt}
-        assert sample_committee(tgt, det._roi_rows, X, y, 3, 0, seed=0) == []
+        assert sample_committee(tgt, det.roi_rows, X, y, 3, 0, seed=0) == []
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_committee_rejects_a_label_outside_its_classes(self, label):
         src, tgt, _ = generate(SyntheticConfig(n_source=8, n_target=4, n_eval=1, seed=3))
         det = ProxyDetector(n_classes=3, roi_dim=16)
-        X = det._roi_rows(src)
+        X = det.roi_rows(src)
         y = np.array([f.hidden_label for f in src])
         y[5] = label
         with pytest.raises(ValueError, match="committee label %d is not a class index below 3"
                                              % label):
-            sample_committee(tgt, det._roi_rows, X, y, 3, 2, seed=0)
+            sample_committee(tgt, det.roi_rows, X, y, 3, 2, seed=0)
 
 
 @pytest.mark.parametrize("label", [3, 7, -1, None])
@@ -655,6 +656,34 @@ def test_per_frame_work_done_once_per_run(monkeypatch, strategy, counted):
     assert strategy != "entropy" or set(calls) == {f.id for f in tgt}
 
 
+def test_a_shared_detector_reweights_each_frame_once(monkeypatch):
+    """The detector is the one source of ROI rows: two ``bidomain`` runs and a
+    ``committee`` run that share it re-weight each frame once in total, under
+    whichever module's name a caller reaches ``reweight``."""
+    calls = Counter()
+
+    def counting(frames, *args, **kwargs):
+        calls.update(f.id for f in frames)
+        return reweight(frames, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bidal" or name.startswith("bidal."):
+            for attr, value in list(vars(module).items()):
+                if value is reweight:
+                    monkeypatch.setattr(module, attr, counting)
+    src, tgt, ev = generate(SyntheticConfig(n_source=30, n_target=40, n_eval=20, seed=3))
+    det = ProxyDetector(n_classes=3, roi_dim=16)
+    for strategy, seed in (("bidomain", 4), ("bidomain", 5), ("committee", 4)):
+        run_strategy(strategy, src, tgt, ev, default_schedule(10, 0.25), seed=seed, oracle=det,
+                     disc_epochs=5)
+    assert set(calls) == {f.id for f in src + tgt + ev}
+    assert max(calls.values()) == 1
+
+
+def test_roi_rows_of_no_frames():
+    assert ProxyDetector(n_classes=3, roi_dim=16).roi_rows([]).shape == (0, 16)
+
+
 @pytest.mark.parametrize("strategy", ["committee", "entropy"])
 def test_baselines_pick_through_the_public_samplers(monkeypatch, strategy):
     """Each round calls ``sample_<strategy>`` by its module name, so a wrapper sees it."""
@@ -705,7 +734,7 @@ def test_benchmark_bytes_equal_a_fresh_detector_per_run(monkeypatch):
                 by_id = {f.id: f for f in tgt}
                 rows.append(dataclasses.asdict(BenchRow(
                     strategy, seed, budget, report.final_metric,
-                    selection_diversity(det._roi_rows([by_id[i] for i in report.labeled_target])),
+                    selection_diversity(det.roi_rows([by_id[i] for i in report.labeled_target])),
                 )))
     expected = BenchmarkReport(rows, _summarize(rows, STRATEGIES, seeds)).to_json()
     fits = _pretrain_fits(monkeypatch)
@@ -793,9 +822,9 @@ class TestNonFiniteROIs:
     def test_source_frame(self, strategy):
         self.run(strategy, "source")
 
-    # random reads a target frame's row only if it picks the frame, and bidomain's
-    # banks check the target pool first (test_roi_feature_in_sample_round)
-    @pytest.mark.parametrize("strategy", ["entropy", "committee"])
+    # random reads a target frame's row only if it picks the frame; bidomain's banks
+    # read every target frame's row from the detector in the first round
+    @pytest.mark.parametrize("strategy", ["entropy", "committee", "bidomain"])
     def test_target_frame(self, strategy):
         self.run(strategy, "target")
 

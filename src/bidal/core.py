@@ -61,7 +61,10 @@ class FrameRecord:
 
 
 def validate_frame(frame: FrameRecord) -> list:
-    """Return a list of invariant violations (empty means the frame is valid)."""
+    """Return a list of invariant violations (empty means the frame is valid).
+
+    ``io.load_frames`` runs these checks over a block of frames at once
+    (``io._Group.frames``); a check added here belongs there too."""
     errors = []
     fm = np.asarray(frame.feature_map)
     om = np.asarray(frame.objectness_map)
@@ -222,14 +225,26 @@ def encode_array(arr: np.ndarray, dtype: str) -> str:
 
 def decode_array(blob: str, shape, dtype: str, what: str) -> np.ndarray:
     """Inverse of encode_array; bad base64 or a payload of the wrong length raises ValueError."""
+    raw = _payload(blob, np.dtype(dtype).itemsize * math.prod(shape) if shape else 0, what)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def _payload(blob: str, nbytes: int, what: str) -> bytes:
+    """The ``nbytes`` bytes that ``blob``, canonical base64, encodes; anything else raises
+    ``ValueError`` naming ``what``."""
     try:
         raw = binascii.a2b_base64(blob)  # base64.b64decode without its wrapper's copy
     except ValueError as exc:  # binascii.Error included
         raise ValueError("%s is not valid base64 (%s)" % (what, exc))
-    expected = np.dtype(dtype).itemsize * math.prod(shape) if shape else 0
-    if len(raw) != expected:
-        raise ValueError("%s payload is %d bytes, expected %d" % (what, len(raw), expected))
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    if len(raw) != nbytes:
+        raise ValueError("%s payload is %d bytes, expected %d" % (what, len(raw), nbytes))
+    # a2b_base64 skips what is not in the alphabet (no strict mode before Python 3.11), so
+    # a junk character, a line break or extra padding shows only in the length
+    chars = 4 * -(-nbytes // 3)
+    if len(blob) != chars:
+        raise ValueError("%s is not valid base64 (%d characters, expected %d)"
+                         % (what, len(blob), chars))
+    return raw
 
 
 def canonical_json(obj: Any) -> str:
@@ -322,6 +337,18 @@ def _build(cls, d: Any, context: str, readers: Mapping[Any, Callable]):
     return _compile(cls, tuple(readers.items()))(d, context, None)
 
 
+_INT = frozenset([int])
+
+
+def _int_range(bound: Range) -> Tuple[Any, Any]:
+    """The least and the greatest int that ``bound`` holds (an infinity where it has no limit)."""
+    lo = max(-math.inf if bound.ge is None else math.ceil(bound.ge),
+             -math.inf if bound.gt is None else math.floor(bound.gt) + 1)
+    hi = min(math.inf if bound.le is None else math.floor(bound.le),
+             math.inf if bound.lt is None else math.ceil(bound.lt) - 1)
+    return lo, hi
+
+
 @functools.lru_cache(maxsize=None)
 def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
     """The check of a ``tp`` value, ``check(value, loc, key)``: the value at ``key`` in ``loc``
@@ -335,6 +362,9 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
         schema = _schema(tp)
         checks = {name: _compile(field_tp, readers) for name, field_tp, _ in schema}
         required = frozenset(name for name, _, default in schema if default is MISSING)
+        # a value of one of these types, unbounded, is its field's check's result
+        exact = {name: field_tp if field_tp in (str, int, bool) and field_tp not in dict(readers)
+                 else None for name, field_tp, _ in schema}
 
         def build(d, loc, key):
             if not isinstance(d, dict):
@@ -344,7 +374,7 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
                 missing = next(name for name in checks if name in required and name not in d)
                 raise ConfigError("%s requires %s" % (_where(loc, key), missing))
             here = (loc, key)
-            kwargs = {k: checks[k](v, here, k) for k, v in d.items()}
+            kwargs = {k: v if type(v) is exact[k] else checks[k](v, here, k) for k, v in d.items()}
             try:
                 return tp(**kwargs)
             except ValueError as exc:
@@ -353,10 +383,15 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
         return build
     origin, args = get_origin(tp), get_args(tp)
     if origin is Annotated:  # a Range or NonEmpty bound on the checked value
-        inner, bound = _compile(args[0], readers), args[1]
+        inner, (base, bound) = _compile(args[0], readers), args
         expected = str(bound)
+        # ``inner`` returns an int as it is, so a bounded int is checked in one step
+        exact = int if base is int and isinstance(bound, Range) else None
+        lo, hi = _int_range(bound) if exact else (None, None)
 
         def check_bound(value, loc, key):
+            if type(value) is exact and lo <= value <= hi:
+                return value
             checked = inner(value, loc, key)
             if not bound.holds(checked):
                 _fail(loc, key, expected, value)
@@ -381,8 +416,16 @@ def _compile(tp: Any, readers: Tuple[Tuple[Any, Callable], ...]) -> Callable:
         item = _compile(item_tp, readers)
         n = None if origin is list or rest == [Ellipsis] else 1 + len(rest)
         expected = "a list of %s%s" % ("" if n is None else "%d " % n, _base(item_tp).__name__)
+        # a JSON list of ints within one Range passes in one go, on its least and greatest
+        # item; any other value takes the per-item path, which words the fault
+        ints = _base(item_tp) is int and rest in ([], [Ellipsis], [item_tp] * len(rest))
+        item_bound = get_args(item_tp)[1] if get_origin(item_tp) is Annotated else Range()
+        lo, hi = _int_range(item_bound) if ints else (None, None)
 
         def check_list(value, loc, key):  # a constructor's tuple or array, too
+            if (ints and type(value) is list and n in (None, len(value)) and value
+                    and set(map(type, value)) == _INT and lo <= min(value) and max(value) <= hi):
+                return list(value) if origin is list else tuple(value)
             if not isinstance(value, (list, tuple, np.ndarray)) or n not in (None, len(value)):
                 _fail(loc, key, expected, value)
             here = (loc, key)

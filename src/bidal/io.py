@@ -8,18 +8,27 @@ writes it with ``core.canonical_json`` and ``load_frames`` reads it through
 types). A missing or unknown key, or a value of the wrong type, is rejected
 with a message that names it (and, for a frame record, its line). A frame id
 may appear once per file.
+
+``load_frames`` reads a file in one pass. Each line is decoded as UTF-8, parsed,
+walked and its four payloads decoded from canonical base64 (a junk character,
+a line break or extra padding is rejected); the frames whose arrays have the
+same shapes then share one block per field, and each frame's arrays are rows
+of it. ``validate_frame``'s checks run once per block, and only the first frame
+that fails them goes through ``validate_frame``, for its message. The first
+faulty line in the file names the error, whatever the fault.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import (BudgetSchedule, ConfigError, Domain, FrameRecord, NonNegInt, SyntheticConfig,
-                   _base, _build, _check_keys, _compile, _schema, canonical_json, decode_array,
+                   _base, _build, _check_keys, _compile, _payload, _schema, canonical_json,
                    encode_array, read_json, validate_frame)
 from .pipeline import PipelineConfig
 from .source_sampler import Proportion, SourceSelectionMode, Threshold, TopK
@@ -40,7 +49,9 @@ BUDGET_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
+# _Shapes and _Record are not frozen: a frozen dataclass's constructor costs about three
+# times as much, once per line read
+@dataclass
 class _Shapes:
     """Each array's shape in a frame record; ``roi_confidences`` has ``roi_features``' first."""
 
@@ -49,7 +60,7 @@ class _Shapes:
     roi_features: Tuple[NonNegInt, NonNegInt]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Record:
     """One line of a frame file: four base64 little-endian float32 payloads and their shapes."""
 
@@ -76,37 +87,99 @@ def save_frames(frames: Sequence[FrameRecord], path: str) -> None:
             fh.write("\n")
 
 
+_FIELDS = ("feature_map", "objectness_map", "roi_features", "roi_confidences")
+
+# validate_frame's value checks, elementwise, in _FIELDS order
+_VALUE_CHECKS = (np.isfinite, lambda a: (a >= 0.0) & (a <= 1.0),
+                 np.isfinite, lambda a: (a >= 0.0) & (a <= 1.0))
+
+
+class _Group:
+    """The records of one frame file whose arrays have the same shapes: each one's line, id,
+    domain, label and decoded payloads."""
+
+    def __init__(self, shapes: Tuple[Tuple[int, ...], ...]):
+        fm, om, rois = shapes
+        self.shapes = (fm, om, rois, rois[:1])
+        self.nbytes = [4 * math.prod(shape) for shape in self.shapes]
+        self.records: List[Tuple[int, str, Domain, Optional[int]]] = []
+        self.payloads: List[List[bytes]] = []
+
+    def add(self, line_no: int, r: _Record) -> None:
+        """Decode ``r``'s payloads; a bad one raises ``ValueError`` naming its field."""
+        self.payloads.append([_payload(getattr(r, key), n, key)
+                              for key, n in zip(_FIELDS, self.nbytes)])
+        self.records.append((line_no, r.id, r.domain, r.hidden_label))
+
+    def frames(self) -> Tuple[List[Tuple[int, FrameRecord]], Optional[int]]:
+        """Each record's line and frame, and the index of the first frame ``validate_frame``
+        rejects (None if none). A frame's arrays are rows of one block per field, and each of
+        ``validate_frame``'s checks runs once over the block."""
+        m = len(self.records)
+        blocks = [np.frombuffer(bytearray().join(raws), "<f4").reshape((m,) + shape)
+                  for raws, shape in zip(zip(*self.payloads), self.shapes)]
+        fm, om = self.shapes[:2]
+        shape_fault = fm[1:] != om[1:] or 0 in fm or 0 in om
+        bad = np.array([shape_fault or not frame_id for _, frame_id, _, _ in self.records])
+        for check, block in zip(_VALUE_CHECKS, blocks):
+            ok = check(block)
+            if not ok.all():
+                bad |= ~ok.all(axis=tuple(range(1, ok.ndim)))
+        frames = [(line_no, FrameRecord(frame_id, domain, *arrays, label))
+                  for (line_no, frame_id, domain, label), arrays
+                  in zip(self.records, zip(*map(list, blocks)))]
+        return frames, int(bad.argmax()) if bad.any() else None
+
+
 def load_frames(path: str) -> List[FrameRecord]:
     """The frames in ``path``, in file order; an id may appear on one line only, and any
-    error names the line and the field."""
-    frames = []
+    error names the line and the field. The first faulty line wins; on one line, a bad
+    payload comes before an invalid frame, and that before a repeated id. A line that
+    cannot be read ends the file there."""
+    read = _compile(_Record, ())
+    groups: Dict[Tuple[Tuple[int, ...], ...], _Group] = {}
+    # (line, rank, message) of the first line that cannot be read (rank 0), the first
+    # invalid frame (1) and the first repeated id (2); the least is raised
+    faults = []
     first_line = {}
-    with open(path) as fh:
+    # a byte that is not UTF-8 is read as a lone surrogate, so its line can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                r = _build(_Record, json.loads(line), "frame record", {})
-                rois = r.shapes.roi_features
-                arrays = {key: decode_array(getattr(r, key), shape, "<f4", key)
-                          for key, shape in (("feature_map", r.shapes.feature_map),
-                                             ("objectness_map", r.shapes.objectness_map),
-                                             ("roi_features", rois),
-                                             ("roi_confidences", rois[:1]))}
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                line = line.strip()
+                if not line:
+                    continue
+                r = read(json.loads(line), "frame record", None)
+                shapes = (r.shapes.feature_map, r.shapes.objectness_map, r.shapes.roi_features)
+                group = groups.get(shapes) or _Group(shapes)
+                group.add(line_no, r)
+            except UnicodeDecodeError as exc:
+                faults.append((line_no, 0, "line %d: not UTF-8 (%s)" % (line_no, exc)))
+                break
             except json.JSONDecodeError as exc:
-                raise FrameFormatError("line %d: invalid JSON (%s)" % (line_no, exc))
+                faults.append((line_no, 0, "line %d: invalid JSON (%s)" % (line_no, exc)))
+                break
             except ValueError as exc:  # ConfigError included
-                raise FrameFormatError("line %d: %s" % (line_no, exc))
-            frame = FrameRecord(r.id, r.domain, hidden_label=r.hidden_label, **arrays)
-            errors = validate_frame(frame)
-            if errors:
-                raise FrameFormatError("line %d: invalid frame: %s" % (line_no, "; ".join(errors)))
-            if first_line.setdefault(frame.id, line_no) != line_no:
-                raise FrameFormatError("line %d: id %r repeats line %d"
-                                       % (line_no, frame.id, first_line[frame.id]))
-            frames.append(frame)
-    return frames
+                faults.append((line_no, 0, "line %d: %s" % (line_no, exc)))
+                break
+            groups[shapes] = group
+            if first_line.setdefault(r.id, line_no) != line_no and not faults:
+                faults.append((line_no, 2, "line %d: id %r repeats line %d"
+                               % (line_no, r.id, first_line[r.id])))
+    framed = []
+    for group in groups.values():
+        frames, bad = group.frames()
+        framed += frames
+        if bad is not None:
+            line_no, frame = frames[bad]
+            faults.append((line_no, 1, "line %d: invalid frame: %s"
+                           % (line_no, "; ".join(validate_frame(frame)))))
+    if faults:
+        raise FrameFormatError(min(faults)[2])
+    framed.sort()
+    return [frame for _, frame in framed]
 
 
 _SOURCE_MODES = {"threshold": Threshold, "proportion": Proportion, "topk": TopK}

@@ -844,6 +844,17 @@ def _nan_first(values):
     return values
 
 
+def _junk(key, item=None):
+    """Put a character outside the base64 alphabet in the middle of a payload."""
+
+    def apply(record):
+        holder, k = (record, key) if item is None else (record[key], item)
+        middle = len(holder[k]) // 2
+        holder[k] = holder[k][:middle] + "*" + holder[k][middle:]
+
+    return apply
+
+
 def _set(key, value):
     def apply(record):
         if isinstance(key, tuple):
@@ -878,7 +889,7 @@ FRAME_FAULTS = {
 for _key in ("feature_map", "objectness_map", "roi_features", "roi_confidences"):
     FRAME_FAULTS[_key] = {"missing": _drop(_key), "type": _set(_key, 5),
                           "shape": _blob_edit(_key, lambda v: v[:-1]),
-                          "nan": _blob_edit(_key, _nan_first)}
+                          "nan": _blob_edit(_key, _nan_first), "junk": _junk(_key)}
 
 
 def _ckpt_nan(key):
@@ -905,9 +916,9 @@ CHECKPOINT_FAULTS = {
                    "shape": _set("layer_dims", [16, 4, 2, 1]),
                    "nan": _set("layer_dims", [16, float("nan"), 1])},
     "weights": {"type": _set("weights", 5), "shape": _ckpt_truncate("weights"),
-                "nan": _ckpt_nan("weights")},
+                "nan": _ckpt_nan("weights"), "junk": _junk("weights", 0)},
     "biases": {"type": _set("biases", 5), "shape": _ckpt_truncate("biases"),
-               "nan": _ckpt_nan("biases")},
+               "nan": _ckpt_nan("biases"), "junk": _junk("biases", 0)},
     "leak": {"type": _set("leak", "0.01"), "shape": _set("leak", [0.01])},
     "rng_seed": {"type": _set("rng_seed", "0"), "shape": _set("rng_seed", [0])},
 }

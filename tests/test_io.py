@@ -1,4 +1,5 @@
 import ast
+import base64
 import dataclasses
 import json
 
@@ -10,7 +11,10 @@ from bidal import (
     BankConfig,
     BudgetSchedule,
     ConfigError,
+    DiscriminatorModel,
+    Domain,
     FrameFormatError,
+    FrameRecord,
     PipelineConfig,
     Proportion,
     SyntheticConfig,
@@ -25,6 +29,7 @@ from bidal import (
     save_frames,
 )
 from bidal import io as frameio
+from bidal.core import decode_array
 
 
 def sample_frames(n=5, seed=0):
@@ -144,6 +149,172 @@ class TestFrameFiles:
         with open(path, "w") as fh:
             fh.write(text)
         assert len(load_frames(path)) == 4
+
+
+def make_frame(i, k=1, fm_shape=(16, 4, 4), d=16, **arrays):
+    """Frame ``f{i}`` with ``k`` ROIs of width ``d``; ``arrays`` replaces any of its arrays."""
+    rng = np.random.default_rng(i)
+    _, h, w = fm_shape
+    fields = dict(feature_map=rng.normal(size=fm_shape).astype("<f4"),
+                  objectness_map=rng.uniform(size=(2, h, w)).astype("<f4"),
+                  roi_features=rng.normal(size=(k, d)).astype("<f4"),
+                  roi_confidences=rng.uniform(size=k).astype("<f4"))
+    fields.update(arrays)
+    return FrameRecord("f%d" % i, Domain.TARGET, hidden_label=i % 3, **fields)
+
+
+def _with_nan(frame, key):
+    values = getattr(frame, key).copy()
+    values.flat[0] = np.nan
+    return dataclasses.replace(frame, **{key: values})
+
+
+def _write_lines(path, frames, edits):
+    """Save ``frames`` and apply ``edits`` ({line: edit of its JSON record}) to the file."""
+    save_frames(frames, str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for line_no, edit in edits.items():
+        edit(records[line_no - 1])
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def _out_of_range(frame):
+    values = frame.objectness_map.copy()
+    values.flat[0] = 1.5
+    return dataclasses.replace(frame, objectness_map=values)
+
+
+def _shorten(key):
+    def edit(record):
+        raw = base64.b64decode(record[key])
+        record[key] = base64.b64encode(raw[:-4]).decode()
+
+    return edit
+
+
+# (frames, {line: edit}, message): the first faulty line names the error, whatever
+# the fault; every message is what the line-by-line reader gave
+PRECEDENCE = {
+    "nan-before-unknown-key": (
+        [make_frame(1), _with_nan(make_frame(2), "feature_map"), make_frame(3), make_frame(4),
+         make_frame(5)],
+        {4: lambda r: r.update(foo=1)},
+        "line 2: invalid frame: feature_map contains non-finite values"),
+    "unknown-key-before-nan": (
+        [make_frame(1), make_frame(2), make_frame(3), _with_nan(make_frame(4), "feature_map"),
+         make_frame(5)],
+        {2: lambda r: r.update(foo=1)},
+        "line 2: unknown frame record keys: foo"),
+    "value-fault-and-repeat-on-one-line": (
+        [make_frame(1), make_frame(2), _out_of_range(make_frame(3)), make_frame(4)],
+        {3: lambda r: r.update(id="f1")},
+        "line 3: invalid frame: objectness_map out of [0,1]"),
+    "repeat-before-value-fault": (
+        [make_frame(1), make_frame(2), make_frame(3), _out_of_range(make_frame(4))],
+        {3: lambda r: r.update(id="f1")},
+        "line 3: id 'f1' repeats line 1"),
+    "short-payload-after-objectness": (
+        [make_frame(1), _out_of_range(make_frame(2)), make_frame(3)],
+        {3: _shorten("roi_features")},
+        "line 2: invalid frame: objectness_map out of [0,1]"),
+    # lines 1, 4 and 5 hold one ROI, lines 2 and 3 two: the group first seen second
+    # faults first
+    "second-group-earlier-line": (
+        [make_frame(1), make_frame(2, k=2), _with_nan(make_frame(3, k=2), "roi_features"),
+         _with_nan(make_frame(4), "feature_map"), make_frame(5)],
+        {},
+        "line 3: invalid frame: roi_features contains non-finite values"),
+    "empty-id-in-second-group": (
+        [make_frame(1), make_frame(2, k=2), make_frame(3), _out_of_range(make_frame(4))],
+        {2: lambda r: r.update(id="")},
+        "line 2: invalid frame: frame id is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_first_faulty_line_names_the_error(tmp_path, case):
+    frames, edits, message = PRECEDENCE[case]
+    path = tmp_path / "frames.ndjson"
+    _write_lines(path, frames, edits)
+    with pytest.raises(FrameFormatError) as info:
+        load_frames(str(path))
+    assert str(info.value) == message
+
+
+def test_load_equals_decode_array_field_by_field(tmp_path):
+    """Every array of every frame has the bytes, dtype and shape that ``decode_array`` gives
+    for its payload, is writable, and shares no memory with another frame's arrays."""
+    special = np.array([-0.0, 1e-45, -1e-40, 1.1754942e-38, 0.0, 1.0], "<f4")
+    frames = [make_frame(k, k=k) for k in range(7)]
+    frames += [make_frame(7, k=0, roi_features=np.zeros((0, 0), "<f4")),
+               make_frame(8, k=3, fm_shape=(8, 2, 3)), make_frame(9, k=0, fm_shape=(8, 2, 3)),
+               make_frame(10, k=6, roi_features=np.resize(special, (6, 16)),
+                          roi_confidences=special.copy() * (special >= 0),
+                          feature_map=np.resize(special, (16, 4, 4)),
+                          objectness_map=np.resize(np.array([0.0, 1.0], "<f4"), (2, 4, 4))),
+               make_frame(11, k=2)]
+    path = tmp_path / "frames.ndjson"
+    save_frames(frames, str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    loaded = load_frames(str(path))
+    assert [f.id for f in loaded] == [r["id"] for r in records]
+    keys = ("feature_map", "objectness_map", "roi_features", "roi_confidences")
+    for frame, record in zip(loaded, records):
+        rois = record["shapes"]["roi_features"]
+        shapes = dict(record["shapes"], roi_confidences=rois[:1])
+        for key in keys:
+            got = getattr(frame, key)
+            want = decode_array(record[key], shapes[key], "<f4", key)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert got.flags.writeable
+    arrays = [(i, getattr(f, key)) for i, f in enumerate(loaded) for key in keys]
+    for i, a in arrays:
+        assert not any(np.shares_memory(a, b) for j, b in arrays if j != i)
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [("roi_confidences", lambda b: b[:16] + "*" + b[16:]),
+     ("roi_confidences", lambda b: b[:16] + "!!!!" + b[16:]),
+     ("roi_confidences", lambda b: b[:16] + "\n" + b[16:]),
+     ("roi_confidences", lambda b: b + "===="),
+     ("feature_map", lambda b: b + "====")],
+    ids=["star", "bangs", "line-break", "padding", "padded-payload"],
+)
+def test_junk_in_a_frame_payload_is_rejected(tmp_path, key, edit):
+    """Six floats are a 32-character payload; a2b_base64 alone would skip the junk."""
+    path = tmp_path / "frames.ndjson"
+    _write_lines(path, [make_frame(1, k=6)], {1: lambda r: r.update({key: edit(r[key])})})
+    with pytest.raises(FrameFormatError) as info:
+        load_frames(str(path))
+    assert str(info.value).startswith("line 1: %s is not valid base64 (" % key), info.value
+
+
+@pytest.mark.parametrize("junk", ["*", "\n", "===="], ids=["star", "line-break", "padding"])
+def test_junk_in_a_checkpoint_payload_is_rejected(tmp_path, junk):
+    path = tmp_path / "m.json"
+    DiscriminatorModel.initialize((16, 4, 1), seed=0).save(str(path))
+    payload = json.loads(path.read_text())
+    blob = payload["biases"][0]
+    payload["biases"][0] = blob[:8] + junk + blob[8:]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        DiscriminatorModel.load(str(path))
+    assert str(info.value).startswith("checkpoint %s: biases[0] is not valid base64 (" % path)
+
+
+def test_non_utf8_byte_names_its_line(tmp_path):
+    path = tmp_path / "frames.ndjson"
+    frames = [make_frame(i) for i in range(5)]
+    frames[1] = dataclasses.replace(frames[1], id="f\u00e9")  # valid UTF-8 passes
+    save_frames(frames, str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert load_frames(str(path))[1].id == "f\u00e9"
+    lines[2] = lines[2].replace(b'"f2"', b'"f2\xff"')
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(FrameFormatError) as info:
+        load_frames(str(path))
+    assert str(info.value).startswith("line 3: not UTF-8 ("), info.value
 
 
 class TestSourceModeParsing:
